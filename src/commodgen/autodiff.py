@@ -418,17 +418,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._result(data, tuple(tensors), backward, "concat")
 
 
-def stack_along(tensors, axis: int = 1) -> Tensor:
-    """Stack equally-shaped tensors along a new axis (concat of expanded views)."""
-    expanded = []
-    for t in tensors:
-        t = Tensor._lift(t)
-        shape = list(t.shape)
-        shape.insert(axis, 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis=axis)
-
-
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """log(sum(exp(t))) along an axis, shift-stabilised.
 
@@ -496,10 +485,6 @@ class ParamSet:
             grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
             p.grad = None
         return grads
-
-    def zero_grads(self) -> None:
-        for _, p in self.items():
-            p.grad = None
 
     def to_state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.items()}

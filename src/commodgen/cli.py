@@ -41,8 +41,10 @@ keys are rejected.  All keys:
   hedge.train.*         TrainConfig fields for the hedger fit
 
 Every artifact is deterministic given the config; a rerun reproduces
-byte-identical files (the manifest's timestamp aside).  Each command writes
-`manifest.json` last, listing the sha256 of every file it produced.
+byte-identical files (the manifest's timestamp aside).  Each command first
+removes the `manifest.json` and `diagnostic.json` a previous command left in
+its output directory, and writes `manifest.json` last, listing the sha256 of
+every file it produced.
 """
 
 from __future__ import annotations
@@ -242,8 +244,12 @@ def write_manifest(out_dir: pathlib.Path, command: str, cfg_hash: str,
 
 
 def _out_dir(cfg: dict) -> pathlib.Path:
+    """Create the output directory and clear the completion markers
+    (manifest, diagnostic) a previous command may have left there."""
     out = pathlib.Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    for marker in ("manifest.json", "diagnostic.json"):
+        (out / marker).unlink(missing_ok=True)
     return out
 
 
@@ -571,7 +577,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (TrainingError, NumericOverflowError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import store
+from .store import DataError
 
 TRADING_DT = 1.0 / 252.0
 DATASET_FORMAT = "commodgen-dataset"
@@ -24,10 +25,6 @@ DATASET_VERSION = 1
 def bundled_dataset_path():
     """Filesystem path of the synthetic 4-commodity dataset shipped with the package."""
     return importlib.resources.files("commodgen") / "data" / "commodities.csv"
-
-
-class DataError(ValueError):
-    """Malformed or inconsistent input data."""
 
 
 @dataclass
@@ -238,90 +235,64 @@ def windowize(table: PriceTable, length: int = 30, stride: int = 1) -> PathBatch
 
 @dataclass
 class Normalizer:
-    """Affine or initial-value scaling of path batches.
+    """Initial-value-ratio scaling of path batches.
 
-    min-max: x -> (x - min) / (max - min) per dimension, fitted globally
-    over samples and time.  initial-value-ratio: every path is divided by
-    its own first value, so paths start at exactly 1; inversion multiplies
-    by the fitted per-dimension mean initial level.
+    Every path is divided by its own first value, so paths start at exactly
+    1; inversion multiplies by the fitted per-dimension mean initial level.
     """
 
-    mode: str
-    shift: np.ndarray
     scale: np.ndarray
     labels: list[str] = field(default_factory=list)
 
-    MODES = ("min-max", "initial-value-ratio")
+    MODE = "initial-value-ratio"
 
     def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise DataError(f"unknown normalizer mode '{self.mode}', expected one of {self.MODES}")
-        self.shift = np.asarray(self.shift, dtype=np.float64)
         self.scale = np.asarray(self.scale, dtype=np.float64)
-        if self.shift.shape != self.scale.shape or self.shift.ndim != 1:
-            raise DataError("normalizer shift/scale must be matching 1-d vectors")
+        if self.scale.ndim != 1:
+            raise DataError("normalizer scale must be a 1-d vector")
         if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
             raise DataError("normalizer scale must be positive and finite")
 
     def apply(self, batch: PathBatch) -> PathBatch:
         self._check_dim(batch)
-        if self.mode == "min-max":
-            vals = (batch.values - self.shift) / self.scale
-        else:
-            starts = batch.values[:, :1, :]
-            if np.any(starts == 0):
-                raise DataError("initial-value-ratio normalization hit a zero start value")
-            vals = batch.values / starts
-        return PathBatch(values=vals, labels=batch.labels, dt=batch.dt)
+        starts = batch.values[:, :1, :]
+        if np.any(starts == 0):
+            raise DataError("initial-value-ratio normalization hit a zero start value")
+        return PathBatch(values=batch.values / starts, labels=batch.labels, dt=batch.dt)
 
     def invert(self, batch: PathBatch) -> PathBatch:
         self._check_dim(batch)
-        if self.mode == "min-max":
-            vals = batch.values * self.scale + self.shift
-        else:
-            vals = batch.values * self.scale
-        return PathBatch(values=vals, labels=batch.labels, dt=batch.dt)
+        return PathBatch(values=batch.values * self.scale, labels=batch.labels, dt=batch.dt)
 
     def _check_dim(self, batch: PathBatch) -> None:
-        if batch.dim != self.shift.shape[0]:
-            raise DataError(f"normalizer fitted on {self.shift.shape[0]} dimensions, "
+        if batch.dim != self.scale.shape[0]:
+            raise DataError(f"normalizer fitted on {self.scale.shape[0]} dimensions, "
                             f"batch has {batch.dim}")
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "shift": self.shift.tolist(),
+        # "mode" and the all-zero "shift" keep the checkpoint layout of the
+        # retired min-max mode
+        return {"mode": self.MODE, "shift": [0.0] * self.scale.shape[0],
                 "scale": self.scale.tolist(), "labels": list(self.labels)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(mode=d["mode"], shift=np.asarray(d["shift"], dtype=np.float64),
-                   scale=np.asarray(d["scale"], dtype=np.float64), labels=list(d["labels"]))
+        if d["mode"] != cls.MODE:
+            raise DataError(f"unknown normalizer mode '{d['mode']}', expected '{cls.MODE}'")
+        return cls(scale=np.asarray(d["scale"], dtype=np.float64), labels=list(d["labels"]))
 
 
-def fit_normalizer(batch: PathBatch, mode: str = "initial-value-ratio") -> Normalizer:
-    """Fit scaling constants on a training batch."""
-    if mode == "min-max":
-        lo = batch.values.min(axis=(0, 1))
-        hi = batch.values.max(axis=(0, 1))
-        span = hi - lo
-        flat = np.nonzero(span <= 0)[0]
-        if flat.size:
-            raise DataError(f"min-max scaling undefined for constant dimension "
-                            f"'{batch.labels[flat[0]]}'")
-        return Normalizer(mode=mode, shift=lo, scale=span, labels=list(batch.labels))
-    if mode == "initial-value-ratio":
-        ref = batch.values[:, 0, :].mean(axis=0)
-        if np.any(ref <= 0):
-            raise DataError("initial-value-ratio needs positive mean start levels")
-        return Normalizer(mode=mode, shift=np.zeros_like(ref), scale=ref,
-                          labels=list(batch.labels))
-    raise DataError(f"unknown normalizer mode '{mode}', expected one of {Normalizer.MODES}")
+def fit_normalizer(batch: PathBatch) -> Normalizer:
+    """Fit the per-dimension mean start level on a training batch."""
+    ref = batch.values[:, 0, :].mean(axis=0)
+    if np.any(ref <= 0):
+        raise DataError("initial-value-ratio needs positive mean start levels")
+    return Normalizer(scale=ref, labels=list(batch.labels))
 
 
 def write_dataset(batch: PathBatch, path) -> None:
     """Persist a window batch as a deterministic JSON container."""
-    store.write_json(path, {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
+    store.write_container(path, DATASET_FORMAT, DATASET_VERSION, {
         "labels": list(batch.labels),
         "dt": float(batch.dt),
         "values": store.array_block(batch.values),
@@ -329,10 +300,7 @@ def write_dataset(batch: PathBatch, path) -> None:
 
 
 def read_dataset(path) -> PathBatch:
-    payload = store.read_json(path)
-    if payload.get("format") != DATASET_FORMAT:
-        raise DataError(f"{path} is not a dataset container")
-    if payload.get("version") != DATASET_VERSION:
-        raise DataError(f"unsupported dataset version {payload.get('version')}")
-    return PathBatch(values=store.block_array(payload["values"]),
-                     labels=list(payload["labels"]), dt=float(payload["dt"]))
+    return store.read_container(
+        path, DATASET_FORMAT, DATASET_VERSION, "dataset container",
+        lambda raw: PathBatch(values=store.block_array(raw["values"]),
+                              labels=list(raw["labels"]), dt=float(raw["dt"])))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import (AdamState, ParamSet, Tensor, adam_step, clip_by_global_norm,
                        concat, no_grad)
-from .dataio import DataError, Normalizer, PathBatch
+from .dataio import Normalizer, PathBatch
 from .losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      TransitionBinning, causal_transport_losses,
                      transition_moment_loss)
@@ -37,11 +37,9 @@ from .nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
 from .rng import rng_for
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
 from . import store
+from .store import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, DataError
 
 KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
-
-CHECKPOINT_FORMAT = "commodgen-checkpoint"
-CHECKPOINT_VERSION = 1
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -164,7 +162,7 @@ class LossCurve:
         return float(np.mean(self.gen_loss[:q])), float(np.mean(self.gen_loss[-q:]))
 
 
-def _check_loss(value: float, iteration: int, term: str) -> None:
+def check_loss(value: float, iteration: int, term: str) -> None:
     if not math.isfinite(value):
         raise TrainingError(f"training aborted: non-finite loss at iteration "
                             f"{iteration} ({term})")
@@ -229,78 +227,45 @@ class GeneratorModel:
         return PathBatch(values=values, labels=self.labels, dt=self.dt)
 
     def _sample_normalized(self, n: int, seed: int) -> np.ndarray:
+        """Run the kind's training rollout under no_grad on fresh draws."""
         if self.kind == "GBM":
             return simulate_gbm(self.gbm, n, self.seq_len, self.start_levels,
                                 seed=seed, labels=self.labels).values
+        cfg, d, seq_len = self.cfg, self.dim, self.seq_len
+        noise = rng_for(seed, self.kind.lower(), "sample")
         with no_grad():
             if self.kind == "CEGEN":
-                return self._sample_cegen(n, seed)
-            if self.kind == "TSGAN":
-                return self._sample_tsgan(n, seed)
+                scale = np.ones(d) if self.cegen_scale is None else self.cegen_scale
+                steps = _cegen_rollout(*_cegen_nets(self.params, d, cfg),
+                                       np.tile(self.start_levels / scale, (n, 1)),
+                                       noise.standard_normal((n, seq_len - 1, d)), self.dt)
+                return np.stack([x.data for x in steps], axis=1) * scale
+            if self.kind == "SIGGAN":
+                if self.sig_pool is None or not len(self.sig_pool):
+                    raise DataError("signature generator has no stored starting segments")
+                p, q = cfg.past_len, cfg.future_len
+                past = self.sig_pool[rng_for(seed, "siggan", "starts").integers(
+                    0, self.sig_pool.shape[0], size=n)]
+                chunks = -(-(seq_len - p) // q)
+                steps = _siggan_rollout(_siggan_net(self.params, d, cfg), past,
+                                        noise.standard_normal((chunks, n, _noise_dim(cfg, d))))
+                return np.concatenate([past] + [x.data for x in steps], axis=1)[:, :seq_len]
+            z = noise.standard_normal((n, seq_len, _noise_dim(cfg, d)))
             if self.kind == "COTGAN":
-                return self._sample_cotgan(n, seed)
-            return self._sample_siggan(n, seed)
-
-    def _noise_dim(self) -> int:
-        return self.cfg.noise_dim if self.cfg.noise_dim is not None else self.dim
-
-    def _sample_cegen(self, n: int, seed: int) -> np.ndarray:
-        drift, diff = _cegen_nets(self.params, self.dim, self.cfg)
-        scale = np.ones(self.dim) if self.cegen_scale is None else self.cegen_scale
-        z = rng_for(seed, "cegen", "sample").standard_normal((n, self.seq_len - 1, self.dim))
-        x = Tensor(np.tile(self.start_levels / scale, (n, 1)))
-        slices = [x]
-        for t in range(self.seq_len - 1):
-            x = _cegen_step(drift, diff, x, t / (self.seq_len - 1.0), Tensor(z[:, t, :]),
-                            self.dt, self.dim)
-            slices.append(x)
-        return np.stack([s.data for s in slices], axis=1) * scale
-
-    def _sample_cotgan(self, n: int, seed: int) -> np.ndarray:
-        cell, head = _cotgan_nets(self.params, self.dim, self.cfg)
-        z = rng_for(seed, "cotgan", "sample").standard_normal(
-            (n, self.seq_len, self._noise_dim()))
-        states = unroll_states(cell, Tensor(z))
-        return np.stack([head(s).data for s in states], axis=1)
-
-    def _sample_tsgan(self, n: int, seed: int) -> np.ndarray:
-        nets = _tsgan_nets(self.params, self.dim, self.cfg)
-        z = rng_for(seed, "tsgan", "sample").standard_normal(
-            (n, self.seq_len, self._noise_dim()))
-        latents = unroll_states(nets["gen"], Tensor(z))
-        sup_states = unroll_states(nets["sup"], states_to_sequence(latents))
-        seq = states_to_sequence(sup_states)
-        flat = seq.reshape((n * self.seq_len, self.cfg.latent_dim))
-        out = nets["rec"](flat)
-        return out.data.reshape(n, self.seq_len, self.dim)
-
-    def _sample_siggan(self, n: int, seed: int) -> np.ndarray:
-        if self.sig_pool is None or not len(self.sig_pool):
-            raise DataError("signature generator has no stored starting segments")
-        net = _siggan_net(self.params, self.dim, self.cfg)
-        p, q = self.cfg.past_len, self.cfg.future_len
-        idx_rng = rng_for(seed, "siggan", "starts")
-        noise_rng = rng_for(seed, "siggan", "sample")
-        pool_idx = idx_rng.integers(0, self.sig_pool.shape[0], size=n)
-        past = self.sig_pool[pool_idx]          # (n, p, d)
-        chunks = [past]
-        total = p
-        while total < self.seq_len:
-            z = noise_rng.standard_normal((n, self._noise_dim()))
-            flat_past = past.reshape(n, p * self.dim)
-            incs = net(Tensor(np.concatenate([flat_past, z], axis=1))).data
-            incs = incs.reshape(n, q, self.dim)
-            future = past[:, -1:, :] + np.cumsum(incs, axis=1)
-            chunks.append(future)
-            total += q
-            merged = np.concatenate([past, future], axis=1)
-            past = merged[:, -p:, :]
-        values = np.concatenate(chunks, axis=1)[:, :self.seq_len, :]
-        return values
+                steps = _cotgan_rollout(*_cotgan_nets(self.params, d, cfg), z)
+                return np.stack([x.data for x in steps], axis=1)
+            nets = _tsgan_nets(self.params, d, cfg)
+            return _tsgan_recover(nets, _tsgan_rollout(nets, z)).data.reshape(n, seq_len, d)
 
 
 # ---------------------------------------------------------------------------
-# network builders (shared by training and sampling; ParamSet reuses names)
+# network builders and rollouts (shared by training and sampling; ParamSet
+# reuses names).  A rollout maps noise to paths; training runs it with
+# gradients, `GeneratorModel.sample` under no_grad.
+
+
+def _noise_dim(cfg: TrainConfig, dim: int) -> int:
+    return cfg.noise_dim if cfg.noise_dim is not None else dim
 
 
 def _cegen_nets(params: ParamSet, dim: int, cfg: TrainConfig):
@@ -309,49 +274,90 @@ def _cegen_nets(params: ParamSet, dim: int, cfg: TrainConfig):
     return drift, diff
 
 
-def _cegen_step(drift: Mlp, diff: Mlp, x: Tensor, t_frac: float, z: Tensor,
-                dt: float, dim: int) -> Tensor:
-    """One Euler step X + b dt + (L z) sqrt(dt) with lower-triangular L.
+def _cegen_rollout(drift: Mlp, diff: Mlp, x0: np.ndarray, z: np.ndarray,
+                   dt: float) -> list[Tensor]:
+    """Euler scheme from x0 (n, d) over shocks z (n, T-1, d); T slices of (n, d).
 
-    The diffusion net emits a d*d block; strictly-lower entries pass
-    through, the diagonal goes through softplus so L has positive diagonal
-    and L L^T is a valid covariance factor.
+    Each step is X + b dt + (L z) sqrt(dt) with lower-triangular L: the
+    diffusion net emits a d*d block; strictly-lower entries pass through,
+    the diagonal goes through softplus so L has positive diagonal and L L^T
+    is a valid covariance factor.
     """
-    n = x.shape[0]
-    t_col = Tensor(np.full((n, 1), t_frac))
-    inp = concat([t_col, x], axis=1)
-    b = drift(inp)
-    raw = diff(inp).reshape((n, dim, dim))
-    strict = np.tril(np.ones((dim, dim)), k=-1)
-    eye = np.eye(dim)
-    factor = raw * Tensor(strict) + raw.softplus() * Tensor(eye)
-    shock = (factor @ z.reshape((n, dim, 1))).reshape((n, dim))
-    return x + b * dt + shock * math.sqrt(dt)
+    n, steps, dim = z.shape
+    strict = Tensor(np.tril(np.ones((dim, dim)), k=-1))
+    eye = Tensor(np.eye(dim))
+    x = Tensor(x0)
+    slices = [x]
+    for t in range(steps):
+        inp = concat([Tensor(np.full((n, 1), t / float(steps))), x], axis=1)
+        b = drift(inp)
+        raw = diff(inp).reshape((n, dim, dim))
+        factor = raw * strict + raw.softplus() * eye
+        shock = (factor @ Tensor(z[:, t, :]).reshape((n, dim, 1))).reshape((n, dim))
+        x = x + b * dt + shock * math.sqrt(dt)
+        slices.append(x)
+    return slices
 
 
 def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig):
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else dim
-    cell = RecurrentCell(params, "gen", noise_dim, cfg.hidden)
+    cell = RecurrentCell(params, "gen", _noise_dim(cfg, dim), cfg.hidden)
     head = Mlp(params, "gen.out", cfg.hidden, cfg.hidden, dim, layers=1)
     return cell, head
 
 
+def _cotgan_rollout(cell: RecurrentCell, head: Mlp, z: np.ndarray) -> list[Tensor]:
+    """Noise (n, T, noise_dim) -> T path slices of (n, d)."""
+    return [head(s) for s in unroll_states(cell, Tensor(z))]
+
+
 def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else dim
     return {
         "emb": RecurrentCell(params, "emb", dim, cfg.latent_dim),
         "rec": Mlp(params, "rec", cfg.latent_dim, cfg.hidden, dim, layers=1),
-        "gen": RecurrentCell(params, "gen", noise_dim, cfg.latent_dim),
+        "gen": RecurrentCell(params, "gen", _noise_dim(cfg, dim), cfg.latent_dim),
         "sup": RecurrentCell(params, "sup", cfg.latent_dim, cfg.latent_dim),
         "disc": RecurrentCell(params, "disc", cfg.latent_dim, cfg.hidden),
         "disc_out": Mlp(params, "disc.out", cfg.hidden, 0, 1, layers=0),
     }
 
 
+def _tsgan_rollout(nets: dict, z: np.ndarray) -> Tensor:
+    """Noise (n, T, noise_dim) -> supervised latent sequence (n, T, latent)."""
+    latents = states_to_sequence(unroll_states(nets["gen"], Tensor(z)))
+    return states_to_sequence(unroll_states(nets["sup"], latents))
+
+
+def _tsgan_recover(nets: dict, h: Tensor) -> Tensor:
+    """Latent sequence (b, T, latent) -> paths flattened to (b * T, d)."""
+    b, seq_len, latent = h.shape
+    return nets["rec"](h.reshape((b * seq_len, latent)))
+
+
 def _siggan_net(params: ParamSet, dim: int, cfg: TrainConfig) -> Mlp:
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else dim
-    return Mlp(params, "gen", cfg.past_len * dim + noise_dim, cfg.hidden,
+    return Mlp(params, "gen", cfg.past_len * dim + _noise_dim(cfg, dim), cfg.hidden,
                cfg.future_len * dim, cfg.layers)
+
+
+def _siggan_rollout(net: Mlp, past: np.ndarray, z: np.ndarray) -> list[Tensor]:
+    """Autoregressive rollout from past windows (n, p, d), one q-step chunk
+    per noise draw in z (chunks, n, noise_dim); every rolled level, (n, 1, d).
+
+    The net maps (flattened past, noise) to q increments, summed onto the
+    last level.  Each chunk conditions on the values of the last p levels;
+    training rolls a single chunk, so gradients reach every increment.
+    """
+    n, p, d = past.shape
+    level = Tensor(past[:, -1:, :])
+    steps = []
+    for zc in z:
+        incs = net(concat([Tensor(past.reshape(n, p * d)), Tensor(zc)], axis=1))
+        q = incs.shape[1] // d
+        incs = incs.reshape((n, q, d))
+        for j in range(q):
+            level = level + incs[:, j : j + 1, :]
+            steps.append(level)
+        past = np.concatenate([past] + [s.data for s in steps[-q:]], axis=1)[:, -p:, :]
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +420,10 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         mb = values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len - 1, d))
-        x = Tensor(mb[:, 0, :])
-        slices = [x]
-        for t in range(seq_len - 1):
-            x = _cegen_step(drift, diff, x, t / (seq_len - 1.0), Tensor(z[:, t, :]),
-                            data.dt, d)
-            slices.append(x)
+        slices = _cegen_rollout(drift, diff, mb[:, 0, :], z, data.dt)
         fake = concat([s.reshape((idx.size, 1, d)) for s in slices], axis=1)
         loss = transition_moment_loss(mb, fake, binning).value
-        _check_loss(loss.item(), it, "transition loss")
+        check_loss(loss.item(), it, "transition loss")
         loss.backward()
         grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
         adam_step(params, grads, opt)
@@ -447,15 +448,14 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
     noise_rng = rng_for(cfg.seed, "cotgan", "noise")
     curve = LossCurve()
     n, seq_len, d = data.values.shape
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else d
     for it in range(cfg.iterations):
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         mb = data.values[idx]
-        z = noise_rng.standard_normal((idx.size, seq_len, noise_dim))
-        states = unroll_states(cell, Tensor(z))
-        fake = concat([head(s).reshape((idx.size, 1, d)) for s in states], axis=1)
+        z = noise_rng.standard_normal((idx.size, seq_len, _noise_dim(cfg, d)))
+        fake = concat([x.reshape((idx.size, 1, d)) for x in _cotgan_rollout(cell, head, z)],
+                      axis=1)
         gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, critic, sink)
-        _check_loss(gen_loss.item(), it, "transport loss")
+        check_loss(gen_loss.item(), it, "transport loss")
         # one backward serves both sides: the critic ascends, so its
         # gradients are negated before the update
         gen_loss.backward()
@@ -495,16 +495,13 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     batch_rng = rng_for(cfg.seed, "tsgan", "batch")
     noise_rng = rng_for(cfg.seed, "tsgan", "noise")
     n, seq_len, d = data.values.shape
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else d
-    latent = cfg.latent_dim
     curve = LossCurve()
 
     def embed(mb: np.ndarray) -> Tensor:
         return states_to_sequence(unroll_states(nets["emb"], Tensor(mb)))
 
     def recover(h: Tensor) -> Tensor:
-        b = h.shape[0]
-        return nets["rec"](h.reshape((b * seq_len, latent))).reshape((b, seq_len, d))
+        return _tsgan_recover(nets, h).reshape((h.shape[0], seq_len, d))
 
     def score(h: Tensor) -> Tensor:
         b = h.shape[0]
@@ -528,7 +525,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         mb = minibatch()
         recon = recover(embed(mb)) - Tensor(mb)
         loss = (recon * recon).mean() * 10.0
-        _check_loss(loss.item(), it, "reconstruction loss")
+        check_loss(loss.item(), it, "reconstruction loss")
         loss.backward()
         update(emb_names, opt_emb, params.take_grads())
 
@@ -541,18 +538,17 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         pred = states_to_sequence(unroll_states(nets["sup"], Tensor(h.data)))
         gap = pred[:, :-1, :] - Tensor(h.data[:, 1:, :])
         loss = (gap * gap).mean()
-        _check_loss(loss.item(), it, "supervised loss")
+        check_loss(loss.item(), it, "supervised loss")
         loss.backward()
         update(sup_only, opt_gen, params.take_grads())
 
     # phase 3: joint adversarial training
     for it in range(cfg.iterations):
         mb = minibatch()
-        z = noise_rng.standard_normal((min(cfg.batch_size, n), seq_len, noise_dim))
+        z = noise_rng.standard_normal((min(cfg.batch_size, n), seq_len, _noise_dim(cfg, d)))
 
         # (a) generator + supervisor
-        latents = states_to_sequence(unroll_states(nets["gen"], Tensor(z)))
-        sup_fake = states_to_sequence(unroll_states(nets["sup"], latents))
+        sup_fake = _tsgan_rollout(nets, z)
         fake = recover(sup_fake)
         adv = score(sup_fake)
         adv_loss = (-adv).softplus().mean()
@@ -563,7 +559,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         sup_loss = (sup_gap * sup_gap).mean()
         moment_loss = _tsgan_moment_gap(fake, mb)
         gen_loss = adv_loss + sup_loss + moment_loss
-        _check_loss(gen_loss.item(), it, "generator loss")
+        check_loss(gen_loss.item(), it, "generator loss")
         gen_loss.backward()
         update(gen_names, opt_gen, params.take_grads())
 
@@ -574,19 +570,18 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         sup_pred_e = states_to_sequence(unroll_states(nets["sup"], h))
         gap_e = sup_pred_e[:, :-1, :] - h[:, 1:, :]
         emb_loss = recon_loss + (gap_e * gap_e).mean() * 0.1
-        _check_loss(emb_loss.item(), it, "embedding loss")
+        check_loss(emb_loss.item(), it, "embedding loss")
         emb_loss.backward()
         update(emb_names, opt_emb, params.take_grads())
 
         # (c) discriminator on frozen features
         with no_grad():
             h_real_const = embed(mb)
-            fake_latents = states_to_sequence(unroll_states(nets["gen"], Tensor(z)))
-            sup_fake_const = states_to_sequence(unroll_states(nets["sup"], fake_latents))
+            sup_fake_const = _tsgan_rollout(nets, z)
         d_real = score(Tensor(h_real_const.data))
         d_fake = score(Tensor(sup_fake_const.data))
         disc_loss = (-d_real).softplus().mean() + d_fake.softplus().mean()
-        _check_loss(disc_loss.item(), it, "discriminator loss")
+        check_loss(disc_loss.item(), it, "discriminator loss")
         disc_loss.backward()
         update(disc_names, opt_disc, params.take_grads())
 
@@ -622,27 +617,18 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
     noise_rng = rng_for(cfg.seed, "siggan", "noise")
     curve = LossCurve()
     d = data.dim
-    noise_dim = cfg.noise_dim if cfg.noise_dim is not None else d
     n_pairs = pasts.shape[0]
     for it in range(cfg.iterations):
         idx = batch_rng.integers(0, n_pairs, size=min(cfg.batch_size, n_pairs))
         mb_past = pasts[idx]
-        flat_past = Tensor(mb_past.reshape(idx.size, p * d))
-        last = mb_past[:, -1:, :]
         mc = []
         for _ in range(cfg.sig_mc_samples):
-            z = Tensor(noise_rng.standard_normal((idx.size, noise_dim)))
-            incs = net(concat([flat_past, z], axis=1)).reshape((idx.size, q, d))
-            level = Tensor(last)
-            steps = []
-            for j in range(q):
-                level = level + incs[:, j : j + 1, :]
-                steps.append(level)
-            future = concat(steps, axis=1)
+            z = noise_rng.standard_normal((1, idx.size, _noise_dim(cfg, d)))
+            future = concat(_siggan_rollout(net, mb_past, z), axis=1)
             mc.append(future.reshape((idx.size, 1, q, d)))
         fake = concat(mc, axis=1)
-        loss = metric.loss_given_prediction(predicted[idx], last, fake)
-        _check_loss(loss.item(), it, "signature loss")
+        loss = metric.loss_given_prediction(predicted[idx], mb_past[:, -1:, :], fake)
+        check_loss(loss.item(), it, "signature loss")
         loss.backward()
         grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
         adam_step(params, grads, opt)
@@ -659,9 +645,7 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
 
 def save_checkpoint(model: GeneratorModel, path) -> None:
     """Write a self-describing JSON checkpoint (canonical bytes)."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    store.write_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "kind": model.kind,
         "cfg": model.cfg.to_dict(),
         "cfg_hash": model.cfg.content_hash(),
@@ -678,35 +662,39 @@ def save_checkpoint(model: GeneratorModel, path) -> None:
         "cegen_scale": None if model.cegen_scale is None
             else store.array_block(model.cegen_scale),
         "trained_iterations": model.trained_iterations,
-    }
-    store.write_json(path, payload)
+    })
 
 
 def load_checkpoint(path, expect_kind: str | None = None) -> GeneratorModel:
-    raw = store.read_json(path)
-    if raw.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a generator checkpoint")
-    if raw.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {raw.get('version')}, "
-                        f"expected {CHECKPOINT_VERSION}")
-    if expect_kind is not None and raw["kind"] != expect_kind:
-        raise DataError(f"{path}: checkpoint kind '{raw['kind']}' does not match "
+    return store.read_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                "generator checkpoint",
+                                lambda raw: _decode_model(raw, path, expect_kind))
+
+
+def _decode_model(raw: dict, path, expect_kind: str | None) -> GeneratorModel:
+    kind = raw["kind"]
+    if kind not in KINDS:
+        raise DataError(f"{path}: checkpoint kind '{kind}' is not a generator kind "
+                        f"({', '.join(KINDS)})")
+    if expect_kind is not None and kind != expect_kind:
+        raise DataError(f"{path}: checkpoint kind '{kind}' does not match "
                         f"expected '{expect_kind}'")
     cfg = TrainConfig.from_dict(raw["cfg"])
     params = None
     if raw["params"] is not None:
         params = ParamSet(cfg.seed)
         params.load_state({k: store.block_array(v) for k, v in raw["params"].items()})
-    model = GeneratorModel(
-        kind=raw["kind"], cfg=cfg, seq_len=raw["seq_len"], dim=raw["dim"],
-        labels=list(raw["labels"]), dt=raw["dt"],
+
+    def block(key):
+        return None if raw[key] is None else store.block_array(raw[key])
+
+    return GeneratorModel(
+        kind=kind, cfg=cfg, seq_len=int(raw["seq_len"]), dim=int(raw["dim"]),
+        labels=list(raw["labels"]), dt=float(raw["dt"]),
         start_levels=store.block_array(raw["start_levels"]),
         normalizer=None if raw["normalizer"] is None else Normalizer.from_dict(raw["normalizer"]),
         params=params,
         gbm=None if raw["gbm"] is None else GbmParams.from_dict(raw["gbm"]),
-        sig_pool=None if raw["sig_pool"] is None else store.block_array(raw["sig_pool"]),
-        cegen_scale=None if raw["cegen_scale"] is None
-            else store.block_array(raw["cegen_scale"]),
+        sig_pool=block("sig_pool"), cegen_scale=block("cegen_scale"),
         trained_iterations=raw["trained_iterations"],
     )
-    return model

@@ -20,8 +20,7 @@ import numpy as np
 
 from .autodiff import AdamState, ParamSet, Tensor, adam_step, clip_by_global_norm, no_grad
 from .dataio import DataError, PathBatch
-from .generators import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION, LossCurve,
-                         TrainConfig, _check_loss)
+from .generators import LossCurve, TrainConfig, check_loss
 from .nets import Mlp
 from .rng import rng_for
 from .stochastic import bs_delta, bs_price
@@ -273,7 +272,7 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
         g = spec.payoff.value(batch.values[:, -1, :])
         gap = replicate_terminal(policy, batch, spec) - Tensor(g)
         loss = (gap * gap).mean()
-        _check_loss(loss.item(), it, "replication loss")
+        check_loss(loss.item(), it, "replication loss")
         loss.backward()
         grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
         adam_step(params, grads, opt)
@@ -336,9 +335,7 @@ def bs_delta_strategy(prices: PathBatch, spec: HedgingSpec,
 
 def save_hedger(policy: HedgerPolicy, spec: HedgingSpec, cfg: TrainConfig,
                 path, trained_iterations: int = 0) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    store.write_container(path, store.CHECKPOINT_FORMAT, store.CHECKPOINT_VERSION, {
         "kind": HEDGER_KIND,
         "cfg": cfg.to_dict(),
         "cfg_hash": cfg.content_hash(),
@@ -346,20 +343,18 @@ def save_hedger(policy: HedgerPolicy, spec: HedgingSpec, cfg: TrainConfig,
         "s0_tradable": store.array_block(policy.s0_tradable),
         "params": {name: store.array_block(t.data) for name, t in policy.params.items()},
         "trained_iterations": trained_iterations,
-    }
-    store.write_json(path, payload)
+    })
 
 
 def load_hedger(path):
     """Returns (policy, spec, cfg) from a hedger container."""
-    raw = store.read_json(path)
-    if raw.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a checkpoint container")
-    if raw.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {raw.get('version')}")
-    if raw.get("kind") != HEDGER_KIND:
-        raise DataError(f"{path}: checkpoint kind '{raw.get('kind')}' is not "
-                        f"'{HEDGER_KIND}'")
+    return store.read_container(path, store.CHECKPOINT_FORMAT, store.CHECKPOINT_VERSION,
+                                "hedger checkpoint", lambda raw: _decode_hedger(raw, path))
+
+
+def _decode_hedger(raw: dict, path):
+    if raw["kind"] != HEDGER_KIND:
+        raise DataError(f"{path}: checkpoint kind '{raw['kind']}' is not '{HEDGER_KIND}'")
     cfg = TrainConfig.from_dict(raw["cfg"])
     spec = HedgingSpec.from_dict(raw["spec"])
     params = ParamSet(cfg.seed)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .autodiff import ParamSet, Tensor, concat, logsumexp
 from .dataio import DataError
-from .nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
-from .signature import sig_length, signature_levels
+from .nets import Mlp, RecurrentCell, unroll_states
+from .signature import signature_levels
 
 MARGINAL_TOL = 1e-6
 
@@ -341,15 +341,6 @@ class ConditionalSigMetric:
         mean_sig = sigs.mean(axis=1)
         diff = mean_sig - predicted_t
         return (diff * diff).sum(axis=1).mean()
-
-
-def sig_w1_loss(real_pasts, real_futures, fake_futures, depth: int = 4,
-                ridge: float = 1e-6) -> Tensor:
-    """One-shot conditional signature loss (fits the regression internally)."""
-    metric = ConditionalSigMetric(depth=depth, ridge=ridge)
-    metric.fit(np.asarray(real_pasts, dtype=np.float64),
-               np.asarray(real_futures, dtype=np.float64))
-    return metric.loss(np.asarray(real_pasts, dtype=np.float64), fake_futures)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ P&L live on the same undiscounted scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -209,24 +209,3 @@ def bs_delta(s, strike: float, vol: float, ttm: float):
     with np.errstate(divide="ignore"):
         out = np.where(s > 0, norm.cdf(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
     return out if out.ndim else float(out)
-
-
-@dataclass
-class BsQuote:
-    """Price and delta of one call, kept together for reporting."""
-
-    spot: float
-    strike: float
-    vol: float
-    maturity: float
-    price: float = field(init=False)
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        self.price = bs_price(self.spot, self.strike, self.vol, self.maturity)
-        self.delta = bs_delta(self.spot, self.strike, self.vol, self.maturity)
-        lower = max(self.spot - self.strike, 0.0)
-        if not (lower - 1e-12 <= self.price <= self.spot + 1e-12):
-            raise ValueError(f"price {self.price} outside no-arbitrage bounds")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError(f"delta {self.delta} outside [0, 1]")

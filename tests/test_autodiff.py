@@ -5,7 +5,7 @@ import pytest
 
 from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
                                 adam_step, clip_by_global_norm, concat, logsumexp,
-                                no_grad, stack_along)
+                                no_grad)
 from commodgen.nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
 
 
@@ -291,11 +291,3 @@ class TestParamSet:
         q.load_state(state)
         np.testing.assert_array_equal(q["w"].data, p["w"].data)
 
-
-def test_stack_along():
-    parts = [Tensor(np.full((2, 3), float(i)), requires_grad=True) for i in range(4)]
-    seq = stack_along(parts, axis=1)
-    assert seq.shape == (2, 4, 3)
-    seq.sum().backward()
-    for p in parts:
-        np.testing.assert_array_equal(p.grad, np.ones((2, 3)))

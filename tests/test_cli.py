@@ -212,24 +212,137 @@ def test_eval_rejects_window_mismatch(tmp_path, dataset):
                      "--out", str(tmp_path / "run")]) == 3
 
 
-def test_divergent_training_exits_4_with_diagnostic(tmp_path):
-    # raw-scale reconstruction on ~1e4 levels blows past the divergence limit
+def divergent_config(tmp_path):
+    """A train-gen config whose training aborts: raw-scale reconstruction on
+    ~1e4 levels blows past the divergence limit."""
     csv = tmp_path / "huge.csv"
     days = np.busday_offset("2021-01-04", np.arange(40))
     vals = 1e4 + np.arange(40)[:, None] * 10.0 + np.array([0.0, 7.0])
     lines = ["date,a,b"] + [f"{day},{float(v[0])!r},{float(v[1])!r}"
                             for day, v in zip(days, vals)]
     csv.write_text("\n".join(lines) + "\n")
+    return write_config(tmp_path / "diverge.json",
+                        data={"source": str(csv), "window": 10},
+                        generator={"kind": "TSGAN", "normalize": False,
+                                   "train": {"iterations": 5, "batch_size": 8,
+                                             "pretrain_iterations": 2}})
+
+
+def test_divergent_training_exits_4_with_diagnostic(tmp_path):
     out = tmp_path / "run"
-    cfg = write_config(tmp_path / "c.json",
-                       data={"source": str(csv), "window": 10},
-                       generator={"kind": "TSGAN", "normalize": False,
-                                  "train": {"iterations": 5, "batch_size": 8,
-                                            "pretrain_iterations": 2}})
+    cfg = divergent_config(tmp_path)
     assert cli.main(["train-gen", "--config", str(cfg), "--out", str(out)]) == 4
     diag = json.loads((out / "diagnostic.json").read_text())
     assert diag["error"] == "TrainingError" and "diverged" in diag["message"]
     assert not (out / "manifest.json").exists()   # incomplete run leaves no marker
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, dataset):
+    ds, _ = dataset
+    out = tmp_path / "run"
+    good = write_config(tmp_path / "g.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(good), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    bad = divergent_config(tmp_path)
+    assert cli.main(["train-gen", "--config", str(bad), "--out", str(out)]) == 4
+    assert (out / "diagnostic.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_successful_rerun_clears_stale_diagnostic(tmp_path, dataset):
+    ds, _ = dataset
+    out = tmp_path / "run"
+    bad = divergent_config(tmp_path)
+    assert cli.main(["train-gen", "--config", str(bad), "--out", str(out)]) == 4
+    assert (out / "diagnostic.json").exists()
+    good = write_config(tmp_path / "g.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(good), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    assert not (out / "diagnostic.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed containers
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:200])
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _edit(**changes):
+    def apply(path):
+        raw = store.read_json(path)
+        for key, value in changes.items():
+            if value is None:
+                del raw[key]
+            else:
+                raw[key] = value
+        store.write_json(path, raw)
+    return apply
+
+
+@pytest.fixture
+def gbm_runs(tmp_path, dataset):
+    """A trained GBM checkpoint and a hedger container, both from `dataset`."""
+    ds, _ = dataset
+    train_out, hedge_out = tmp_path / "train", tmp_path / "hedge"
+    cfg = write_config(tmp_path / "t.json", data={"dataset": str(ds)},
+                       hedge={"underlying": "c0",
+                              "train": {"iterations": 2, "batch_size": 8}})
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(train_out)]) == 0
+    assert cli.main(["hedge", "--config", str(cfg), "--out", str(hedge_out)]) == 0
+    return ds, train_out / "generator.json", hedge_out / "hedger.json"
+
+
+def assert_one_line_exit_3(argv, capsys, needle):
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (_truncate, "not valid JSON"),
+    (_replace_with_directory, "Is a directory"),
+    (_edit(dim=None), "lacks key 'dim'"),
+    (_edit(format="commodgen-dataset"), "not a generator checkpoint"),
+    (_edit(version=7), "unsupported generator checkpoint version 7"),
+    (_edit(kind="VAE"), "kind 'VAE'"),
+    (_edit(start_levels={"shape": [2]}), "lacks key 'data'"),
+    (_edit(cfg={"lr": "fast"}), "malformed generator checkpoint"),
+], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
+        "no-data-block", "ill-typed-cfg"])
+@pytest.mark.parametrize("command", ["eval-gen", "hedge"])
+def test_malformed_checkpoint_exits_3(tmp_path, gbm_runs, capsys, corrupt, needle, command):
+    ds, checkpoint, _ = gbm_runs
+    corrupt(checkpoint)
+    cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(checkpoint)},
+                       hedge={"underlying": "c0"})
+    assert_one_line_exit_3([command, "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, needle)
+
+
+def test_hedger_container_as_generator_checkpoint_exits_3(tmp_path, gbm_runs, capsys):
+    ds, _, hedger = gbm_runs
+    cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(hedger)})
+    assert_one_line_exit_3(["eval-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, "kind 'hedger' is not a generator kind")
+
+
+def test_malformed_dataset_exits_3(tmp_path, gbm_runs, capsys):
+    ds, checkpoint, _ = gbm_runs
+    _truncate(ds)
+    cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(checkpoint)})
+    assert_one_line_exit_3(["eval-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, "dataset container is not valid JSON")
 
 
 # ---------------------------------------------------------------------------

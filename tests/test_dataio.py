@@ -125,23 +125,15 @@ class TestNormalizer:
         vals = np.exp(rng.standard_normal((8, 6, 2)) * 0.1) * np.array([10.0, 50.0])
         return PathBatch(values=vals, labels=["gas", "coal"])
 
-    def test_minmax_roundtrip_and_range(self):
-        b = self.batch()
-        norm = fit_normalizer(b, mode="min-max")
-        scaled = norm.apply(b)
-        assert scaled.values.min() >= 0.0 and scaled.values.max() <= 1.0
-        back = norm.invert(scaled)
-        np.testing.assert_allclose(back.values, b.values, rtol=1e-12)
-
     def test_initial_value_ratio_starts_at_one(self):
         b = self.batch()
-        norm = fit_normalizer(b, mode="initial-value-ratio")
+        norm = fit_normalizer(b)
         scaled = norm.apply(b)
         np.testing.assert_array_equal(scaled.values[:, 0, :], np.ones((8, 2)))
 
     def test_initial_value_ratio_invert_restores_scale(self):
         b = self.batch()
-        norm = fit_normalizer(b, mode="initial-value-ratio")
+        norm = fit_normalizer(b)
         back = norm.invert(norm.apply(b))
         # per-dimension mean start level is restored exactly
         np.testing.assert_allclose(back.values[:, 0, :].mean(axis=0),
@@ -151,12 +143,6 @@ class TestNormalizer:
         fb = PathBatch(values=flat, labels=b.labels)
         np.testing.assert_allclose(norm.invert(norm.apply(fb)).values, fb.values, rtol=1e-12)
 
-    def test_constant_dimension_rejected(self):
-        vals = np.ones((3, 4, 1))
-        b = PathBatch(values=vals, labels=["x"])
-        with pytest.raises(DataError, match="constant dimension"):
-            fit_normalizer(b, mode="min-max")
-
     def test_dimension_mismatch(self):
         b = self.batch()
         norm = fit_normalizer(b)
@@ -165,11 +151,10 @@ class TestNormalizer:
             norm.apply(other)
 
     def test_serialization_roundtrip(self):
-        norm = fit_normalizer(self.batch(), mode="min-max")
+        norm = fit_normalizer(self.batch())
         again = Normalizer.from_dict(norm.to_dict())
-        np.testing.assert_array_equal(again.shift, norm.shift)
         np.testing.assert_array_equal(again.scale, norm.scale)
-        assert again.mode == norm.mode
+        assert again.to_dict() == norm.to_dict()
 
 
 class TestPathBatch:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from commodgen import generators as G
+from commodgen.autodiff import Tensor, concat
 from commodgen.dataio import DataError, PathBatch, fit_normalizer
 from commodgen.generators import (GeneratorModel, LossCurve, TrainConfig,
-                                  TrainingError, _check_loss, load_checkpoint,
+                                  TrainingError, check_loss, load_checkpoint,
                                   save_checkpoint, train_generator)
 from commodgen.losses import TransitionBinning, transition_moment_loss
+from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
 from commodgen import store
 
 ALL_KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
+NEURAL_KINDS = ("CEGEN", "TSGAN", "COTGAN", "SIGGAN")
 
 
 def gbm_batch(n=256, seq_len=12, sigma=0.3, seed=11):
@@ -202,6 +206,45 @@ def test_siggan_rollout_covers_odd_lengths():
     assert np.all(np.isfinite(out.values))
 
 
+def training_rollout(model, n, seed):
+    """The kind's rollout with gradients on, fed the draws `sample(n, seed)`
+    makes and assembled the way training assembles it."""
+    cfg, d, seq_len = model.cfg, model.dim, model.seq_len
+    noise = rng_for(seed, model.kind.lower(), "sample")
+    noise_dim = d if cfg.noise_dim is None else cfg.noise_dim
+    if model.kind == "CEGEN":
+        x0 = np.tile(model.start_levels / model.cegen_scale, (n, 1))
+        steps = G._cegen_rollout(*G._cegen_nets(model.params, d, cfg), x0,
+                                 noise.standard_normal((n, seq_len - 1, d)), model.dt)
+        return concat([x.reshape((n, 1, d)) for x in steps], axis=1).data * model.cegen_scale
+    if model.kind == "SIGGAN":
+        p, q = cfg.past_len, cfg.future_len
+        starts = rng_for(seed, "siggan", "starts").integers(0, len(model.sig_pool), size=n)
+        past = model.sig_pool[starts]
+        chunks = -(-(seq_len - p) // q)
+        steps = G._siggan_rollout(G._siggan_net(model.params, d, cfg), past,
+                                  noise.standard_normal((chunks, n, noise_dim)))
+        assert len(steps) == chunks * q and (chunks - 1) * q < seq_len - p <= chunks * q
+        return concat([Tensor(past)] + steps, axis=1).data[:, :seq_len]
+    z = noise.standard_normal((n, seq_len, noise_dim))
+    if model.kind == "COTGAN":
+        steps = G._cotgan_rollout(*G._cotgan_nets(model.params, d, cfg), z)
+        return concat([x.reshape((n, 1, d)) for x in steps], axis=1).data
+    nets = G._tsgan_nets(model.params, d, cfg)
+    flat = G._tsgan_recover(nets, G._tsgan_rollout(nets, z))
+    return flat.reshape((n, seq_len, d)).data
+
+
+@pytest.mark.parametrize("kind,seq_len", [(k, 12) for k in NEURAL_KINDS] +
+                         [("SIGGAN", 11), ("SIGGAN", 13), ("SIGGAN", 6)])
+def test_sample_equals_training_rollout(kind, seq_len):
+    # seq_len 11 and 13 with p = q = 3 leave a partial last chunk; 6 is one chunk
+    model, _ = train_generator(kind, gbm_batch(64, seq_len=seq_len), tiny_cfg(noise_dim=2))
+    out = model.sample(7, seed=4).values
+    assert out.shape == (7, seq_len, 1)
+    assert np.array_equal(out, training_rollout(model, 7, seed=4))
+
+
 def test_siggan_needs_long_enough_sequences():
     data = gbm_batch(n=16, seq_len=5)
     with pytest.raises(DataError):
@@ -223,8 +266,8 @@ def test_divergence_guard_aborts_training():
 
 def test_check_loss_flags_nan_with_iteration_and_term():
     with pytest.raises(TrainingError, match="iteration 17.*generator loss"):
-        _check_loss(float("nan"), 17, "generator loss")
-    _check_loss(3.5, 0, "ok")  # finite and small: no exception
+        check_loss(float("nan"), 17, "generator loss")
+    check_loss(3.5, 0, "ok")  # finite and small: no exception
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from commodgen.autodiff import ParamSet, Tensor
 from commodgen.dataio import DataError
 from commodgen.losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
                               TransitionBinning, causal_transport_losses,
-                              martingale_defect, sig_w1_loss, sinkhorn_divergence,
+                              martingale_defect, sinkhorn_divergence,
                               transition_moment_loss)
 from commodgen.stochastic import GbmParams, simulate_gbm
 
@@ -179,13 +179,14 @@ class TestConditionalSigMetric:
         # so the loss against exact copies sits at numerical zero
         pasts, _ = self.make_pairs(n=30)
         futures = np.repeat(pasts[:, -1:, :], 3, axis=1)
-        loss = sig_w1_loss(pasts, futures, futures.copy(), depth=3)
+        loss = ConditionalSigMetric(depth=3).fit(pasts, futures).loss(pasts, futures.copy())
         assert loss.item() <= 1e-8
 
     def test_matched_futures_beat_scaled_futures(self):
         pasts, futures = self.make_pairs(n=60)
-        good = sig_w1_loss(pasts, futures, futures.copy(), depth=3).item()
-        bad = sig_w1_loss(pasts, futures, futures * 2.0, depth=3).item()
+        metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        good = metric.loss(pasts, futures.copy()).item()
+        bad = metric.loss(pasts, futures * 2.0).item()
         assert good < bad
         assert bad > 0.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commodgen.dataio import DataError, PathBatch
-from commodgen.stochastic import (BsQuote, GbmParams, bs_delta, bs_price,
+from commodgen.stochastic import (GbmParams, bs_delta, bs_price,
                                   calibrate_gbm, cholesky_factor,
                                   nearest_correlation, simulate_gbm)
 
@@ -51,9 +51,10 @@ class TestBlackScholes:
         assert 0.0 < d[0] < d[1] < d[2] < 1.0
 
     def test_put_call_style_bounds_and_quote(self):
-        q = BsQuote(spot=10.34, strike=10.34, vol=0.5, maturity=30 / 252)
-        assert max(q.spot - q.strike, 0.0) <= q.price <= q.spot
-        assert 0.0 <= q.delta <= 1.0
+        spot = strike = 10.34
+        price = bs_price(spot, strike, 0.5, 30 / 252)
+        assert max(spot - strike, 0.0) <= price <= spot
+        assert 0.0 <= bs_delta(spot, strike, 0.5, 30 / 252) <= 1.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
