@@ -42,9 +42,11 @@ keys are rejected.  All keys:
 
 Every artifact is deterministic given the config; a rerun reproduces
 byte-identical files (the manifest's timestamp aside).  Each command first
-removes the `manifest.json` and `diagnostic.json` a previous command left in
-its output directory, and writes `manifest.json` last, listing the sha256 of
-every file it produced.
+removes from its output directory the files it writes itself (`OUTPUTS`)
+together with any `manifest.json` and `diagnostic.json`, and writes
+`manifest.json` last, listing the sha256 of every file it produced; what
+another command wrote there (the `generator.json` that `eval-gen` and `hedge`
+may read, say) stays.
 """
 
 from __future__ import annotations
@@ -73,6 +75,16 @@ from .metrics import emit_report, metric_report, unit_scale_pair
 HEDGE_REPORT_HEADER = "model,case,init_risk,repl_loss"
 HEDGE_CASES = ("call", "proxy", "spread")
 SPREAD_DEFAULT_STRIKE = 42.41
+
+# the files each command may write into its output directory
+OUTPUTS = {
+    "preprocess": ("dataset.json",),
+    "train-gen": ("generator.json", "losses.csv"),
+    "eval-gen": ("report.csv",),
+    "hedge": ("hedger.json", "hedge_export.csv", "hedge_report.csv",
+              "hedge_losses.csv", "hedge_test_losses.csv"),
+    "report": ("comparison.csv",),
+}
 
 
 class ConfigError(ValueError):
@@ -231,7 +243,9 @@ class RunManifest:
 
 
 def write_manifest(out_dir: pathlib.Path, command: str, cfg_hash: str,
-                   names: list, meta: dict | None = None) -> None:
+                   meta: dict | None = None) -> None:
+    """Mark `command` complete, listing those of its outputs that exist."""
+    names = [name for name in OUTPUTS[command] if (out_dir / name).exists()]
     manifest = RunManifest(
         config_hash=cfg_hash,
         command=command,
@@ -243,13 +257,13 @@ def write_manifest(out_dir: pathlib.Path, command: str, cfg_hash: str,
     store.write_json(out_dir / "manifest.json", manifest.to_dict())
 
 
-def _out_dir(cfg: dict) -> pathlib.Path:
-    """Create the output directory and clear the completion markers
-    (manifest, diagnostic) a previous command may have left there."""
-    out = pathlib.Path(cfg["out"])
+def _out_dir(path, command: str) -> pathlib.Path:
+    """Create the output directory and remove what a previous run of
+    `command` left there: its outputs and the completion markers."""
+    out = pathlib.Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    for marker in ("manifest.json", "diagnostic.json"):
-        (out / marker).unlink(missing_ok=True)
+    for name in OUTPUTS[command] + ("manifest.json", "diagnostic.json"):
+        (out / name).unlink(missing_ok=True)
     return out
 
 
@@ -304,11 +318,11 @@ def _load_generator(cfg: dict):
 # -------------------------------------------------------------------- commands
 
 def cmd_preprocess(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    out = _out_dir(cfg["out"], "preprocess")
     batch = resolve_dataset(cfg)
     write_dataset(batch, out / "dataset.json")
     shape = list(batch.values.shape)
-    write_manifest(out, "preprocess", config_hash(cfg), ["dataset.json"],
+    write_manifest(out, "preprocess", config_hash(cfg),
                    meta={"shape": shape, "labels": batch.labels})
     print(f"dataset: {shape[0]} windows x {shape[1]} steps x {shape[2]} dims "
           f"-> {out / 'dataset.json'}")
@@ -316,7 +330,7 @@ def cmd_preprocess(cfg: dict) -> int:
 
 
 def cmd_train_gen(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    out = _out_dir(cfg["out"], "train-gen")
     cfg_hash = config_hash(cfg)
     data = resolve_dataset(cfg)
     try:
@@ -325,11 +339,9 @@ def cmd_train_gen(cfg: dict) -> int:
         _write_diagnostic(out, cfg_hash, exc)
         raise
     save_checkpoint(model, out / "generator.json")
-    names = ["generator.json"]
     if curve.iterations:
         curve.write_csv(out / "losses.csv")
-        names.append("losses.csv")
-    write_manifest(out, "train-gen", cfg_hash, names,
+    write_manifest(out, "train-gen", cfg_hash,
                    meta={"kind": model.kind, "iterations": model.trained_iterations})
     tail = f", final loss {curve.gen_loss[-1]:.4g}" if curve.iterations else ""
     print(f"trained {model.kind} ({model.trained_iterations} iterations{tail}) "
@@ -338,7 +350,7 @@ def cmd_train_gen(cfg: dict) -> int:
 
 
 def cmd_eval_gen(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    out = _out_dir(cfg["out"], "eval-gen")
     if not cfg["generator"]["checkpoint"]:
         raise ConfigError("eval-gen needs generator.checkpoint")
     model = _load_generator(cfg)
@@ -356,7 +368,7 @@ def cmd_eval_gen(cfg: dict) -> int:
     report = metric_report(real_v, fake_v, model=model.kind,
                            dataset_id=_dataset_id(cfg))
     emit_report(report, out / "report.csv")
-    write_manifest(out, "eval-gen", config_hash(cfg), ["report.csv"],
+    write_manifest(out, "eval-gen", config_hash(cfg),
                    meta={"kind": model.kind, "n_samples": cfg["eval"]["n_samples"]})
     print(f"avg marginal metric {report.avg.mean():.3e}, corr {report.corr:.3e} "
           f"-> {out / 'report.csv'}")
@@ -406,7 +418,7 @@ def build_hedging_spec(cfg: dict, data: PathBatch) -> HedgingSpec:
 
 
 def cmd_hedge(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    out = _out_dir(cfg["out"], "hedge")
     cfg_hash = config_hash(cfg)
     data = resolve_dataset(cfg)
     spec = build_hedging_spec(cfg, data)
@@ -435,18 +447,14 @@ def cmd_hedge(cfg: dict) -> int:
     save_hedger(policy, spec, tc, out / "hedger.json",
                 trained_iterations=tc.iterations)
     write_hedge_export(ev, out / "hedge_export.csv")
-    lines = [HEDGE_REPORT_HEADER,
-             f"{model.kind},{cfg['hedge']['case']},"
-             f"{ev.init_risk:.6e},{ev.repl_loss:.6e}"]
-    (out / "hedge_report.csv").write_text("\n".join(lines) + "\n")
-    names = ["hedger.json", "hedge_export.csv", "hedge_report.csv"]
+    store.write_csv(out / "hedge_report.csv", HEDGE_REPORT_HEADER.split(","),
+                    [[model.kind, cfg["hedge"]["case"],
+                      f"{ev.init_risk:.6e}", f"{ev.repl_loss:.6e}"]])
     if train_curve.iterations:
         train_curve.write_csv(out / "hedge_losses.csv")
-        names.append("hedge_losses.csv")
     if test_curve.iterations:
         test_curve.write_csv(out / "hedge_test_losses.csv")
-        names.append("hedge_test_losses.csv")
-    write_manifest(out, "hedge", cfg_hash, names,
+    write_manifest(out, "hedge", cfg_hash,
                    meta={"case": cfg["hedge"]["case"], "kind": model.kind,
                          "strike": spec.payoff.strike})
     print(f"hedger[{model.kind}/{cfg['hedge']['case']}]: "
@@ -456,22 +464,6 @@ def cmd_hedge(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------- consolidation
-
-def _read_table(path: pathlib.Path):
-    text = path.read_text().strip()
-    if not text:
-        raise DataError(f"{path} is empty")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"{path} line {ln}: {len(cells)} fields, "
-                            f"expected {len(header)}")
-        rows.append(cells)
-    return header, rows
-
 
 def _group_sort_key(value: str):
     try:
@@ -488,7 +480,7 @@ def consolidate(paths: list, out_path: pathlib.Path) -> int:
     `*` (ties all marked), mirroring the bold-minimum convention of model
     comparison tables.
     """
-    tables = [(p, *_read_table(p)) for p in paths]
+    tables = [(p, *store.read_csv(p)) for p in paths]
     header = tables[0][1]
     bad = [str(p) for p, h, _ in tables if h != header]
     if bad:
@@ -519,14 +511,12 @@ def consolidate(paths: list, out_path: pathlib.Path) -> int:
             for i in idx:
                 if float(rows[i][c]) == lo:
                     marked[i][c] += "*"
-    lines = [",".join(header)] + [",".join(cells) for cells in marked]
-    out_path.write_text("\n".join(lines) + "\n")
+    store.write_csv(out_path, header, marked)
     return len(marked)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    out = pathlib.Path(args.out or "runs/comparison")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or "runs/comparison", "report")
     paths = []
     for run in args.runs:
         run_dir = pathlib.Path(run)
@@ -537,7 +527,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         paths.extend(found)
     n = consolidate(paths, out / "comparison.csv")
     write_manifest(out, "report", store.content_hash([str(p) for p in paths]),
-                   ["comparison.csv"], meta={"runs": [str(r) for r in args.runs]})
+                   meta={"runs": [str(r) for r in args.runs]})
     print(f"comparison of {len(paths)} report(s), {n} rows -> {out / 'comparison.csv'}")
     return 0
 

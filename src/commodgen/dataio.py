@@ -7,7 +7,6 @@ close levels; the time step is fixed at 1/252 years throughout.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import importlib.resources
 from dataclasses import dataclass, field
@@ -111,12 +110,9 @@ def load_csv(path, schema: list[str] | None = None) -> PriceTable:
     series.  If `schema` is given, exactly those columns must be present and
     the table follows schema order.  Rows are sorted by date.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0].lower() != "date":
+    header, rows = store.read_csv(path)
+    header = [h.strip() for h in header]
+    if header[0].lower() != "date":
         raise DataError(f"{path}: first column must be 'date', got {header[:1]}")
     names = header[1:]
     if not names:
@@ -134,24 +130,20 @@ def load_csv(path, schema: list[str] | None = None) -> PriceTable:
         order = list(range(len(names)))
 
     parsed: list[tuple] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    for n, row in enumerate(rows, start=1):
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable date '{row[0]}'") from exc
+            raise DataError(f"{path}: data row {n}: unparsable date '{row[0]}'") from exc
         prices = []
         for k, j in enumerate(order):
             cell = row[1 + j].strip()
             if not cell:
-                raise DataError(f"{path}:{lineno}: missing value in column '{names[k]}'")
+                raise DataError(f"{path}: data row {n}: missing value in column '{names[k]}'")
             try:
                 prices.append(float(cell))
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable number '{cell}'") from exc
+                raise DataError(f"{path}: data row {n}: unparsable number '{cell}'") from exc
         parsed.append((date, prices))
 
     if not parsed:

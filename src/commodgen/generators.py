@@ -43,6 +43,8 @@ KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
 
 DIVERGENCE_LIMIT = 1e6
 
+LOSS_CURVE_HEADER = "iteration,gen_loss,disc_loss"
+
 
 class TrainingError(RuntimeError):
     """Training aborted: non-finite or diverging loss."""
@@ -132,26 +134,9 @@ class LossCurve:
         return len(self.iterations)
 
     def write_csv(self, path) -> None:
-        lines = ["iteration,gen_loss,disc_loss"]
-        for it, g, d in zip(self.iterations, self.gen_loss, self.disc_loss):
-            lines.append(f"{it},{g!r},{'' if d is None else repr(d)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "LossCurve":
-        curve = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "iteration,gen_loss,disc_loss":
-                raise DataError(f"{path}: unexpected loss curve header '{header}'")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                it, g, d = line.split(",")
-                curve.append(int(it), float(g), float(d) if d else None)
-        return curve
+        store.write_csv(path, LOSS_CURVE_HEADER.split(","),
+                        [[str(it), repr(g), "" if d is None else repr(d)]
+                         for it, g, d in zip(self.iterations, self.gen_loss, self.disc_loss)])
 
     def quartile_means(self) -> tuple[float, float]:
         """(mean of first quartile, mean of last quartile) of generator loss."""

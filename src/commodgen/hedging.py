@@ -236,12 +236,9 @@ def eval_hedger(policy: HedgerPolicy, prices: PathBatch,
 
 def write_hedge_export(ev: HedgeEvaluation, path) -> None:
     """Per-path terminal pairs for payoff-vs-portfolio scatter plots."""
-    lines = [HEDGE_EXPORT_HEADER]
-    for i in range(ev.payoff.size):
-        lines.append(f"{i},{float(ev.s_T[i])!r},{float(ev.payoff[i])!r},"
-                     f"{float(ev.portfolio_T[i])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_csv(path, HEDGE_EXPORT_HEADER.split(","),
+                    [[str(i), repr(float(ev.s_T[i])), repr(float(ev.payoff[i])),
+                      repr(float(ev.portfolio_T[i]))] for i in range(ev.payoff.size)])
 
 
 def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,

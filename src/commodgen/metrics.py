@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import store
 from .dataio import DataError, PathBatch
 
 REPORT_HEADER = "model,dim,p05,avg,p95,qvar,corr"
@@ -160,36 +161,7 @@ def emit_report(reports, path) -> None:
     """Write one or more reports as CSV rows under the fixed schema."""
     if isinstance(reports, MetricReport):
         reports = [reports]
-    lines = [REPORT_HEADER]
-    for rep in reports:
-        for row in rep.rows():
-            lines.append(",".join([row["model"], str(row["dim"])]
-                                  + [format_metric(row[k])
-                                     for k in ("p05", "avg", "p95", "qvar", "corr")]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_report_rows(path) -> list[dict]:
-    """Parse a report CSV back into row dicts, validating the schema."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != REPORT_HEADER:
-            raise DataError(f"{path}: report header '{header}' does not match "
-                            f"'{REPORT_HEADER}'")
-        rows = []
-        for i, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise DataError(f"{path}:{i}: expected 7 columns, got {len(parts)}")
-            model, dim, *vals = parts
-            try:
-                rows.append({"model": model, "dim": int(dim),
-                             **{k: float(v) for k, v in
-                                zip(("p05", "avg", "p95", "qvar", "corr"), vals)}})
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: unparsable value ({exc})") from None
-    return rows
+    store.write_csv(path, REPORT_HEADER.split(","),
+                    [[row["model"], str(row["dim"])]
+                     + [format_metric(row[k]) for k in ("p05", "avg", "p95", "qvar", "corr")]
+                     for rep in reports for row in rep.rows()])

@@ -10,11 +10,20 @@ Datasets, generator checkpoints and hedger checkpoints share one container
 codepath: `write_container` tags the payload with a format name and version,
 and `read_container` checks both and decodes the body, so a truncated file, a
 wrong tag or a missing key surfaces as one DataError naming the file.
+
+Tables (loss curves, reports, exports) are CSV and share one codepath too:
+`write_csv` takes already-formatted cells, so each module keeps its own
+schema and number formatting, and `read_csv` turns a ragged row, an empty
+file or bytes that are not UTF-8 into a DataError naming `path:line`.  JSON
+and CSV files are both written to a temporary sibling and renamed into
+place, so a crash mid-write never leaves a half-written file.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -54,11 +63,15 @@ def block_array(block: dict) -> np.ndarray:
     return np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])
 
 
-def write_json(path, obj) -> None:
+def _write_atomic(path, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(canonical_json(obj))
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    _write_atomic(path, canonical_json(obj))
 
 
 def read_json(path) -> dict:
@@ -95,3 +108,47 @@ def read_container(path, fmt: str, version: int, what: str, decode):
         raise DataError(f"{path}: {what} lacks key {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataError(f"{path}: malformed {what} ({exc})") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of already-formatted string cells, `\n`-terminated."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
+
+
+def read_csv(path) -> tuple[list, list]:
+    """Return (header, rows) of string cells, skipping blank lines.
+
+    Bytes that are not UTF-8, an empty file, a row whose field count
+    differs from the header's and a field the csv module cannot parse raise
+    DataError naming `path:line`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} "
+                        f"at byte {exc.start})") from None
+    header, rows = None, []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if header is None:
+                header = row
+            elif len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                f"expected {len(header)}")
+            else:
+                rows.append(row)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}:1: file is empty")
+    return header, rows

@@ -9,7 +9,7 @@ from commodgen.cli import (ConfigError, DEFAULT_CONFIG, build_train_config,
 from commodgen.dataio import load_csv, read_dataset, windowize
 from commodgen.generators import load_checkpoint
 from commodgen.hedging import load_hedger
-from commodgen.metrics import read_report_rows
+from commodgen.metrics import REPORT_HEADER
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
 
@@ -145,6 +145,14 @@ def test_preprocess_missing_source_exit_3(tmp_path, capsys):
     assert "no input CSV" in capsys.readouterr().err
 
 
+def test_preprocess_of_its_own_output_exits_3(tmp_path, dataset, capsys):
+    ds, _ = dataset
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)})
+    # the command removes its previous dataset.json before it reads the input
+    assert_one_line_exit_3(["preprocess", "--config", str(cfg), "--out", str(ds.parent)],
+                           capsys, "no dataset container")
+
+
 # ---------------------------------------------------------------------------
 # train-gen / eval-gen
 
@@ -164,9 +172,10 @@ def test_train_eval_roundtrip_gbm(tmp_path, dataset):
                         generator={"checkpoint": str(train_out / "generator.json")},
                         eval={"n_samples": 64})
     assert cli.main(["eval-gen", "--config", str(cfg2), "--out", str(eval_out)]) == 0
-    rows = read_report_rows(eval_out / "report.csv")
-    assert [r["model"] for r in rows] == ["GBM", "GBM"]
-    assert sorted(r["dim"] for r in rows) == [0, 1]
+    header, rows = store.read_csv(eval_out / "report.csv")
+    assert header == REPORT_HEADER.split(",")
+    assert [r[0] for r in rows] == ["GBM", "GBM"]
+    assert sorted(int(r[1]) for r in rows) == [0, 1]
 
 
 def test_train_gen_writes_loss_curve(tmp_path, dataset):
@@ -245,8 +254,40 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, dataset):
     assert (out / "manifest.json").exists()
     bad = divergent_config(tmp_path)
     assert cli.main(["train-gen", "--config", str(bad), "--out", str(out)]) == 4
-    assert (out / "diagnostic.json").exists()
-    assert not (out / "manifest.json").exists()
+    assert {p.name for p in out.iterdir()} == {"diagnostic.json"}   # no stale checkpoint
+
+
+def test_rerun_removes_outputs_it_no_longer_writes(tmp_path, dataset):
+    ds, _ = dataset
+    out = tmp_path / "run"
+    cegen = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                         generator={"kind": "CEGEN",
+                                    "train": {"iterations": 2, "batch_size": 8}})
+    assert cli.main(["train-gen", "--config", str(cegen), "--out", str(out)]) == 0
+    assert (out / "losses.csv").exists()
+    gbm = write_config(tmp_path / "g.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(gbm), "--out", str(out)]) == 0
+    assert set(manifest(out)["files"]) == {"generator.json"}
+    assert {p.name for p in out.iterdir()} == {"generator.json", "manifest.json"}
+
+
+def test_commands_share_an_output_directory(tmp_path, dataset):
+    """eval-gen and hedge read the generator.json train-gen left in their
+    own output directory, and keep it."""
+    ds, _ = dataset
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(out / "generator.json")},
+                       eval={"n_samples": 32},
+                       hedge={"underlying": "c0",
+                              "train": {"iterations": 2, "batch_size": 8}})
+    plain = write_config(tmp_path / "t.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(plain), "--out", str(out)]) == 0
+    for command in ("eval-gen", "hedge"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert set(manifest(out)["files"]) == set(cli.OUTPUTS["hedge"])
+    assert {p.name for p in out.iterdir()} == {"generator.json", "report.csv",
+                                               "manifest.json", *cli.OUTPUTS["hedge"]}
 
 
 def test_successful_rerun_clears_stale_diagnostic(tmp_path, dataset):
@@ -486,6 +527,31 @@ def test_report_missing_report_file(tmp_path, capsys):
     empty.mkdir()
     assert cli.main(["report", str(empty), "--out", str(tmp_path / "cmp")]) == 3
     assert "no report.csv" in capsys.readouterr().err
+
+
+def test_failed_report_clears_previous_comparison(tmp_path):
+    a = fake_run(tmp_path, "a", ["GBM,0,1.0,2.0,3.0,4.0,5.0"])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "cmp"
+    assert cli.main(["report", str(a), "--out", str(out)]) == 0
+    assert cli.main(["report", str(empty), "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["preprocess", "report"])
+def test_non_utf8_csv_exits_3(tmp_path, capsys, command):
+    if command == "preprocess":
+        csv = write_csv(tmp_path / "p.csv")
+        csv.write_bytes(csv.read_bytes() + b"\xff\xfe,1.0,2.0\n")
+        cfg = write_config(tmp_path / "c.json", data={"source": str(csv)})
+        argv = ["preprocess", "--config", str(cfg)]
+    else:
+        run = tmp_path / "a"
+        run.mkdir()
+        (run / "report.csv").write_bytes(METRIC_HEADER.encode() + b"\nGBM\xff,0,1,2,3,4,5\n")
+        argv = ["report", str(run)]
+    assert_one_line_exit_3(argv + ["--out", str(tmp_path / "out")], capsys, "not UTF-8")
 
 
 def test_report_joins_hedge_reports(tmp_path):

@@ -281,10 +281,12 @@ def test_loss_curve_csv_roundtrip(tmp_path):
     curve.append(2, 0.7501, -0.25)
     path = tmp_path / "curve.csv"
     curve.write_csv(path)
-    back = LossCurve.read_csv(path)
-    assert back.iterations == curve.iterations
-    assert back.gen_loss == curve.gen_loss
-    assert back.disc_loss == curve.disc_loss
+    header, rows = store.read_csv(path)
+    assert header == ["iteration", "gen_loss", "disc_loss"]
+    assert [int(it) for it, _, _ in rows] == curve.iterations
+    assert [float(g) for _, g, _ in rows] == curve.gen_loss      # repr floats are exact
+    assert [float(d) if d else None for _, _, d in rows] == curve.disc_loss
+    assert rows[1][2] == ""                                      # None is an empty cell
 
 
 def test_quartile_means():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from commodgen import store
 from commodgen.dataio import DataError
 from commodgen.metrics import (LOW_CONFIDENCE_N, REPORT_HEADER, corr_metric,
                                emit_report, format_metric, marginal_metrics,
                                metric_report, path_qvar, pearson_metric,
-                               qvar_metric, read_report_rows, unit_scale_pair)
+                               qvar_metric, unit_scale_pair)
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
 
@@ -156,31 +157,17 @@ def test_emit_and_read_report_roundtrip(tmp_path):
     rep = metric_report(random_batch(n=25), random_batch(n=25, seed=5), model="CEGEN")
     path = tmp_path / "report.csv"
     emit_report(rep, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == REPORT_HEADER
-    rows = read_report_rows(path)
+    header, rows = store.read_csv(path)
+    assert header == REPORT_HEADER.split(",")
     assert len(rows) == 3
-    assert rows[0]["model"] == "CEGEN" and rows[2]["dim"] == 2
+    assert rows[0][0] == "CEGEN" and int(rows[2][1]) == 2
     # formatted values parse back and re-emit byte-identically
     for row in rows:
-        for key in ("p05", "avg", "p95", "qvar", "corr"):
-            assert format_metric(row[key]) == format_metric(float(format_metric(row[key])))
+        for cell in row[2:]:
+            assert format_metric(float(cell)) == cell
     path2 = tmp_path / "again.csv"
     emit_report(rep, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_read_report_rejects_bad_header_and_rows(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("model,dim,p05\nx,0,1.0\n")
-    with pytest.raises(DataError, match="header"):
-        read_report_rows(bad)
-    bad.write_text(REPORT_HEADER + "\nx,0,1.0,2.0\n")
-    with pytest.raises(DataError, match="columns"):
-        read_report_rows(bad)
-    bad.write_text(REPORT_HEADER + "\nx,0,a,b,c,d,e\n")
-    with pytest.raises(DataError, match="unparsable"):
-        read_report_rows(bad)
 
 
 def test_emit_report_accepts_multiple_models(tmp_path):
@@ -188,8 +175,9 @@ def test_emit_report_accepts_multiple_models(tmp_path):
     b = metric_report(random_batch(n=25), random_batch(n=25, seed=6), model="TSGAN")
     path = tmp_path / "joint.csv"
     emit_report([a, b], path)
-    rows = read_report_rows(path)
-    assert [r["model"] for r in rows] == ["GBM"] * 3 + ["TSGAN"] * 3
+    header, rows = store.read_csv(path)
+    assert header == REPORT_HEADER.split(",")
+    assert [r[0] for r in rows] == ["GBM"] * 3 + ["TSGAN"] * 3
 
 
 def test_unit_scaling_is_unit_invariant():
