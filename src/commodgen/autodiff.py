@@ -11,7 +11,10 @@ keeps the gradient of every op individually testable.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
-loudly instead of propagating NaNs.  Subgraphs that cannot influence any
+loudly instead of propagating NaNs.  Ops set no `np.errstate` of their own:
+the CLI enters one around each command, so library callers outside it may
+see numpy's `RuntimeWarning` (overflow, divide by zero, invalid value) just
+before the `NumericOverflowError`.  Subgraphs that cannot influence any
 parameter (no parent requires a gradient) are not recorded at all.
 """
 
@@ -70,7 +73,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor data must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -84,7 +87,7 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericOverflowError(f"non-finite result in op '{op}'")
         out = object.__new__(Tensor)
         out.data = data
@@ -218,8 +221,7 @@ class Tensor:
     # -- pointwise nonlinearities ------------------------------------------------
 
     def exp(self) -> "Tensor":
-        with np.errstate(over="ignore"):
-            data = np.exp(self.data)
+        data = np.exp(self.data)
 
         def backward(g):
             _accumulate(self, g * data)
@@ -227,8 +229,7 @@ class Tensor:
         return Tensor._result(data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            data = np.log(self.data)
+        data = np.log(self.data)
 
         def backward(g):
             _accumulate(self, g / self.data)
@@ -236,8 +237,7 @@ class Tensor:
         return Tensor._result(data, (self,), backward, "log")
 
     def sqrt(self) -> "Tensor":
-        with np.errstate(invalid="ignore"):
-            data = np.sqrt(self.data)
+        data = np.sqrt(self.data)
 
         def backward(g):
             _accumulate(self, g * 0.5 / data)
@@ -385,8 +385,7 @@ class Tensor:
 
 def _apply(op: str, fn, *arrays):
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(*arrays)
+        return fn(*arrays)
     except ValueError as exc:
         shapes = " vs ".join(str(np.shape(a)) for a in arrays)
         raise ValueError(f"{op}: incompatible shapes {shapes}") from exc
@@ -419,17 +418,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(t))) along an axis, shift-stabilised.
+    """log(sum(exp(t))) along an axis, shift-stabilised, as one op.
 
-    The shift is a detached constant, so gradients flow only through the
-    exp/sum/log chain; this is exact because the shift cancels analytically.
+    The shift is a constant that cancels analytically, so the gradient is
+    the output gradient times the softmax weights exp(t - shift) / sum.  The
+    forward and backward make the same numpy calls, in the same order, as the
+    sub/exp/sum/log/add chain of ops they fuse, so both are bit-identical to it.
     """
     shift = np.max(t.data, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = ((t - shift).exp().sum(axis=axis, keepdims=True)).log() + shift
+    e = np.exp(np.subtract(t.data, shift))
+    s = e.sum(axis=axis, keepdims=True)
+    data = np.add(np.log(s), shift)
     if not keepdims:
-        out = out.reshape(np.squeeze(out.data, axis=axis).shape)
-    return out
+        data = np.squeeze(data, axis=axis)
+
+    def backward(g):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        _accumulate(t, (gg / s) * e)
+
+    return Tensor._result(data, (t,), backward, "logsumexp")
 
 
 # ---------------------------------------------------------------------------

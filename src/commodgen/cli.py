@@ -558,12 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args)
-        cfg = load_config(args)
-        handler = {"preprocess": cmd_preprocess, "train-gen": cmd_train_gen,
-                   "eval-gen": cmd_eval_gen, "hedge": cmd_hedge}[args.command]
-        return handler(cfg)
+        # Non-finite values end a command through NumericOverflowError (one
+        # `error:` line), so numpy's floating-point warnings are noise here.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "report":
+                return cmd_report(args)
+            cfg = load_config(args)
+            handler = {"preprocess": cmd_preprocess, "train-gen": cmd_train_gen,
+                       "eval-gen": cmd_eval_gen, "hedge": cmd_hedge}[args.command]
+            return handler(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,11 +16,13 @@ Every loss returns an autodiff scalar: the Sinkhorn iterations are unrolled
 in-graph, the ridge regression coefficients are constants fitted on real
 data only, and quantile bucket edges are constants from real data, so the
 gradient flows through exactly the terms the corresponding papers train.
+The Sinkhorn marginal violation is a diagnostic measured once, at the last
+iteration of the cross term's sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +60,6 @@ class SinkhornValue:
     value: Tensor
     converged: bool
     marginal_violation: float
-    violation_history: list[float] = field(default_factory=list)
 
 
 def _as_points(x) -> Tensor:
@@ -88,19 +89,19 @@ def _plan_marginal_violation(f: np.ndarray, g: np.ndarray, cost: np.ndarray,
     return float(max(np.max(np.abs(rows - 1.0 / n)), np.max(np.abs(cols - 1.0 / m))))
 
 
-def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool):
+def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool,
+               measure: bool):
     """Alternating log-domain Sinkhorn sweeps from zero potentials.
 
-    Returns (dual objective mean(f) + mean(g), per-iteration marginal
-    violation history).  The alternating schedule converges monotonically in
-    the marginal violation.
+    Returns (dual objective mean(f) + mean(g), marginal violation of the
+    plan at the last iteration, or None unless `measure`).  The alternating
+    schedule converges monotonically in the marginal violation.
     """
     n, m = cost.shape
     log_mu = -float(np.log(n))
     log_nu = -float(np.log(m))
     f = Tensor(np.zeros((n, 1)))
     g = Tensor(np.zeros((1, m)))
-    history = []
     for _ in range(iterations):
         if row_first:
             f = logsumexp((g - cost) / eps + log_nu, axis=1, keepdims=True) * (-eps)
@@ -108,19 +109,22 @@ def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool):
         else:
             g = logsumexp((f - cost) / eps + log_mu, axis=0, keepdims=True) * (-eps)
             f = logsumexp((g - cost) / eps + log_nu, axis=1, keepdims=True) * (-eps)
-        history.append(_plan_marginal_violation(f.data, g.data, cost.data, eps))
-    return f.mean() + g.mean(), history
+    violation = _plan_marginal_violation(f.data, g.data, cost.data, eps) if measure else None
+    return f.mean() + g.mean(), violation
 
 
-def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int):
-    """Unrolled entropic transport value; returns (dual objective, history).
+def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int,
+                   measure: bool = False):
+    """Unrolled entropic transport value; returns (dual objective, violation).
 
     At a finite iteration count the alternating schedule's value depends on
     which marginal sweeps first, so both orders are run over the shared
     cost matrix and averaged.  Swapping x and y maps the two runs onto each
     other, making the value exactly symmetric without any branch selection
     that could kink the loss surface.  When x and y are the same object one
-    run suffices: on a symmetric cost the orders mirror each other.
+    run suffices: on a symmetric cost the orders mirror each other.  With
+    `measure` the violation is the larger of the runs' last-iteration
+    marginal violations; without it, None.
     """
     x, y = _as_points(x), _as_points(y)
     if x.shape[1] != y.shape[1]:
@@ -128,12 +132,10 @@ def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int):
                         f"{x.shape[1]} vs {y.shape[1]}")
     cost = _pairwise_sq_cost(x, y)
     if x is y:
-        return _gs_sweeps(cost, eps, iterations, row_first=True)
-    va, ha = _gs_sweeps(cost, eps, iterations, row_first=True)
-    vb, hb = _gs_sweeps(cost, eps, iterations, row_first=False)
-    value = (va + vb) * 0.5
-    history = [max(a, b) for a, b in zip(ha, hb)]
-    return value, history
+        return _gs_sweeps(cost, eps, iterations, row_first=True, measure=measure)
+    va, ma = _gs_sweeps(cost, eps, iterations, row_first=True, measure=measure)
+    vb, mb = _gs_sweeps(cost, eps, iterations, row_first=False, measure=measure)
+    return (va + vb) * 0.5, (max(ma, mb) if measure else None)
 
 
 def sinkhorn_divergence(x, y, cfg: SinkhornConfig | None = None) -> SinkhornValue:
@@ -141,16 +143,16 @@ def sinkhorn_divergence(x, y, cfg: SinkhornConfig | None = None) -> SinkhornValu
 
     Accepts (n, features) clouds or (n, T, d) path batches (flattened).  The
     debiasing terms make the divergence vanish at x == y and stay
-    non-negative in practice; the value is an autodiff scalar.
+    non-negative in practice; the value is an autodiff scalar.  The
+    marginal violation is that of the W(x, y) plan at the last iteration.
     """
     cfg = cfg or SinkhornConfig()
-    xy, history = _ot_dual_value(x, y, cfg.epsilon, cfg.iterations)
+    xy, violation = _ot_dual_value(x, y, cfg.epsilon, cfg.iterations, measure=True)
     xx, _ = _ot_dual_value(x, x, cfg.epsilon, cfg.iterations)
     yy, _ = _ot_dual_value(y, y, cfg.epsilon, cfg.iterations)
     value = xy - (xx + yy) * 0.5
-    violation = history[-1] if history else float("inf")
     return SinkhornValue(value=value, converged=violation <= MARGINAL_TOL,
-                         marginal_violation=violation, violation_history=history)
+                         marginal_violation=violation)
 
 
 # ---------------------------------------------------------------------------

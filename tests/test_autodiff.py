@@ -65,7 +65,7 @@ class TestOpGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "exp", "log",
                                     "sqrt", "tanh", "sigmoid", "relu", "softplus", "pow",
                                     "sum", "mean", "slice", "reshape", "transpose",
-                                    "concat", "logsumexp"])
+                                    "concat", "logsumexp", "logsumexp_axis0_keepdims"])
     def test_each_op_matches_finite_differences(self, op):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 5))
@@ -92,8 +92,38 @@ class TestOpGradients:
             "transpose": lambda t: (t.transpose() @ Tensor(other)).sum(),
             "concat": lambda t: concat([t, t * 2.0], axis=1).sum(),
             "logsumexp": lambda t: logsumexp(t, axis=1).sum(),
+            "logsumexp_axis0_keepdims":
+                lambda t: (logsumexp(t, axis=0, keepdims=True) * Tensor(other[:1])).sum(),
         }
         check_grad(builds[op], x)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [True, False])
+    def test_logsumexp_matches_composed_chain(self, axis, keepdims):
+        def composed(t):
+            """The sub/exp/sum/log/add chain of ops that `logsumexp` fuses."""
+            shift = np.max(t.data, axis=axis, keepdims=True)
+            shift = np.where(np.isfinite(shift), shift, 0.0)
+            out = ((t - shift).exp().sum(axis=axis, keepdims=True)).log() + shift
+            if not keepdims:
+                out = out.reshape(np.squeeze(out.data, axis=axis).shape)
+            return out
+
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((6, 7))
+        x[2] *= 300.0       # a row and a column spread over several hundred
+        x[:, 4] *= 300.0
+        weights = rng.standard_normal(np.max(x, axis=axis, keepdims=keepdims).shape)
+        results = []
+        for fn in (lambda t: logsumexp(t, axis=axis, keepdims=keepdims), composed):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = fn(t)
+            (out * Tensor(weights)).sum().backward()
+            results.append((out.data, t.grad))
+        (native, native_grad), (chain, chain_grad) = results
+        assert native.shape == chain.shape
+        assert np.array_equal(native, chain)
+        assert np.array_equal(native_grad, chain_grad)
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(3)
@@ -202,12 +232,16 @@ class TestGraphDiscipline:
 
     def test_overflow_raises_with_op_name(self):
         big = Tensor(np.array([800.0]), requires_grad=True)
-        with pytest.raises(NumericOverflowError, match="exp"):
-            big.exp()
-        with pytest.raises(NumericOverflowError, match="log"):
-            Tensor(np.array([-1.0])).log()
-        with pytest.raises(NumericOverflowError, match="div"):
-            Tensor(np.ones(2)) / Tensor(np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="exp"):
+                big.exp()
+            with pytest.raises(NumericOverflowError, match="log"):
+                Tensor(np.array([-1.0])).log()
+            with pytest.raises(NumericOverflowError, match="div"):
+                Tensor(np.ones(2)) / Tensor(np.zeros(2))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericOverflowError, match="exp"):
+                big.exp()
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):

@@ -221,12 +221,13 @@ def test_eval_rejects_window_mismatch(tmp_path, dataset):
                      "--out", str(tmp_path / "run")]) == 3
 
 
-def divergent_config(tmp_path):
+def divergent_config(tmp_path, scale=1.0):
     """A train-gen config whose training aborts: raw-scale reconstruction on
-    ~1e4 levels blows past the divergence limit."""
+    ~1e4 levels blows past the divergence limit.  At `scale` 1e200 the
+    squared reconstruction error overflows instead."""
     csv = tmp_path / "huge.csv"
     days = np.busday_offset("2021-01-04", np.arange(40))
-    vals = 1e4 + np.arange(40)[:, None] * 10.0 + np.array([0.0, 7.0])
+    vals = (1e4 + np.arange(40)[:, None] * 10.0 + np.array([0.0, 7.0])) * scale
     lines = ["date,a,b"] + [f"{day},{float(v[0])!r},{float(v[1])!r}"
                             for day, v in zip(days, vals)]
     csv.write_text("\n".join(lines) + "\n")
@@ -244,6 +245,17 @@ def test_divergent_training_exits_4_with_diagnostic(tmp_path):
     diag = json.loads((out / "diagnostic.json").read_text())
     assert diag["error"] == "TrainingError" and "diverged" in diag["message"]
     assert not (out / "manifest.json").exists()   # incomplete run leaves no marker
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_training_exits_4_with_one_line(tmp_path, capsys):
+    """numpy's overflow warning stays out of the CLI's output, even when the
+    caller has turned warnings into errors."""
+    cfg = divergent_config(tmp_path, scale=1e200)
+    code = cli.main(["train-gen", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == ["error: non-finite result in op 'mul'"]
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, dataset):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from commodgen import losses
 from commodgen.autodiff import ParamSet, Tensor
 from commodgen.dataio import DataError
 from commodgen.losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
@@ -50,14 +51,27 @@ class TestSinkhorn:
             assert sinkhorn_divergence(x, y).value.item() >= -1e-8
 
     def test_violations_decrease_monotonically(self):
+        # Sweeps start from zero potentials, so a k-iteration run's violation
+        # is the violation after iteration k of any longer run.
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal((12, 5))
             y = rng.standard_normal((8, 5)) + 0.5
             for eps in (0.05, 0.1, 0.5):
-                sv = sinkhorn_divergence(x, y, SinkhornConfig(epsilon=eps, iterations=50))
-                h = np.array(sv.violation_history)
+                h = np.array([sinkhorn_divergence(x, y, SinkhornConfig(epsilon=eps, iterations=k))
+                              .marginal_violation for k in range(1, 51)])
                 assert np.all(np.diff(h) <= 1e-12)
+
+    def test_violation_measured_once_per_sweep(self, monkeypatch):
+        calls = []
+        measure = losses._plan_marginal_violation
+        monkeypatch.setattr(losses, "_plan_marginal_violation",
+                            lambda *args: calls.append(1) or measure(*args))
+        rng = np.random.default_rng(8)
+        sv = sinkhorn_divergence(rng.standard_normal((6, 5, 2)), rng.standard_normal((7, 5, 2)),
+                                 SinkhornConfig(epsilon=0.5, iterations=20))
+        assert np.isfinite(sv.marginal_violation)
+        assert 1 <= len(calls) <= 2
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(4)
