@@ -4,7 +4,7 @@ A `Tensor` wraps a numpy array together with the recipe for routing an
 output gradient back to its parents.  Each op builds the routing closure at
 forward time; `backward()` topologically sorts the reachable graph and runs
 the closures once in reverse order.  The vocabulary is small and fixed:
-elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/relu/softplus,
+elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
 sum/mean reductions, slicing, reshape/transpose and concatenation.  That is
 enough for every network and loss in this package, and keeping it small
 keeps the gradient of every op individually testable.
@@ -126,9 +126,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, shape is {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -253,30 +250,17 @@ class Tensor:
         return Tensor._result(data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        # numerically symmetric form, never overflows
-        data = np.where(self.data >= 0,
-                        1.0 / (1.0 + np.exp(-np.abs(self.data))),
-                        np.exp(-np.abs(self.data)) / (1.0 + np.exp(-np.abs(self.data))))
+        data = _sigmoid(self.data)
 
         def backward(g):
             _accumulate(self, g * data * (1.0 - data))
 
         return Tensor._result(data, (self,), backward, "sigmoid")
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(g):
-            _accumulate(self, g * mask)
-
-        return Tensor._result(np.where(mask, self.data, 0.0), (self,), backward, "relu")
-
     def softplus(self) -> "Tensor":
         # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|
         data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        sig = np.where(self.data >= 0,
-                       1.0 / (1.0 + np.exp(-np.abs(self.data))),
-                       np.exp(-np.abs(self.data)) / (1.0 + np.exp(-np.abs(self.data))))
+        sig = _sigmoid(self.data)
 
         def backward(g):
             _accumulate(self, g * sig)
@@ -381,6 +365,12 @@ class Tensor:
                 if node.grad is not None:
                     node._backward(node.grad)
                     node.grad = None if node is not self else node.grad
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically symmetric logistic function; never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _apply(op: str, fn, *arrays):
@@ -494,9 +484,6 @@ class ParamSet:
             p.grad = None
         return grads
 
-    def to_state(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self.items()}
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for name, value in state.items():
             value = np.asarray(value, dtype=np.float64)
@@ -509,14 +496,16 @@ class ParamSet:
                 self.add(name, value)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for Adam with bias correction."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -524,10 +513,6 @@ class AdamState:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState):
@@ -541,13 +526,13 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState):
             raise ValueError(f"gradient shape {g.shape} != parameter '{name}' shape {p.data.shape}")
         m = state.m.get(name)
         v = state.v.get(name)
-        m = (1.0 - state.beta1) * g if m is None else state.beta1 * m + (1.0 - state.beta1) * g
-        v = (1.0 - state.beta2) * g * g if v is None else state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = (1.0 - ADAM_BETA1) * g if m is None else ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = (1.0 - ADAM_BETA2) * g * g if v is None else ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -560,3 +545,29 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float = 10.0):
         factor = max_norm / total
         grads = {k: g * factor for k, g in grads.items()}
     return grads, total
+
+
+class Optimizer:
+    """Clipped Adam over the parameters whose names start with one of
+    `prefixes` (the default "" takes them all).
+
+    `step(grads)` takes the full gradient dict of `ParamSet.take_grads()`,
+    keeps this group's entries, negates them when the group ascends (a
+    critic maximising the loss the generator minimises), clips them to
+    `clip_norm` jointly and applies one Adam update; it returns the pre-clip
+    gradient norm.  Two optimisers may share one `state` (step counter and
+    moments) by assignment.
+    """
+
+    def __init__(self, params: ParamSet, lr: float, clip_norm: float,
+                 prefixes: tuple = ("",)):
+        self.params = params
+        self.state = AdamState(lr=lr)
+        self.clip_norm = clip_norm
+        self.prefixes = prefixes
+
+    def step(self, grads: dict[str, np.ndarray], ascend: bool = False) -> float:
+        group = {k: -g if ascend else g for k, g in grads.items() if k.startswith(self.prefixes)}
+        group, norm = clip_by_global_norm(group, self.clip_norm)
+        adam_step(self.params, group, self.state)
+        return norm

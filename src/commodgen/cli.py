@@ -7,7 +7,7 @@ train-gen    dataset -> generator checkpoint (+ loss-curve CSV)
 eval-gen     checkpoint + dataset -> metric report CSV
 hedge        checkpoint (or on-the-fly GBM) + dataset -> hedger checkpoint,
              replication report, payoff-vs-portfolio export
-report       run dirs -> consolidated comparison table with per-group minima marked
+report       run dirs -> consolidated comparison tables with per-group minima marked
 
 Global flags: --config FILE, --seed N, --out DIR, --no-filter.  Exit codes:
 0 success, 2 config error, 3 data error, 4 numeric/training failure.
@@ -76,6 +76,9 @@ HEDGE_REPORT_HEADER = "model,case,init_risk,repl_loss"
 HEDGE_CASES = ("call", "proxy", "spread")
 SPREAD_DEFAULT_STRIKE = 42.41
 
+# each report kind a run directory may hold -> the comparison `report` joins it into
+REPORT_KINDS = {"report.csv": "comparison.csv", "hedge_report.csv": "hedge_comparison.csv"}
+
 # the files each command may write into its output directory
 OUTPUTS = {
     "preprocess": ("dataset.json",),
@@ -83,7 +86,7 @@ OUTPUTS = {
     "eval-gen": ("report.csv",),
     "hedge": ("hedger.json", "hedge_export.csv", "hedge_report.csv",
               "hedge_losses.csv", "hedge_test_losses.csv"),
-    "report": ("comparison.csv",),
+    "report": tuple(REPORT_KINDS.values()),
 }
 
 
@@ -520,15 +523,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = []
     for run in args.runs:
         run_dir = pathlib.Path(run)
-        candidates = [run_dir / "report.csv", run_dir / "hedge_report.csv"]
-        found = [p for p in candidates if p.exists()]
+        found = [run_dir / name for name in REPORT_KINDS if (run_dir / name).exists()]
         if not found:
             raise DataError(f"no report.csv or hedge_report.csv under {run_dir}")
         paths.extend(found)
-    n = consolidate(paths, out / "comparison.csv")
+    groups = {comparison: [p for p in paths if p.name == name]
+              for name, comparison in REPORT_KINDS.items()}
+    rows = {comparison: consolidate(group, out / comparison)
+            for comparison, group in groups.items() if group}
     write_manifest(out, "report", store.content_hash([str(p) for p in paths]),
                    meta={"runs": [str(r) for r in args.runs]})
-    print(f"comparison of {len(paths)} report(s), {n} rows -> {out / 'comparison.csv'}")
+    for comparison, n in rows.items():
+        print(f"comparison of {len(groups[comparison])} report(s), {n} rows "
+              f"-> {out / comparison}")
     return 0
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import (AdamState, ParamSet, Tensor, adam_step, clip_by_global_norm,
-                       concat, no_grad)
+from .autodiff import Optimizer, ParamSet, Tensor, concat, no_grad
 from .dataio import Normalizer, PathBatch
 from .losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      TransitionBinning, causal_transport_losses,
@@ -154,6 +153,14 @@ def check_loss(value: float, iteration: int, term: str) -> None:
     if abs(value) > DIVERGENCE_LIMIT:
         raise TrainingError(f"training aborted: loss diverged "
                             f"(|{term}| = {value:.3e} at iteration {iteration})")
+
+
+def backprop(loss: Tensor, params: ParamSet, iteration: int, term: str) -> dict:
+    """Check a scalar loss, backpropagate it and collect every gradient of
+    `params` (see `ParamSet.take_grads`)."""
+    check_loss(loss.item(), iteration, term)
+    loss.backward()
+    return params.take_grads()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,7 @@ def _train_gbm(data: PathBatch, cfg: TrainConfig):
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
     params = ParamSet(cfg.seed)
     drift, diff = _cegen_nets(params, data.dim, cfg)
-    opt = AdamState(lr=cfg.lr)
+    opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
     noise_rng = rng_for(cfg.seed, "cegen", "noise")
     binning = TransitionBinning(bins=cfg.bins)
@@ -408,10 +415,7 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         slices = _cegen_rollout(drift, diff, mb[:, 0, :], z, data.dt)
         fake = concat([s.reshape((idx.size, 1, d)) for s in slices], axis=1)
         loss = transition_moment_loss(mb, fake, binning).value
-        check_loss(loss.item(), it, "transition loss")
-        loss.backward()
-        grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
-        adam_step(params, grads, opt)
+        opt.step(backprop(loss, params, it, "transition loss"))
         curve.append(it, loss.item())
     model = GeneratorModel(**_model_base("CEGEN", data, cfg), params=params,
                            cegen_scale=scale, trained_iterations=cfg.iterations)
@@ -422,10 +426,9 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
     params = ParamSet(cfg.seed)
     cell, head = _cotgan_nets(params, data.dim, cfg)
     critic = CausalCritic(params, data.dim, cfg.critic_features, cfg.hidden)
-    gen_names = set(cell.param_names() + head.param_names())
-    critic_names = set(critic.param_names())
-    opt_gen = AdamState(lr=cfg.lr)
-    opt_critic = AdamState(lr=cfg.critic_lr if cfg.critic_lr is not None else cfg.lr)
+    opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.",))
+    opt_critic = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
+                           cfg.clip_norm, ("critic.",))
     sink = SinkhornConfig(epsilon=cfg.sinkhorn_epsilon,
                           iterations=cfg.sinkhorn_iterations,
                           causal_weight=cfg.causal_weight)
@@ -440,17 +443,10 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
         fake = concat([x.reshape((idx.size, 1, d)) for x in _cotgan_rollout(cell, head, z)],
                       axis=1)
         gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, critic, sink)
-        check_loss(gen_loss.item(), it, "transport loss")
-        # one backward serves both sides: the critic ascends, so its
-        # gradients are negated before the update
-        gen_loss.backward()
-        grads = params.take_grads()
-        g_gen, _ = clip_by_global_norm({k: v for k, v in grads.items() if k in gen_names},
-                                       cfg.clip_norm)
-        g_cr, _ = clip_by_global_norm({k: -v for k, v in grads.items() if k in critic_names},
-                                      cfg.clip_norm)
-        adam_step(params, g_gen, opt_gen)
-        adam_step(params, g_cr, opt_critic)
+        # one backward serves both sides: the critic ascends the same loss
+        grads = backprop(gen_loss, params, it, "transport loss")
+        opt_gen.step(grads)
+        opt_critic.step(grads, ascend=True)
         curve.append(it, gen_loss.item(), critic_loss.item())
     model = GeneratorModel(**_model_base("COTGAN", data, cfg), params=params,
                            trained_iterations=cfg.iterations)
@@ -471,12 +467,13 @@ def _tsgan_moment_gap(fake: Tensor, mb: np.ndarray) -> Tensor:
 def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     params = ParamSet(cfg.seed)
     nets = _tsgan_nets(params, data.dim, cfg)
-    emb_names = set(nets["emb"].param_names() + nets["rec"].param_names())
-    gen_names = set(nets["gen"].param_names() + nets["sup"].param_names())
-    disc_names = set(nets["disc"].param_names() + nets["disc_out"].param_names())
-    opt_emb = AdamState(lr=cfg.lr)
-    opt_gen = AdamState(lr=cfg.lr)
-    opt_disc = AdamState(lr=cfg.critic_lr if cfg.critic_lr is not None else cfg.lr)
+    opt_emb = Optimizer(params, cfg.lr, cfg.clip_norm, ("emb.", "rec."))
+    opt_sup = Optimizer(params, cfg.lr, cfg.clip_norm, ("sup.",))
+    opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.", "sup."))
+    # the joint phase continues the supervisor's pretraining moments and step
+    opt_gen.state = opt_sup.state
+    opt_disc = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
+                         cfg.clip_norm, ("disc.",))
     batch_rng = rng_for(cfg.seed, "tsgan", "batch")
     noise_rng = rng_for(cfg.seed, "tsgan", "noise")
     n, seq_len, d = data.values.shape
@@ -493,11 +490,6 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         states = states_to_sequence(unroll_states(nets["disc"], h))
         return nets["disc_out"](states.reshape((b * seq_len, cfg.hidden)))
 
-    def update(names: set, state: AdamState, grads: dict) -> None:
-        subset, _ = clip_by_global_norm({k: v for k, v in grads.items() if k in names},
-                                        cfg.clip_norm)
-        adam_step(params, subset, state)
-
     def minibatch() -> np.ndarray:
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         return data.values[idx]
@@ -510,12 +502,9 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         mb = minibatch()
         recon = recover(embed(mb)) - Tensor(mb)
         loss = (recon * recon).mean() * 10.0
-        check_loss(loss.item(), it, "reconstruction loss")
-        loss.backward()
-        update(emb_names, opt_emb, params.take_grads())
+        opt_emb.step(backprop(loss, params, it, "reconstruction loss"))
 
     # phase 2: supervised next-step in latent space (frozen embedder)
-    sup_only = set(nets["sup"].param_names())
     for it in range(pretrain):
         mb = minibatch()
         with no_grad():
@@ -523,9 +512,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         pred = states_to_sequence(unroll_states(nets["sup"], Tensor(h.data)))
         gap = pred[:, :-1, :] - Tensor(h.data[:, 1:, :])
         loss = (gap * gap).mean()
-        check_loss(loss.item(), it, "supervised loss")
-        loss.backward()
-        update(sup_only, opt_gen, params.take_grads())
+        opt_sup.step(backprop(loss, params, it, "supervised loss"))
 
     # phase 3: joint adversarial training
     for it in range(cfg.iterations):
@@ -544,9 +531,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         sup_loss = (sup_gap * sup_gap).mean()
         moment_loss = _tsgan_moment_gap(fake, mb)
         gen_loss = adv_loss + sup_loss + moment_loss
-        check_loss(gen_loss.item(), it, "generator loss")
-        gen_loss.backward()
-        update(gen_names, opt_gen, params.take_grads())
+        opt_gen.step(backprop(gen_loss, params, it, "generator loss"))
 
         # (b) embedder + recovery
         h = embed(mb)
@@ -555,9 +540,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         sup_pred_e = states_to_sequence(unroll_states(nets["sup"], h))
         gap_e = sup_pred_e[:, :-1, :] - h[:, 1:, :]
         emb_loss = recon_loss + (gap_e * gap_e).mean() * 0.1
-        check_loss(emb_loss.item(), it, "embedding loss")
-        emb_loss.backward()
-        update(emb_names, opt_emb, params.take_grads())
+        opt_emb.step(backprop(emb_loss, params, it, "embedding loss"))
 
         # (c) discriminator on frozen features
         with no_grad():
@@ -566,9 +549,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         d_real = score(Tensor(h_real_const.data))
         d_fake = score(Tensor(sup_fake_const.data))
         disc_loss = (-d_real).softplus().mean() + d_fake.softplus().mean()
-        check_loss(disc_loss.item(), it, "discriminator loss")
-        disc_loss.backward()
-        update(disc_names, opt_disc, params.take_grads())
+        opt_disc.step(backprop(disc_loss, params, it, "discriminator loss"))
 
         curve.append(it, gen_loss.item() + recon_loss.item(), disc_loss.item())
 
@@ -597,7 +578,7 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
     pasts, futures = _siggan_pairs(data, p, q)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)
     predicted = metric.predict(pasts)
-    opt = AdamState(lr=cfg.lr)
+    opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "siggan", "batch")
     noise_rng = rng_for(cfg.seed, "siggan", "noise")
     curve = LossCurve()
@@ -613,10 +594,7 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
             mc.append(future.reshape((idx.size, 1, q, d)))
         fake = concat(mc, axis=1)
         loss = metric.loss_given_prediction(predicted[idx], mb_past[:, -1:, :], fake)
-        check_loss(loss.item(), it, "signature loss")
-        loss.backward()
-        grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
-        adam_step(params, grads, opt)
+        opt.step(backprop(loss, params, it, "signature loss"))
         curve.append(it, loss.item())
     model = GeneratorModel(**_model_base("SIGGAN", data, cfg), params=params,
                            sig_pool=data.values[:, :p, :].copy(),

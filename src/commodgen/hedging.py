@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, ParamSet, Tensor, adam_step, clip_by_global_norm, no_grad
+from .autodiff import Optimizer, ParamSet, Tensor, no_grad
 from .dataio import DataError, PathBatch
-from .generators import LossCurve, TrainConfig, check_loss
+from .generators import LossCurve, TrainConfig, backprop
 from .nets import Mlp
 from .rng import rng_for
 from .stochastic import bs_delta, bs_price
@@ -126,28 +126,26 @@ class HedgerPolicy:
 
     The network sees (t_j / T, tradable prices / their start levels) and
     emits one position per tradable asset, so positions at t_j are adapted
-    by construction.  The premium is a single trainable scalar.
+    by construction.  The premium is a single trainable scalar.  Parameters
+    live under `hedge.`.
     """
 
     def __init__(self, params: ParamSet, n_tradable: int, s0_tradable,
-                 hidden: int = 32, layers: int = 2, prefix: str = "hedge"):
+                 hidden: int = 32, layers: int = 2):
         self.params = params
         self.n_tradable = n_tradable
         self.s0_tradable = np.atleast_1d(np.asarray(s0_tradable, dtype=np.float64))
         if self.s0_tradable.shape != (n_tradable,) or np.any(self.s0_tradable <= 0):
             raise DataError("start levels must be positive, one per tradable dim")
-        self.prefix = prefix
-        self.net = Mlp(params, f"{prefix}.net", 1 + n_tradable, hidden, n_tradable,
-                       layers)
-        self._premium_name = f"{prefix}.premium"
-        if self._premium_name not in params:
-            params.add(self._premium_name, np.zeros(()))
+        self.net = Mlp(params, "hedge.net", 1 + n_tradable, hidden, n_tradable, layers)
+        if "hedge.premium" not in params:
+            params.add("hedge.premium", np.zeros(()))
 
     def premium(self) -> Tensor:
-        return self.params[self._premium_name]
+        return self.params["hedge.premium"]
 
     def set_premium(self, value: float) -> None:
-        self.params[self._premium_name].data = np.asarray(float(value))
+        self.params["hedge.premium"].data = np.asarray(float(value))
 
     def controls(self, t_frac: float, prices: np.ndarray) -> Tensor:
         """Positions (n, n_tradable) at one hedge date."""
@@ -156,9 +154,6 @@ class HedgerPolicy:
         t_col = np.full((n, 1), float(t_frac))
         inp = np.concatenate([t_col, prices / self.s0_tradable], axis=1)
         return self.net(Tensor(inp))
-
-    def param_names(self) -> list[str]:
-        return self.net.param_names() + [self._premium_name]
 
 
 def replicate_terminal(policy: HedgerPolicy, prices: PathBatch,
@@ -262,17 +257,14 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
                           hidden=cfg.hidden, layers=cfg.layers)
     # variance-optimal starting premium: mean payoff of the pilot batch
     policy.set_premium(spec.payoff.value(pilot.values[:, -1, :]).mean())
-    opt = AdamState(lr=cfg.lr)
+    opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     train_curve, test_curve = LossCurve(), LossCurve()
     for it in range(cfg.iterations):
         batch = sampler.sample(cfg.batch_size, seed=int(seeds[it]), s0=spec.s0)
         g = spec.payoff.value(batch.values[:, -1, :])
         gap = replicate_terminal(policy, batch, spec) - Tensor(g)
         loss = (gap * gap).mean()
-        check_loss(loss.item(), it, "replication loss")
-        loss.backward()
-        grads, _ = clip_by_global_norm(params.take_grads(), cfg.clip_norm)
-        adam_step(params, grads, opt)
+        opt.step(backprop(loss, params, it, "replication loss"))
         train_curve.append(it, loss.item())
         if test_data is not None and (it % eval_every == 0 or it == cfg.iterations - 1):
             test_curve.append(it, eval_hedger(policy, test_data, spec).repl_loss)

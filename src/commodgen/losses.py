@@ -167,14 +167,12 @@ class CausalCritic:
     time t only sees the path up to t.
     """
 
-    def __init__(self, params: ParamSet, dim: int, feature_dim: int = 8,
-                 hidden: int = 32, prefix: str = "critic"):
+    def __init__(self, params: ParamSet, dim: int, feature_dim: int = 8, hidden: int = 32):
         self.feature_dim = feature_dim
-        self.h_cell = RecurrentCell(params, f"{prefix}.h", dim, hidden)
-        self.h_head = Mlp(params, f"{prefix}.h_out", hidden, 0, feature_dim, layers=0)
-        self.m_cell = RecurrentCell(params, f"{prefix}.m", dim, hidden)
-        self.m_head = Mlp(params, f"{prefix}.m_out", hidden, 0, feature_dim, layers=0)
-        self.prefix = prefix
+        self.h_cell = RecurrentCell(params, "critic.h", dim, hidden)
+        self.h_head = Mlp(params, "critic.h_out", hidden, 0, feature_dim, layers=0)
+        self.m_cell = RecurrentCell(params, "critic.m", dim, hidden)
+        self.m_head = Mlp(params, "critic.m_out", hidden, 0, feature_dim, layers=0)
 
     def features(self, paths: Tensor) -> tuple[Tensor, Tensor]:
         """(h, m) feature sequences, each (n, T, feature_dim)."""
@@ -184,12 +182,6 @@ class CausalCritic:
         h = concat([self.h_head(s).reshape((n, 1, self.feature_dim)) for s in h_states], axis=1)
         m = concat([self.m_head(s).reshape((n, 1, self.feature_dim)) for s in m_states], axis=1)
         return h, m
-
-    def param_names(self) -> list[str]:
-        names = []
-        for block in (self.h_cell, self.h_head, self.m_cell, self.m_head):
-            names.extend(block.param_names())
-        return names
 
 
 def martingale_defect(h: Tensor, m: Tensor) -> Tensor:

