@@ -10,10 +10,15 @@ hedge        checkpoint (or on-the-fly GBM) + dataset -> hedger checkpoint,
 report       run dirs -> consolidated comparison tables with per-group minima marked
 
 Global flags: --config FILE, --seed N, --out DIR, --no-filter.  Exit codes:
-0 success, 2 config error, 3 data error, 4 numeric/training failure.
+0 success, 2 config error, 3 data error, 4 numeric/training failure or out of
+memory; every failure prints one `error:` line.
 
 Configuration is a JSON object deep-merged over the defaults below; unknown
-keys are rejected.  All keys:
+keys are rejected.  Each value must have its key's type (`CONFIG_SCHEMA`,
+`TrainConfig`'s annotations): an integer is never true/false or 2.0; a number
+is finite and never true/false (an integer stays as written); a flag is
+true/false; a path or label is a string (labels also a list of strings); null
+only where the default is null.  A bad value exits 2 naming its key.  All keys:
 
   seed                  master seed: training (unless train.seed set) and sampling
   out                   output directory (flag --out overrides)
@@ -54,10 +59,8 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
-import json
 import pathlib
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,8 +69,8 @@ from .autodiff import NumericOverflowError
 from .dataio import (DataError, PathBatch, bundled_dataset_path, filter_table,
                      fit_normalizer, load_csv, read_dataset, windowize,
                      write_dataset)
-from .generators import (KINDS, TrainConfig, TrainingError, load_checkpoint,
-                         save_checkpoint, train_generator)
+from .generators import (KINDS, TRAIN_TYPES, ConfigError, TrainConfig, TrainingError,
+                         check_field, load_checkpoint, save_checkpoint, train_generator)
 from .hedging import (HedgingSpec, Payoff, eval_hedger, rebase_batch,
                       save_hedger, train_hedger, write_hedge_export)
 from .metrics import emit_report, metric_report, unit_scale_pair
@@ -90,114 +93,87 @@ OUTPUTS = {
 }
 
 
-class ConfigError(ValueError):
-    """Unknown key, bad value, or inconsistent command usage."""
-
-
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "out": "runs/latest",
-    "data": {
-        "source": "bundled",
-        "dataset": None,
-        "filter": True,
-        "quantile_level": 0.95,
-        "window": 30,
-        "stride": 1,
-    },
-    "generator": {
-        "kind": "GBM",
-        "checkpoint": None,
-        "normalize": True,
-        "train": {},
-    },
-    "eval": {
-        "n_samples": 1000,
-        "normalized": True,
-        "unit_scale": False,
-    },
-    "hedge": {
-        "case": "call",
-        "underlying": None,
-        "tradable": None,
-        "strike": None,
-        "maturity": None,
-        "rebase": True,
-        "train": {},
-    },
+# every config leaf -> (default, kind, bound), kind and bound as check_field takes them
+CONFIG_SCHEMA = {
+    "seed": (0, int, ">= 0"),
+    "out": ("runs/latest", str, "other than ''"),
+    "data.source": ("bundled", str, None),
+    "data.dataset": (None, str | None, None),
+    "data.filter": (True, bool, None),
+    "data.quantile_level": (0.95, float, "in (0, 1]"),
+    "data.window": (30, int, ">= 2"),
+    "data.stride": (1, int, ">= 1"),
+    "generator.kind": ("GBM", KINDS, None),
+    "generator.checkpoint": (None, str | None, None),
+    "generator.normalize": (True, bool, None),
+    "eval.n_samples": (1000, int, ">= 2"),
+    "eval.normalized": (True, bool, None),
+    "eval.unit_scale": (False, bool, None),
+    "hedge.case": ("call", HEDGE_CASES, None),
+    "hedge.underlying": (None, str | list | None, None),
+    "hedge.tradable": (None, str | list | None, None),
+    "hedge.strike": (None, float | None, None),
+    "hedge.maturity": (None, float | None, "> 0"),
+    "hedge.rebase": (True, bool, None),
 }
+
+
+def _defaults() -> dict:
+    """Each schema default in its section, plus the empty `train` blocks."""
+    cfg: dict = {}
+    for key, (default, _, _) in CONFIG_SCHEMA.items():
+        section, _, leaf = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[leaf] = default
+    cfg["generator"]["train"], cfg["hedge"]["train"] = {}, {}
+    return cfg
+
+
+DEFAULT_CONFIG = _defaults()
 
 
 # --------------------------------------------------------------- configuration
 
 def merge_config(base: dict, override: dict, prefix: str = "") -> dict:
-    """Deep merge `override` into `base`, rejecting keys absent from `base`.
-
-    Empty-dict defaults (the `train` blocks) accept arbitrary sub-keys; those
-    are validated later against TrainConfig's fields.
-    """
+    """Deep merge `override` into `base`, rejecting keys absent from `base`
+    except in an empty-dict default (a `train` block)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
         current = base[key]
-        if isinstance(current, dict) and current:
+        if isinstance(current, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{prefix}{key}' must be an object")
-            out[key] = merge_config(current, value, f"{prefix}{key}.")
-        elif isinstance(current, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{prefix}{key}' must be an object")
-            out[key] = copy.deepcopy(value)
+            out[key] = (merge_config(current, value, f"{prefix}{key}.") if current
+                        else copy.deepcopy(value))
         else:
             out[key] = value
     return out
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
 def validate_config(cfg: dict) -> None:
-    d, g, e, h = cfg["data"], cfg["generator"], cfg["eval"], cfg["hedge"]
-    _require(isinstance(cfg["seed"], int) and cfg["seed"] >= 0,
-             "seed must be a non-negative integer")
-    _require(isinstance(cfg["out"], str) and cfg["out"] != "",
-             "out must be a non-empty path")
-    _require(isinstance(d["window"], int) and d["window"] >= 2,
-             "data.window must be an integer >= 2")
-    _require(isinstance(d["stride"], int) and d["stride"] >= 1,
-             "data.stride must be an integer >= 1")
-    _require(0.0 < d["quantile_level"] <= 1.0,
-             "data.quantile_level must lie in (0, 1]")
-    _require(g["kind"] in KINDS,
-             f"generator.kind must be one of {', '.join(KINDS)}")
-    _require(isinstance(e["n_samples"], int) and e["n_samples"] >= 2,
-             "eval.n_samples must be an integer >= 2")
-    _require(h["case"] in HEDGE_CASES,
-             f"hedge.case must be one of {', '.join(HEDGE_CASES)}")
-    if h["strike"] is not None:
-        _require(isinstance(h["strike"], (int, float)) and np.isfinite(h["strike"]),
-                 "hedge.strike must be a finite number")
-    if h["maturity"] is not None:
-        _require(isinstance(h["maturity"], (int, float)) and h["maturity"] > 0,
-                 "hedge.maturity must be positive")
+    """Check every leaf of a merged config against CONFIG_SCHEMA and both
+    `train` blocks against TrainConfig's fields."""
+    for key, (_, kind, bound) in CONFIG_SCHEMA.items():
+        section, _, leaf = key.rpartition(".")
+        check_field(key, (cfg[section] if section else cfg)[leaf], kind, bound)
+    for section in ("generator", "hedge"):
+        build_train_config(cfg[section]["train"], cfg["seed"], f"{section}.train")
 
 
 def load_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
-                user = json.load(fh)
+            user = store.read_json(args.config)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
         cfg = merge_config(cfg, user)
+        validate_config(cfg)        # a flag below must not hide a bad value in the file
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -213,51 +189,33 @@ def config_hash(cfg: dict) -> str:
     return store.content_hash({k: v for k, v in cfg.items() if k != "out"})
 
 
-def build_train_config(train: dict, seed: int) -> TrainConfig:
-    kwargs = dict(train)
-    kwargs.setdefault("seed", seed)
+def build_train_config(train: dict, seed: int, key: str = "train") -> TrainConfig:
+    """The TrainConfig of the `train` block at `key`; `seed` fills an unset seed."""
+    unknown = sorted(set(train) - set(TRAIN_TYPES))
+    if unknown:
+        raise ConfigError("unknown training option(s): "
+                          + ", ".join(f"{key}.{name}" for name in unknown))
     try:
-        return TrainConfig(**kwargs)
-    except TypeError:
-        known = set(TrainConfig.__dataclass_fields__)
-        bad = sorted(set(kwargs) - known)
-        raise ConfigError(f"unknown training option(s): {', '.join(bad)}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad training option: {exc}") from None
+        return TrainConfig(**{"seed": seed, **train})
+    except ConfigError as exc:      # check_field's messages start with the field name
+        raise ConfigError(f"bad training option: {key}.{exc}") from None
 
 
 # --------------------------------------------------------------------- runtime
 
-@dataclass
-class RunManifest:
-    """Completion marker: what a command produced, keyed by config hash."""
-
-    config_hash: str
-    command: str
-    created: str
-    versions: dict
-    files: dict
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "command": self.command,
-                "created": self.created, "versions": self.versions,
-                "files": self.files, "meta": self.meta}
-
-
 def write_manifest(out_dir: pathlib.Path, command: str, cfg_hash: str,
                    meta: dict | None = None) -> None:
-    """Mark `command` complete, listing those of its outputs that exist."""
-    names = [name for name in OUTPUTS[command] if (out_dir / name).exists()]
-    manifest = RunManifest(
-        config_hash=cfg_hash,
-        command=command,
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        versions={"commodgen": __version__, "numpy": np.__version__},
-        files={name: store.file_sha256(out_dir / name) for name in sorted(names)},
-        meta=meta or {},
-    )
-    store.write_json(out_dir / "manifest.json", manifest.to_dict())
+    """Mark `command` complete, keyed by config hash, listing those of its
+    outputs that exist."""
+    names = sorted(name for name in OUTPUTS[command] if (out_dir / name).exists())
+    store.write_json(out_dir / "manifest.json", {
+        "config_hash": cfg_hash,
+        "command": command,
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "versions": {"commodgen": __version__, "numpy": np.__version__},
+        "files": {name: store.file_sha256(out_dir / name) for name in names},
+        "meta": meta or {},
+    })
 
 
 def _out_dir(path, command: str) -> pathlib.Path:
@@ -580,7 +538,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingError, NumericOverflowError) as exc:
+    except (TrainingError, NumericOverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

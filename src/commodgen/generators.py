@@ -23,7 +23,10 @@ from a named counter-based stream, so reruns produce identical parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+import reprlib
+import sys
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +46,10 @@ KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
 DIVERGENCE_LIMIT = 1e6
 
 LOSS_CURVE_HEADER = "iteration,gen_loss,disc_loss"
+
+
+class ConfigError(ValueError):
+    """Unknown key, bad value, or inconsistent command usage."""
 
 
 class TrainingError(RuntimeError):
@@ -84,26 +91,8 @@ class TrainConfig:
     pretrain_iterations: int = 500
 
     def __post_init__(self):
-        for name in ("iterations",):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("batch_size", "hidden", "sinkhorn_iterations", "critic_features",
-                     "sig_depth", "past_len", "future_len", "sig_mc_samples", "bins",
-                     "latent_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("layers", "pretrain_iterations", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("lr", "clip_norm", "sinkhorn_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.causal_weight < 0:
-            raise ValueError("causal_weight must be >= 0")
-        if self.critic_lr is not None and self.critic_lr <= 0:
-            raise ValueError("critic_lr must be positive")
-        if self.noise_dim is not None and self.noise_dim < 1:
-            raise ValueError("noise_dim must be >= 1")
+        for name, value in vars(self).items():
+            check_field(name, value, TRAIN_TYPES[name], TRAIN_BOUNDS.get(name))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,6 +103,52 @@ class TrainConfig:
 
     def content_hash(self) -> str:
         return store.content_hash(self.to_dict())
+
+
+TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+TRAIN_BOUNDS = {
+    **dict.fromkeys(("iterations", "layers", "pretrain_iterations", "seed",
+                     "causal_weight"), ">= 0"),
+    **dict.fromkeys(("batch_size", "hidden", "noise_dim", "sinkhorn_iterations",
+                     "critic_features", "sig_depth", "past_len", "future_len",
+                     "sig_mc_samples", "bins", "latent_dim"), ">= 1"),
+    **dict.fromkeys(("lr", "critic_lr", "clip_norm", "sinkhorn_epsilon"), "> 0"),
+}
+
+# each bound as messages state it -> its test
+BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          "> 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1,
+          "other than ''": lambda v: v != ""}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list of strings"}
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(value, bool) != (kind is bool):      # true/false is only ever a bool
+        return False
+    if kind is float:       # also false for NaN, +-inf and ints beyond float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, kind)
+
+
+def check_field(name: str, value, kind, bound: str | None = None) -> None:
+    """Raise a one-line ConfigError naming `name` unless `value` is a `kind`
+    within `bound` (a key of BOUNDS).  `kind` is a type of `_TYPE_NAMES`, a
+    union of them that may include None, or a tuple of allowed values."""
+    if isinstance(kind, tuple):
+        ok, what = value in kind, f"one of {', '.join(kind)}"
+    else:
+        kinds = typing.get_args(kind) or (kind,)
+        types = [k for k in kinds if k is not type(None)]
+        ok = (value is None and len(types) < len(kinds)) or (
+            any(_fits(value, k) for k in types) and (not bound or BOUNDS[bound](value)))
+        what = (" or ".join(_TYPE_NAMES[k] for k in types) + (f" {bound}" if bound else "")
+                + (" or null" if len(types) < len(kinds) else ""))
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
 @dataclass

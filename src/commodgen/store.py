@@ -74,9 +74,14 @@ def write_json(path, obj) -> None:
     _write_atomic(path, canonical_json(obj))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a UTF-8 JSON file, refusing NaN and +-Infinity as canonical JSON does."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def write_container(path, fmt: str, version: int, body: dict) -> None:
@@ -93,7 +98,7 @@ def read_container(path, fmt: str, version: int, what: str, decode):
     """
     try:
         raw = read_json(path)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != fmt:
         raise DataError(f"{path}: not a {what}")

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from commodgen import cli, store
 from commodgen.cli import (ConfigError, DEFAULT_CONFIG, build_train_config,
                            config_hash, consolidate, merge_config)
 from commodgen.dataio import load_csv, read_dataset, windowize
-from commodgen.generators import load_checkpoint
+from commodgen.generators import KINDS, TrainConfig, load_checkpoint
 from commodgen.hedging import load_hedger
 from commodgen.metrics import REPORT_HEADER
 from commodgen.rng import rng_for
@@ -73,6 +75,9 @@ def test_train_block_accepts_any_trainconfig_field():
         build_train_config({"lr": -1.0}, seed=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("patch", [
     {"seed": -1},
     {"data": {"window": 1}},
@@ -81,12 +86,61 @@ def test_train_block_accepts_any_trainconfig_field():
     {"eval": {"n_samples": 1}},
     {"hedge": {"case": "digital"}},
     {"hedge": {"maturity": -0.5}},
-    {"hedge": {"strike": float("nan")}},
+    {"hedge": {"strike": NAN}},
+    {"generator": {"train": {"lr": NAN}}},
+    {"generator": {"train": {"clip_norm": INF}}},
+    {"hedge": {"maturity": INF}},
+    {"generator": {"train": {"iterations": 2.5}}},
+    {"generator": {"train": {"hidden": 2.0}}},
+    {"generator": {"train": {"batch_size": True}}},
+    {"generator": {"train": {"seed": 1e30}}},
+    {"generator": {"train": {"lr": "x"}}},
+    {"generator": {"train": {"critic_lr": "a"}}},
+    {"hedge": {"train": {"lr": 0}}},
+    {"hedge": {"train": {"warmup": 5}}},
+    {"data": {"quantile_level": "x"}},
+    {"data": {"source": 5}},
+    {"data": {"dataset": 5}},
+    {"generator": {"checkpoint": 5}},
+    {"hedge": {"underlying": 5}},
+    {"hedge": {"tradable": ["coal", 1]}},
+    {"seed": True},
+    {"data": {"filter": "no"}},
+    {"generator": {"normalize": 3}},
+    {"eval": {"normalized": "x"}},
+    {"hedge": {"rebase": "no"}},
+    {"hedge": {"strike": True}},
+    {"hedge": {"maturity": True}},
 ])
 def test_validate_rejects_bad_values(patch):
     cfg = merge_config(DEFAULT_CONFIG, patch)
-    with pytest.raises(ConfigError):
+    key, node = [], patch
+    while isinstance(node, dict):
+        (name, node), = node.items()
+        key.append(name)
+    with pytest.raises(ConfigError, match=re.escape(".".join(key))):
         cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"generator": {"train": {"lr": NaN}}}'],
+                         ids=["non-utf8", "nan"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flags,patch", [(["--seed", "3"], {"seed": True}),
+                                         (["--out", "run"], {"out": 5})],
+                         ids=["seed", "out"])
+def test_flags_do_not_hide_bad_config_values(tmp_path, capsys, monkeypatch, flags, patch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", **patch)
+    assert cli.main(["train-gen", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(patch))} must be") and err.count("\n") == 1, err
 
 
 def test_config_hash_ignores_output_dir():
@@ -339,6 +393,15 @@ def _edit(**changes):
     return apply
 
 
+def _edit_cfg(**changes):
+    """Change fields of a checkpoint's `cfg`, writing NaN as json.dumps does."""
+    def apply(path):
+        raw = json.loads(path.read_text())
+        raw["cfg"].update(changes)
+        path.write_text(json.dumps(raw))
+    return apply
+
+
 @pytest.fixture
 def gbm_runs(tmp_path, dataset):
     """A trained GBM checkpoint and a hedger container, both from `dataset`."""
@@ -368,8 +431,10 @@ def assert_one_line_exit_3(argv, capsys, needle):
     (_edit(kind="VAE"), "kind 'VAE'"),
     (_edit(start_levels={"shape": [2]}), "lacks key 'data'"),
     (_edit(cfg={"lr": "fast"}), "malformed generator checkpoint"),
+    (_edit_cfg(lr=NAN), "not valid JSON (NaN is not a JSON number)"),
+    (_edit_cfg(iterations=2.5), "malformed generator checkpoint"),
 ], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
-        "no-data-block", "ill-typed-cfg"])
+        "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg"])
 @pytest.mark.parametrize("command", ["eval-gen", "hedge"])
 def test_malformed_checkpoint_exits_3(tmp_path, gbm_runs, capsys, corrupt, needle, command):
     ds, checkpoint, _ = gbm_runs
@@ -461,6 +526,19 @@ def test_hedge_nongbm_needs_checkpoint(tmp_path, dataset, capsys):
     assert cli.main(["hedge", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
     assert "generator.checkpoint" in capsys.readouterr().err
+
+
+def test_hedge_out_of_memory_exits_4(tmp_path, dataset, capsys):
+    """A batch far beyond the address space fails its first allocation at
+    once, whatever the overcommit setting, and never touches real memory."""
+    ds, _ = dataset
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       hedge={"underlying": "c0", "train": {"batch_size": 10**12}})
+    assert cli.main(["hedge", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (out / "manifest.json").exists()
 
 
 def test_hedge_rebase_pins_export_starts(tmp_path, dataset):
@@ -627,3 +705,66 @@ def test_seed_flag_changes_hash_and_samples(tmp_path, dataset):
                          "--seed", seed]) == 0
         outs[seed] = manifest(out)
     assert outs["0"]["config_hash"] != outs["1"]["config_hash"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configuration
+
+
+def _config_leaves(cfg, prefix=""):
+    for key, value in cfg.items():
+        if key == "train":
+            yield from (f"{prefix}train.{name}" for name in TrainConfig.__dataclass_fields__)
+        elif isinstance(value, dict):
+            yield from _config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_fuzzed_config_values_exit_cleanly(tmp_path, dataset, capsys, monkeypatch):
+    """Every leaf of DEFAULT_CONFIG and every TrainConfig field under both
+    `train` blocks (`generator.train` for each kind), set to each awkward
+    value in turn: the command exits 0, 2, 3 or 4, and a failure prints one
+    `error:` line and leaves no manifest.  No value sizes an array beyond a
+    few thousand elements."""
+    ds, csv = dataset
+    checkpoint = tmp_path / "gbm"
+    base_cfg = write_config(tmp_path / "gbm.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(base_cfg), "--out", str(checkpoint)]) == 0
+    rng = random.Random(7)
+
+    def word():
+        return "".join(rng.choices("abcxyz", k=4))
+
+    failures, codes = [], []
+    for key in _config_leaves(DEFAULT_CONFIG):
+        command = ("train-gen" if key.startswith("generator.train.") else
+                   "eval-gen" if key.startswith("eval.") else "hedge")
+        for kind in KINDS if command == "train-gen" else ["GBM"]:
+            for value in [word(), [word()], {word(): 1}, None, True, 2.5, NAN, INF, -INF, -1, 0]:
+                cfg = {"out": "run",
+                       "data": {"dataset": str(ds), "source": str(csv), "window": 12},
+                       "generator": {"kind": kind, "train": {
+                           "iterations": 1, "batch_size": 8, "hidden": 4, "latent_dim": 2,
+                           "pretrain_iterations": 1, "sinkhorn_iterations": 2, "sig_depth": 2}},
+                       "hedge": {"underlying": "c0", "train": {"iterations": 1, "batch_size": 8}}}
+                if command == "eval-gen":
+                    cfg["generator"]["checkpoint"] = str(checkpoint / "generator.json")
+                *sections, leaf = key.split(".")
+                node = cfg
+                for section in sections:
+                    node = node.setdefault(section, {})
+                node[leaf] = value
+                case = tmp_path / f"case-{len(codes)}"
+                case.mkdir()
+                monkeypatch.chdir(case)
+                (case / "c.json").write_text(json.dumps(cfg))
+                code = cli.main([command, "--config", "c.json"])
+                err = capsys.readouterr().err
+                codes.append(code)
+                if code not in (0, 2, 3, 4) or code and (
+                        not err.startswith("error: ") or err.count("\n") != 1
+                        or list(case.rglob("manifest.json"))):
+                    failures.append(f"{key}={value!r} ({command}, {kind}): exit {code}, {err!r}")
+    assert not failures, "\n".join(failures)
+    assert {0, 2, 3} <= set(codes)

@@ -49,6 +49,9 @@ def test_config_roundtrip_and_hash_stability():
     dict(iterations=-1), dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0),
     dict(sinkhorn_epsilon=0.0), dict(causal_weight=-0.1), dict(critic_lr=0.0),
     dict(noise_dim=0), dict(sig_depth=0), dict(bins=0), dict(clip_norm=0.0),
+    dict(lr=float("nan")), dict(clip_norm=float("inf")), dict(hidden=2.0),
+    dict(batch_size=True), dict(iterations=2.5), dict(seed=1e30), dict(lr="x"),
+    dict(critic_lr="a"), dict(noise_dim=2.0),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
