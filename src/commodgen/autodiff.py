@@ -15,7 +15,8 @@ loudly instead of propagating NaNs.  Ops set no `np.errstate` of their own:
 the CLI enters one around each command, so library callers outside it may
 see numpy's `RuntimeWarning` (overflow, divide by zero, invalid value) just
 before the `NumericOverflowError`.  Subgraphs that cannot influence any
-parameter (no parent requires a gradient) are not recorded at all.
+parameter (no parent requires a gradient) are not recorded at all, and
+operands that need no gradient receive none.
 """
 
 from __future__ import annotations
@@ -138,8 +139,10 @@ class Tensor:
         data = _apply("add", np.add, self.data, other.data)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(g, other.data.shape))
 
         return Tensor._result(data, (self, other), backward, "add")
 
@@ -156,8 +159,10 @@ class Tensor:
         data = _apply("sub", np.subtract, self.data, other.data)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(-g, other.data.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(-g, other.data.shape))
 
         return Tensor._result(data, (self, other), backward, "sub")
 
@@ -169,8 +174,10 @@ class Tensor:
         data = _apply("mul", np.multiply, self.data, other.data)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._result(data, (self, other), backward, "mul")
 
@@ -181,8 +188,10 @@ class Tensor:
         data = _apply("div", np.divide, self.data, other.data)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(-g * data / other.data, other.data.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(-g * data / other.data, other.data.shape))
 
         return Tensor._result(data, (self, other), backward, "div")
 
@@ -210,8 +219,10 @@ class Tensor:
         data = _apply("matmul", np.matmul, a, b)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
-            _accumulate(other, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
         return Tensor._result(data, (self, other), backward, "matmul")
 
@@ -400,9 +411,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accumulate(t, g[tuple(idx)])
 
     return Tensor._result(data, tuple(tensors), backward, "concat")
 

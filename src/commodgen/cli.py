@@ -338,10 +338,14 @@ def cmd_eval_gen(cfg: dict) -> int:
 
 def _resolve_labels(spec_value, labels: list, what: str) -> list:
     names = [spec_value] if isinstance(spec_value, str) else list(spec_value)
-    for name in names:
+    if not names:
+        raise ConfigError(f"{what} must name at least one label")
+    for i, name in enumerate(names):
         if name not in labels:
             raise ConfigError(f"{what} label '{name}' not in dataset columns "
                               f"{', '.join(labels)}")
+        if name in names[:i]:
+            raise ConfigError(f"{what} names label '{name}' twice")
     return names
 
 

@@ -612,7 +612,7 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
     p, q = cfg.past_len, cfg.future_len
     pasts, futures = _siggan_pairs(data, p, q)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)
-    predicted = metric.predict(pasts)
+    predicted = metric.fitted
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "siggan", "batch")
     noise_rng = rng_for(cfg.seed, "siggan", "noise")

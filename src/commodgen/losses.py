@@ -258,12 +258,15 @@ class ConditionalSigMetric:
     on past signatures with an intercept and ridge penalty.  The loss of a
     batch of fake futures (conditioned on the same pasts) is the mean
     squared distance between the regression prediction and the empirical
-    mean fake signature.
+    mean fake signature.  `fit` keeps its fitted values, `predict(pasts)`
+    on the pasts it was fitted on, as `fitted`, so training need not
+    compute their signatures a second time.
     """
 
     depth: int = 4
     ridge: float = 1e-6
     weights: np.ndarray | None = None
+    fitted: np.ndarray | None = None
     past_dim: int | None = None
     future_shape: tuple | None = None
 
@@ -281,6 +284,7 @@ class ConditionalSigMetric:
         penalty[-1, -1] = 0.0  # intercept unpenalised
         gram = design.T @ design + penalty
         self.weights = np.linalg.solve(gram, design.T @ targets)
+        self.fitted = design @ self.weights
         self.past_dim = pasts.shape[2]
         self.future_shape = futures.shape[1:]
         return self

@@ -7,7 +7,9 @@ and exact lognormal stepping, so even a single-step simulation has the right
 marginal law.
 
 All option formulas assume zero interest rate; prices, deltas and hedging
-P&L live on the same undiscounted scale.
+P&L live on the same undiscounted scale.  They import scipy's `ndtr` (the
+standard normal CDF) on first call, so a process that prices nothing never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataio import DataError, PathBatch, TRADING_DT
 from .rng import rng_for
@@ -188,10 +189,11 @@ def bs_price(s0, strike: float, vol: float, maturity: float):
     if vol == 0 or maturity == 0:
         out = np.maximum(s0 - strike, 0.0)
         return out if out.ndim else float(out)
+    from scipy.special import ndtr
     with np.errstate(divide="ignore"):
         d1 = _d1(s0, strike, vol, maturity)
     d2 = d1 - vol * np.sqrt(maturity)
-    out = np.where(s0 > 0, s0 * norm.cdf(d1) - strike * norm.cdf(d2), 0.0)
+    out = np.where(s0 > 0, s0 * ndtr(d1) - strike * ndtr(d2), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -206,6 +208,7 @@ def bs_delta(s, strike: float, vol: float, ttm: float):
     if vol == 0 or ttm == 0:
         out = np.where(s > strike, 1.0, np.where(s < strike, 0.0, 0.5))
         return out if out.ndim else float(out)
+    from scipy.special import ndtr
     with np.errstate(divide="ignore"):
-        out = np.where(s > 0, norm.cdf(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
+        out = np.where(s > 0, ndtr(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
     return out if out.ndim else float(out)

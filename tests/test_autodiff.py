@@ -1,5 +1,7 @@
 """Gradient checks for the reverse-mode engine against central finite differences."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,32 @@ class TestGraphDiscipline:
         out2 = mid * 3.0
         with pytest.raises(RuntimeError):
             out2.backward()
+
+    @pytest.mark.parametrize("const_side", [0, 1])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "concat"])
+    def test_constant_operand_receives_no_gradient(self, op, const_side):
+        """A constant operand's `.grad` stays None, and the other operand's
+        gradient is bit-identical to the one it gets when both operands
+        require gradients.  Elementwise ops pair a (4, 5) block with a 0-d
+        scalar, so both sides of the broadcast are covered."""
+        fns = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv, "matmul": operator.matmul,
+               "concat": lambda a, b: concat([a, b], axis=1)}
+        shapes = {"matmul": ((4, 5), (5, 3)), "concat": ((4, 5), (4, 2))}.get(op, ((4, 5), ()))
+        rng = np.random.default_rng(5)
+        values = [np.abs(rng.standard_normal(shape)) + 0.5 for shape in shapes]
+        weights = rng.standard_normal(fns[op](*values).shape)
+
+        def grads(flags):
+            a, b = (Tensor(v.copy(), requires_grad=f) for v, f in zip(values, flags))
+            (fns[op](a, b) * Tensor(weights)).sum().backward()
+            return a.grad, b.grad
+
+        both = grads((True, True))
+        one = grads((const_side == 1, const_side == 0))
+        assert one[const_side] is None
+        assert both[1 - const_side] is not None
+        assert np.array_equal(one[1 - const_side], both[1 - const_side])
 
     def test_constant_branches_record_no_graph(self):
         c = (Tensor(np.ones(3)) * 4.0).exp()

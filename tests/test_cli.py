@@ -1,6 +1,10 @@
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +51,17 @@ def dataset(tmp_path):
                        data={"source": str(csv), "window": 12})
     assert cli.main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
     return out / "dataset.json", csv
+
+
+def test_cli_import_loads_no_scipy():
+    """No command prices an option, so `import commodgen.cli` loads no scipy
+    module: importing `scipy.stats` takes about a second of every process."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import commodgen.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +523,21 @@ def test_hedge_spread_uses_checkpoint(tmp_path, dataset):
     assert row.startswith("GBM,spread,")
 
 
-def test_hedge_unknown_label_exit_2(tmp_path, dataset, capsys):
+@pytest.mark.parametrize("hedge,needle", [
+    ({"underlying": "gas"}, "'gas' not in dataset columns"),
+    ({"underlying": "c0", "tradable": []}, "hedge.tradable must name at least one label"),
+    ({"underlying": "c0", "tradable": ["c1", "c1"]}, "hedge.tradable names label 'c1' twice"),
+    ({"underlying": []}, "hedge.underlying must name at least one label"),
+    ({"case": "spread", "underlying": ["c0", "c0"]}, "hedge.underlying names label 'c0' twice"),
+], ids=["unknown-underlying", "empty-tradable", "repeated-tradable", "empty-underlying",
+        "repeated-underlying"])
+def test_hedge_bad_labels_exit_2(tmp_path, dataset, capsys, hedge, needle):
     ds, _ = dataset
     cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
-                       hedge={"underlying": "gas",
-                              "train": {"iterations": 2, "batch_size": 8}})
+                       hedge={**hedge, "train": {"iterations": 2, "batch_size": 8}})
     assert cli.main(["hedge", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
-    assert "'gas' not in dataset columns" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 def test_hedge_nongbm_needs_checkpoint(tmp_path, dataset, capsys):

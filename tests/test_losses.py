@@ -227,6 +227,12 @@ class TestConditionalSigMetric:
             fd = (metric.loss(pasts, up).item() - metric.loss(pasts, dn).item()) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0)
 
+    def test_fitted_values_equal_predictions_on_the_fitted_pasts(self):
+        pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
+        metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        assert metric.fitted.shape == (200, metric.weights.shape[1])
+        assert np.array_equal(metric.fitted, metric.predict(pasts))
+
     def test_shape_validation(self):
         pasts, futures = self.make_pairs()
         with pytest.raises(DataError):
