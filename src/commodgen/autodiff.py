@@ -5,9 +5,11 @@ output gradient back to its parents.  Each op builds the routing closure at
 forward time; `backward()` topologically sorts the reachable graph and runs
 the closures once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
-sum/mean reductions, slicing, reshape/transpose and concatenation.  That is
-enough for every network and loss in this package, and keeping it small
-keeps the gradient of every op individually testable.
+sum/mean reductions, slicing, reshape/transpose and concatenation, plus two
+fused ops that cut the per-op overhead of hot paths: `logsumexp` and
+`affine` (a dense layer's x @ w + b).  That is enough for every network and
+loss in this package, and keeping it small keeps the gradient of every op
+individually testable.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
@@ -212,11 +214,7 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError(f"matmul needs 2d+ operands, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-        data = _apply("matmul", np.matmul, a, b)
+        data = _matmul(a, b)
 
         def backward(g):
             if self.requires_grad:
@@ -392,6 +390,14 @@ def _apply(op: str, fn, *arrays):
         raise ValueError(f"{op}: incompatible shapes {shapes}") from exc
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs 2d+ operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    return _apply("matmul", np.matmul, a, b)
+
+
 def _axis_count(shape: tuple, axis) -> int:
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     n = 1
@@ -440,6 +446,30 @@ def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         _accumulate(t, (gg / s) * e)
 
     return Tensor._result(data, (t,), backward, "logsumexp")
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one op: a dense layer's pre-activation.
+
+    The forward and backward make the same numpy calls as the matmul/add
+    pair of ops they fuse, so both are bit-identical to it; matmul's shape
+    checks and messages apply unchanged.
+    """
+    x, w, b = Tensor._lift(x), Tensor._lift(w), Tensor._lift(b)
+    xd, wd = x.data, w.data
+    product = _matmul(xd, wd)
+    data = _apply("add", np.add, product, b.data)
+
+    def backward(g):
+        gp = _unbroadcast(g, product.shape)
+        if x.requires_grad:
+            _accumulate(x, _unbroadcast(np.matmul(gp, np.swapaxes(wd, -1, -2)), xd.shape))
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gp), wd.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return Tensor._result(data, (x, w, b), backward, "affine")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import Optimizer, ParamSet, Tensor, concat, no_grad
 from .dataio import Normalizer, PathBatch
-from .losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
+from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      TransitionBinning, causal_transport_losses,
                      transition_moment_loss)
 from .nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
@@ -449,7 +449,12 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         z = noise_rng.standard_normal((idx.size, seq_len - 1, d))
         slices = _cegen_rollout(drift, diff, mb[:, 0, :], z, data.dt)
         fake = concat([s.reshape((idx.size, 1, d)) for s in slices], axis=1)
-        loss = transition_moment_loss(mb, fake, binning).value
+        out = transition_moment_loss(mb, fake, binning)
+        if not out.used_buckets:
+            raise TrainingError(f"training aborted: no bucket of the transition loss has "
+                                f"{MIN_BUCKET} real and {MIN_BUCKET} fake paths at iteration "
+                                f"{it}; use a larger batch_size or fewer bins")
+        loss = out.value
         opt.step(backprop(loss, params, it, "transition loss"))
         curve.append(it, loss.item())
     model = GeneratorModel(**_model_base("CEGEN", data, cfg), params=params,

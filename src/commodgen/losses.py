@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, concat, logsumexp
+from .autodiff import ParamSet, Tensor, _accumulate, concat, logsumexp
 from .dataio import DataError
 from .nets import Mlp, RecurrentCell, unroll_states
 from .signature import signature_levels
@@ -345,18 +345,25 @@ class ConditionalSigMetric:
 # conditional transition moments
 
 
+MIN_BUCKET = 2  # paths per bucket on each side; a covariance needs two
+
+
+def _increment_moments(inc: np.ndarray):
+    """Mean, centred rows and unbiased covariance of (k, d) increments."""
+    mean = inc.mean(axis=0)
+    centered = inc - mean
+    return mean, centered, centered.T @ centered / (inc.shape[0] - 1)
+
+
 @dataclass
 class TransitionBinning:
-    """Quantile bucketing of the current level, keyed on one dimension."""
+    """Quantile bucketing of the current level of the first dimension."""
 
     bins: int = 5
-    key_dim: int = 0
 
     def __post_init__(self):
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        if self.key_dim < 0:
-            raise ValueError("key_dim must be non-negative")
 
 
 @dataclass
@@ -366,16 +373,25 @@ class TransitionLossValue:
     skipped_buckets: int
 
 
-def transition_moment_loss(real, fake, binning: TransitionBinning | None = None,
-                           min_bucket: int = 2) -> TransitionLossValue:
+def transition_moment_loss(real, fake, binning: TransitionBinning | None = None
+                           ) -> TransitionLossValue:
     """Conditional mean/covariance distance of one-step increments.
 
-    At each time t, real paths are bucketed by the quantiles of the key
+    At each time t, real paths are bucketed by the quantiles of the first
     dimension's current level (edges from real data only); fake paths fall
     into the same buckets.  Within each bucket the squared difference of the
     increment mean vector and increment covariance matrix is accumulated.
-    Buckets with fewer than `min_bucket` members on either side are skipped
-    and counted.
+    Buckets with fewer than `MIN_BUCKET` members on either side are skipped
+    and counted; with none used the value is a constant 0.
+
+    The value is one autodiff op over `fake`: the forward runs the bucket
+    arithmetic in numpy and a hand-written backward fills one gradient array
+    of fake's shape.  Both round the same floating-point operations, in the
+    same order, as a chain of slice, mean, covariance and square ops would,
+    so value and gradient are bit-identical to it (the tests keep that chain
+    as the reference).  Each fake entry receives at most two nonzero
+    contributions, from the steps before and after it, so the order of
+    accumulation across buckets cannot change a bit either.
     """
     binning = binning or TransitionBinning()
     rv = np.asarray(real, dtype=np.float64)
@@ -385,45 +401,54 @@ def transition_moment_loss(real, fake, binning: TransitionBinning | None = None,
     if rv.shape[1] != fake_t.shape[1] or rv.shape[2] != fake_t.shape[2]:
         raise DataError(f"real {rv.shape} and fake {tuple(fake_t.shape)} disagree "
                         f"on sequence length or dimension")
-    if binning.key_dim >= rv.shape[2]:
-        raise DataError(f"key_dim {binning.key_dim} out of range for "
-                        f"{rv.shape[2]} dimensions")
-    seq_len = rv.shape[1]
+    fv = fake_t.data
+    seq_len, dim = rv.shape[1], rv.shape[2]
     n_bins = binning.bins
+    buckets = []  # (t, fake members, centred fake increments, mean gap, covariance gap)
     total = None
-    used = 0
     skipped = 0
     for t in range(seq_len - 1):
-        key_real = rv[:, t, binning.key_dim]
+        key_real = rv[:, t, 0]
         if n_bins > 1:
             edges = np.quantile(key_real, np.arange(1, n_bins) / n_bins)
             real_bucket = np.digitize(key_real, edges)
-            fake_bucket = np.digitize(fake_t.data[:, t, binning.key_dim], edges)
+            fake_bucket = np.digitize(fv[:, t, 0], edges)
         else:
             real_bucket = np.zeros(rv.shape[0], dtype=int)
-            fake_bucket = np.zeros(fake_t.shape[0], dtype=int)
+            fake_bucket = np.zeros(fv.shape[0], dtype=int)
         real_inc = rv[:, t + 1, :] - rv[:, t, :]
         for b in range(n_bins):
             r_idx = np.nonzero(real_bucket == b)[0]
             f_idx = np.nonzero(fake_bucket == b)[0]
-            if r_idx.size < min_bucket or f_idx.size < min_bucket:
+            if r_idx.size < MIN_BUCKET or f_idx.size < MIN_BUCKET:
                 skipped += 1
                 continue
-            used += 1
-            r_mean = real_inc[r_idx].mean(axis=0)
-            r_centered = real_inc[r_idx] - r_mean
-            r_cov = r_centered.T @ r_centered / (r_idx.size - 1)
-
-            f_inc = fake_t[f_idx, t + 1, :] - fake_t[f_idx, t, :]
-            f_mean = f_inc.mean(axis=0)
-            f_centered = f_inc - f_mean.reshape((1, rv.shape[2]))
-            f_cov = f_centered.transpose() @ f_centered / float(f_idx.size - 1)
-
-            d_mean = f_mean - Tensor(r_mean)
-            d_cov = f_cov - Tensor(r_cov)
+            r_mean, _, r_cov = _increment_moments(real_inc[r_idx])
+            f_mean, f_centered, f_cov = _increment_moments(fv[f_idx, t + 1] - fv[f_idx, t])
+            d_mean = f_mean - r_mean
+            d_cov = f_cov - r_cov
             term = (d_mean * d_mean).sum() + (d_cov * d_cov).sum()
             total = term if total is None else total + term
+            buckets.append((t, f_idx, f_centered, d_mean, d_cov))
     if total is None:
         return TransitionLossValue(value=Tensor(0.0), used_buckets=0, skipped_buckets=skipped)
-    return TransitionLossValue(value=total / float(used), used_buckets=used,
+    n_used = float(len(buckets))
+
+    def backward(g):
+        grad = np.zeros(fv.shape)
+        g_term = g / n_used
+        for t, f_idx, f_centered, d_mean, d_cov in buckets:
+            k = f_idx.size
+            g_mean = 2.0 * (g_term * d_mean)
+            g_cov = 2.0 * (g_term * d_cov) / (k - 1)
+            # the centred block is both matmul operands, one through a transpose
+            g_centered = f_centered @ g_cov + (g_cov @ f_centered.T).T
+            g_inc = g_centered + (g_mean - g_centered.sum(axis=0)) / k
+            grad[f_idx, t + 1] += g_inc
+            grad[f_idx, t] -= g_inc
+        _accumulate(fake_t, grad)
+
+    value = Tensor._result(total / n_used, (fake_t,), backward,
+                           "transition_moment_loss")
+    return TransitionLossValue(value=value, used_buckets=len(buckets),
                                skipped_buckets=skipped)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, concat
+from .autodiff import ParamSet, Tensor, affine, concat
 
 class Mlp:
     """Fully connected stack: `layers` tanh hidden layers, then a linear head.
@@ -36,9 +36,9 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         h = x
         for w, b in self.names[:-1]:
-            h = (h @ self.params[w] + self.params[b]).tanh()
+            h = affine(h, self.params[w], self.params[b]).tanh()
         w, b = self.names[-1]
-        return h @ self.params[w] + self.params[b]
+        return affine(h, self.params[w], self.params[b])
 
 
 class RecurrentCell:

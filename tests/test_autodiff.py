@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
-                                adam_step, clip_by_global_norm, concat, logsumexp,
-                                no_grad)
+                                adam_step, affine, clip_by_global_norm, concat,
+                                logsumexp, no_grad)
 from commodgen.nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
 
 
@@ -125,6 +125,49 @@ class TestOpGradients:
         assert native.shape == chain.shape
         assert np.array_equal(native, chain)
         assert np.array_equal(native_grad, chain_grad)
+
+    @pytest.mark.parametrize("x_shape", [(6, 4), (3, 6, 4)])
+    def test_affine_matches_matmul_add_chain(self, x_shape):
+        rng = np.random.default_rng(21)
+        values = [rng.standard_normal(x_shape), rng.standard_normal((4, 5)),
+                  rng.standard_normal(5)]
+        weights = rng.standard_normal(x_shape[:-1] + (5,))
+        results = []
+        for fn in (affine, lambda x, w, b: x @ w + b):
+            leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+            out = fn(*leaves)
+            (out * Tensor(weights)).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for fused, chain in zip(*results):
+            assert fused.shape == chain.shape
+            assert np.array_equal(fused, chain)
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_affine_matches_finite_differences(self, operand):
+        rng = np.random.default_rng(22)
+        values = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3)]
+        weights = rng.standard_normal((6, 3))
+
+        def build(t):
+            args = [Tensor(v) for v in values]
+            args[operand] = t
+            return (affine(*args).tanh() * Tensor(weights)).sum()
+
+        check_grad(build, values[operand])
+
+    def test_affine_shape_errors_and_no_graph(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in ((3, 4), (4, 2), (2,)))
+        with pytest.raises(ValueError, match=r"matmul needs 2d\+ operands"):
+            affine(Tensor(np.ones(4)), w, b)
+        with pytest.raises(ValueError, match="matmul inner dimensions differ"):
+            affine(x, Tensor(np.ones((3, 2))), b)
+        with pytest.raises(ValueError, match="add: incompatible shapes"):
+            affine(x, w, Tensor(np.ones(3)))
+        with no_grad():
+            out = affine(x, w, b)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.data, np.full((3, 2), 5.0))
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(3)

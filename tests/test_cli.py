@@ -262,6 +262,23 @@ def test_train_gen_writes_loss_curve(tmp_path, dataset):
     assert m["meta"] == {"kind": "CEGEN", "iterations": 4}
 
 
+def test_cegen_without_usable_bucket_exits_4_with_one_line(tmp_path, dataset, capsys):
+    """With one path per batch no bucket of the transition loss has two real
+    and two fake paths, so there is nothing to train on."""
+    ds, _ = dataset
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       generator={"kind": "CEGEN",
+                                  "train": {"iterations": 4, "batch_size": 1}})
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "iteration 0" in err[0] and "transition loss" in err[0]
+    assert "batch_size" in err[0] and "bins" in err[0]
+    assert json.loads((out / "diagnostic.json").read_text())["error"] == "TrainingError"
+    assert not (out / "manifest.json").exists()
+
+
 def test_eval_requires_checkpoint(tmp_path, dataset, capsys):
     ds, _ = dataset
     cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)})

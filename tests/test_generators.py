@@ -174,6 +174,20 @@ def test_cegen_trained_beats_untrained_on_qvar():
     assert gap_hot < gap_cold
 
 
+def test_cegen_step_records_few_graph_nodes(monkeypatch):
+    """One CEGEN training step (rollout plus transition loss, batch 32, 30
+    steps) records about 700 graph nodes: the loss is a single op and every
+    dense layer one `affine`.  A loss built bucket by bucket from small ops
+    records twice as many."""
+    ops = []
+    result = Tensor._result
+    monkeypatch.setattr(Tensor, "_result",
+                        staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
+    train_generator("CEGEN", gbm_batch(n=64, seq_len=30), TrainConfig(iterations=1, batch_size=32))
+    assert ops.count("transition_moment_loss") == 1
+    assert len(ops) <= 800
+
+
 def test_cegen_sample_transition_loss_tracks_real():
     data = gbm_batch(n=1000, seq_len=10, sigma=0.3, seed=5)
     model, _ = train_generator("CEGEN", data, TrainConfig(iterations=150, batch_size=128))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commodgen import losses
-from commodgen.autodiff import ParamSet, Tensor
+from commodgen.autodiff import NumericOverflowError, ParamSet, Tensor
 from commodgen.dataio import DataError
 from commodgen.losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
                               TransitionBinning, causal_transport_losses,
@@ -289,13 +289,53 @@ class TestTransitionMoments:
         transition_moment_loss(real, ft).value.backward()
         grad = ft.grad
         h = 1e-6
-        for idx in [(0, 1, 0), (7, 3, 1), (29, 2, 0)]:
+        for idx in np.ndindex(f0.shape):
             up, dn = f0.copy(), f0.copy()
             up[idx] += h
             dn[idx] -= h
             fd = (transition_moment_loss(real, up).value.item()
                   - transition_moment_loss(real, dn).value.item()) / (2 * h)
-            assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0)
+            assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0), idx
+
+    @pytest.mark.parametrize("n_real,n_fake,seq_len,dim,bins,shift", [
+        (40, 40, 6, 1, 5, 0.0),
+        (60, 50, 8, 2, 5, 0.0),
+        (30, 35, 5, 3, 1, 0.0),
+        (50, 45, 7, 3, 5, 0.0),
+        (25, 12, 6, 2, 5, 1.5),     # fake drifts up: low buckets lack fake paths
+        (12, 3, 4, 1, 1, 0.0),
+    ])
+    def test_bit_identical_to_op_chain(self, n_real, n_fake, seq_len, dim, bins, shift):
+        rng = np.random.default_rng(n_real + 10 * seq_len + dim)
+        real = rng.standard_normal((n_real, seq_len, dim)).cumsum(axis=1)
+        fake = rng.standard_normal((n_fake, seq_len, dim)).cumsum(axis=1)
+        fake[:, 1:] += shift * np.arange(1, seq_len)[:, None]
+        binning = TransitionBinning(bins=bins)
+        for scale in (1.0, 1.7):    # a unit and a non-unit output gradient
+            fused_t = Tensor(fake.copy(), requires_grad=True)
+            fused = transition_moment_loss(real, fused_t, binning)
+            (fused.value * scale).backward()
+            ref_t = Tensor(fake.copy(), requires_grad=True)
+            ref = reference_transition_loss(real, ref_t, bins)
+            (ref.value * scale).backward()
+            assert np.array_equal(fused.value.data, ref.value.data)
+            assert (fused.used_buckets, fused.skipped_buckets) == \
+                (ref.used_buckets, ref.skipped_buckets)
+            assert np.array_equal(fused_t.grad, ref_t.grad)
+        assert fused.used_buckets > 0
+        if shift:
+            assert fused.skipped_buckets > 0
+        constant = transition_moment_loss(real, fake, binning)   # ndarray: no graph
+        assert np.array_equal(constant.value.data, ref.value.data)
+        assert not constant.value.requires_grad and constant.value._parents == ()
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(4)
+        real = rng.standard_normal((20, 5, 2)).cumsum(axis=1)
+        fake = rng.standard_normal((20, 5, 2)).cumsum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="transition_moment_loss"):
+                transition_moment_loss(real, fake * 1e200)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -304,3 +344,48 @@ class TestTransitionMoments:
             transition_moment_loss(np.ones((5, 4, 1)), np.ones((5, 4, 2)))
         with pytest.raises(ValueError):
             TransitionBinning(bins=0)
+
+
+def reference_transition_loss(real, fake, bins):
+    """The transition loss as a chain of small autodiff ops, one bucket at a
+    time: the oracle for the fused op's value, bucket counts and gradient."""
+    rv = np.asarray(real, dtype=np.float64)
+    fake_t = fake if isinstance(fake, Tensor) else Tensor(np.asarray(fake, dtype=np.float64))
+    total = None
+    used = 0
+    skipped = 0
+    for t in range(rv.shape[1] - 1):
+        key_real = rv[:, t, 0]
+        if bins > 1:
+            edges = np.quantile(key_real, np.arange(1, bins) / bins)
+            real_bucket = np.digitize(key_real, edges)
+            fake_bucket = np.digitize(fake_t.data[:, t, 0], edges)
+        else:
+            real_bucket = np.zeros(rv.shape[0], dtype=int)
+            fake_bucket = np.zeros(fake_t.shape[0], dtype=int)
+        real_inc = rv[:, t + 1, :] - rv[:, t, :]
+        for b in range(bins):
+            r_idx = np.nonzero(real_bucket == b)[0]
+            f_idx = np.nonzero(fake_bucket == b)[0]
+            if r_idx.size < 2 or f_idx.size < 2:
+                skipped += 1
+                continue
+            used += 1
+            r_mean = real_inc[r_idx].mean(axis=0)
+            r_centered = real_inc[r_idx] - r_mean
+            r_cov = r_centered.T @ r_centered / (r_idx.size - 1)
+
+            f_inc = fake_t[f_idx, t + 1, :] - fake_t[f_idx, t, :]
+            f_mean = f_inc.mean(axis=0)
+            f_centered = f_inc - f_mean.reshape((1, rv.shape[2]))
+            f_cov = f_centered.transpose() @ f_centered / float(f_idx.size - 1)
+
+            d_mean = f_mean - Tensor(r_mean)
+            d_cov = f_cov - Tensor(r_cov)
+            term = (d_mean * d_mean).sum() + (d_cov * d_cov).sum()
+            total = term if total is None else total + term
+    if total is None:
+        return losses.TransitionLossValue(value=Tensor(0.0), used_buckets=0,
+                                          skipped_buckets=skipped)
+    return losses.TransitionLossValue(value=total / float(used), used_buckets=used,
+                                      skipped_buckets=skipped)
