@@ -6,15 +6,17 @@ forward time; `backward()` topologically sorts the reachable graph and runs
 the closures once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
 sum/mean reductions, slicing, reshape/transpose and concatenation, plus two
-fused ops that cut the per-op overhead of hot paths: `logsumexp` and
-`affine` (a dense layer's x @ w + b).  That is enough for every network and
-loss in this package, and keeping it small keeps the gradient of every op
-individually testable.
+fused ops that cut the per-op overhead of hot paths: `affine` (a dense
+layer's x @ w + b) and `gated_step` (one step of a single-gate recurrent
+cell).  That is enough for every network and loss in this package, and
+keeping it small keeps the gradient of every op individually testable.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
-loudly instead of propagating NaNs.  Ops set no `np.errstate` of their own:
-the CLI enters one around each command, so library callers outside it may
+loudly instead of propagating NaNs; a fused op also checks the
+intermediates that a saturating step inside it could turn finite.  Ops set
+no `np.errstate` of their own: the CLI enters one around each command, so
+library callers outside it may
 see numpy's `RuntimeWarning` (overflow, divide by zero, invalid value) just
 before the `NumericOverflowError`.  Subgraphs that cannot influence any
 parameter (no parent requires a gradient) are not recorded at all, and
@@ -90,8 +92,7 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        if not np.isfinite(data).all():
-            raise NumericOverflowError(f"non-finite result in op '{op}'")
+        _check_finite(data, op)
         out = object.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -425,27 +426,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._result(data, tuple(tensors), backward, "concat")
 
 
-def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(t))) along an axis, shift-stabilised, as one op.
-
-    The shift is a constant that cancels analytically, so the gradient is
-    the output gradient times the softmax weights exp(t - shift) / sum.  The
-    forward and backward make the same numpy calls, in the same order, as the
-    sub/exp/sum/log/add chain of ops they fuse, so both are bit-identical to it.
-    """
-    shift = np.max(t.data, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    e = np.exp(np.subtract(t.data, shift))
-    s = e.sum(axis=axis, keepdims=True)
-    data = np.add(np.log(s), shift)
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
-
-    def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(t, (gg / s) * e)
-
-    return Tensor._result(data, (t,), backward, "logsumexp")
+def _check_finite(data: np.ndarray, op: str) -> None:
+    """Raise `NumericOverflowError` naming `op` unless every entry is finite."""
+    if not np.isfinite(data).all():
+        raise NumericOverflowError(f"non-finite result in op '{op}'")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -470,6 +454,54 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return Tensor._result(data, (x, w, b), backward, "affine")
+
+
+def gated_step(x: Tensor, s: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
+               wc: Tensor, uc: Tensor, bc: Tensor) -> Tensor:
+    """One step of a single-gate recurrent cell as one op:
+
+        z = sigmoid(x wz + s uz + bz),  c = tanh(x wc + s uc + bc),
+        s' = z * s + (1 - z) * c.
+
+    The forward and backward make the same numpy calls as the chain of
+    matmul/add/sigmoid/tanh/mul/sub ops they fuse, and accumulate into each
+    operand once per contribution of that chain, in its order (the state's
+    three: through `z * s`, `s @ uz`, `s @ uc`), so both are bit-identical
+    to it; `backward()` reaches the state's subgraph before the input's, as
+    through the chain.  Non-finite pre-activations raise: sigmoid and tanh
+    would saturate them to a finite state.
+    """
+    x, s = Tensor._lift(x), Tensor._lift(s)
+    xd, sd, wzd, uzd, wcd, ucd = x.data, s.data, wz.data, uz.data, wc.data, uc.data
+    z_pre = _apply("add", np.add, _apply("add", np.add, _matmul(xd, wzd), _matmul(sd, uzd)),
+                   bz.data)
+    c_pre = _apply("add", np.add, _apply("add", np.add, _matmul(xd, wcd), _matmul(sd, ucd)),
+                   bc.data)
+    _check_finite(z_pre, "gated_step")
+    _check_finite(c_pre, "gated_step")
+    z = _sigmoid(z_pre)
+    c = np.tanh(c_pre)
+    keep = np.subtract(1.0, z)
+    data = np.add(np.multiply(z, sd), np.multiply(keep, c))
+
+    def backward(g):
+        if s.requires_grad:
+            _accumulate(s, _unbroadcast(g * z, sd.shape))
+        gz = g * sd + -(g * c)
+        g_pre = (gz * z * (1.0 - z), g * keep * (1.0 - c * c))
+        for gp, (w, wd, u, ud, b) in zip(g_pre, ((wz, wzd, uz, uzd, bz), (wc, wcd, uc, ucd, bc))):
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(gp, b.data.shape))
+            if x.requires_grad:
+                _accumulate(x, _unbroadcast(np.matmul(gp, np.swapaxes(wd, -1, -2)), xd.shape))
+            if w.requires_grad:
+                _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gp), wd.shape))
+            if s.requires_grad:
+                _accumulate(s, _unbroadcast(np.matmul(gp, np.swapaxes(ud, -1, -2)), sd.shape))
+            if u.requires_grad:
+                _accumulate(u, _unbroadcast(np.matmul(np.swapaxes(sd, -1, -2), gp), ud.shape))
+
+    return Tensor._result(data, (x, s, wz, uz, bz, wc, uc, bc), backward, "gated_step")
 
 
 # ---------------------------------------------------------------------------

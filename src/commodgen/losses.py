@@ -12,12 +12,15 @@ Three families live here:
   compare per-bucket mean and covariance of the next increment, used by the
   conditional Euler generator.
 
-Every loss returns an autodiff scalar: the Sinkhorn iterations are unrolled
-in-graph, the ridge regression coefficients are constants fitted on real
-data only, and quantile bucket edges are constants from real data, so the
-gradient flows through exactly the terms the corresponding papers train.
-The Sinkhorn marginal violation is a diagnostic measured once, at the last
-iteration of the cross term's sweeps.
+Every loss returns an autodiff scalar: the gradient runs through every
+unrolled Sinkhorn iteration, the ridge regression coefficients are constants
+fitted on real data only, and quantile bucket edges are constants from real
+data, so the gradient flows through exactly the terms the corresponding
+papers train.  Two hot paths are single autodiff ops with hand-written numpy
+backwards, bit-identical to the op chains they replace: each Sinkhorn sweep
+(all its iterations) and the transition-moment loss.  The Sinkhorn marginal
+violation is a diagnostic measured once, at the last iteration of the cross
+term's sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, _accumulate, concat, logsumexp
+from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
 from .dataio import DataError
 from .nets import Mlp, RecurrentCell, unroll_states
 from .signature import signature_levels
@@ -89,6 +92,19 @@ def _plan_marginal_violation(f: np.ndarray, g: np.ndarray, cost: np.ndarray,
     return float(max(np.max(np.abs(rows - 1.0 / n)), np.max(np.abs(cols - 1.0 / m))))
 
 
+def _logsumexp(a: np.ndarray, axis: int):
+    """Shift-stabilised log(sum(exp(a))) along `axis`, keeping the axis.
+
+    Also returns exp(a - shift) and its sum: the softmax weights of the
+    gradient are their quotient.
+    """
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    e = np.exp(np.subtract(a, shift))
+    s = e.sum(axis=axis, keepdims=True)
+    return np.add(np.log(s), shift), e, s
+
+
 def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool,
                measure: bool):
     """Alternating log-domain Sinkhorn sweeps from zero potentials.
@@ -96,21 +112,52 @@ def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool,
     Returns (dual objective mean(f) + mean(g), marginal violation of the
     plan at the last iteration, or None unless `measure`).  The alternating
     schedule converges monotonically in the marginal violation.
+
+    The unrolled iterations are one autodiff op over `cost`: the forward
+    runs them in numpy and keeps each half-step's softmax pieces, and the
+    backward walks those in reverse.  Both make the same numpy calls as the
+    sub/div/add/log-sum-exp/mul chain of ops per half-step and the mean/add
+    ops of the objective, and `cost` receives one contribution per
+    half-step, the last half-step first, as from that chain; so value and
+    gradient are bit-identical to it.  A non-finite log-kernel exponent
+    raises, as the log-sum-exp would absorb -inf into a finite potential.
     """
     n, m = cost.shape
-    log_mu = -float(np.log(n))
-    log_nu = -float(np.log(m))
-    f = Tensor(np.zeros((n, 1)))
-    g = Tensor(np.zeros((1, m)))
+    c = cost.data
+    eps_t, neg_eps = np.asarray(eps, dtype=np.float64), np.asarray(-eps, dtype=np.float64)
+    # keyed by the reduction axis: axis 1 updates the row potential f (n, 1)
+    # against the column marginal, axis 0 the column potential g (1, m)
+    log_marginal = {1: np.asarray(-float(np.log(m))), 0: np.asarray(-float(np.log(n)))}
+    potential = {1: np.zeros((n, 1)), 0: np.zeros((1, m))}
+    tape = []   # (axis, exp(a - shift), its sum) per half-step
     for _ in range(iterations):
-        if row_first:
-            f = logsumexp((g - cost) / eps + log_nu, axis=1, keepdims=True) * (-eps)
-            g = logsumexp((f - cost) / eps + log_mu, axis=0, keepdims=True) * (-eps)
-        else:
-            g = logsumexp((f - cost) / eps + log_mu, axis=0, keepdims=True) * (-eps)
-            f = logsumexp((g - cost) / eps + log_nu, axis=1, keepdims=True) * (-eps)
-    violation = _plan_marginal_violation(f.data, g.data, cost.data, eps) if measure else None
-    return f.mean() + g.mean(), violation
+        for axis in ((1, 0) if row_first else (0, 1)):
+            a = np.add(np.divide(np.subtract(potential[1 - axis], c), eps_t),
+                       log_marginal[axis])
+            _check_finite(a, "sinkhorn_sweeps")
+            lse, e, s = _logsumexp(a, axis)
+            potential[axis] = np.multiply(lse, neg_eps)
+            tape.append((axis, e, s))
+    f, g = potential[1], potential[0]
+    value = np.add(np.divide(f.sum(), np.asarray(float(n))),
+                   np.divide(g.sum(), np.asarray(float(m))))
+
+    def backward(grad):
+        grads = {1: np.broadcast_to(grad / np.asarray(float(n)), f.shape).astype(np.float64),
+                 0: np.broadcast_to(grad / np.asarray(float(m)), g.shape).astype(np.float64)}
+        last = len(tape) - 1
+        for k in range(last, -1, -1):
+            axis, e, s = tape[k]
+            g_exponent = ((grads[axis] * neg_eps) / s) * e
+            g_diff = g_exponent / eps_t
+            if k:   # the partner is the previous half-step's potential
+                partner = _unbroadcast(g_diff, potential[1 - axis].shape)
+                # the last half-step's partner also feeds the objective's mean
+                grads[1 - axis] = grads[1 - axis] + partner if k == last else partner
+            _accumulate(cost, -g_diff)
+
+    violation = _plan_marginal_violation(f, g, c, eps) if measure else None
+    return Tensor._result(value, (cost,), backward, "sinkhorn_sweeps"), violation
 
 
 def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int,

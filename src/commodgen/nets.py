@@ -3,14 +3,17 @@
 Weights live in a shared `ParamSet` under a caller-chosen prefix; a block
 only remembers its parameter names, so checkpointing operates on the flat
 named set and an optimiser group is a set of name prefixes (`"gen."` takes
-every block registered under `gen`).
+every block registered under `gen`).  Each dense layer is one `affine` op
+and each recurrent step one `gated_step` op, so an unrolled cell records one
+graph node per time step besides its input slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, affine, concat
+from .autodiff import ParamSet, Tensor, affine, concat, gated_step
+
 
 class Mlp:
     """Fully connected stack: `layers` tanh hidden layers, then a linear head.
@@ -48,12 +51,11 @@ class RecurrentCell:
         c = tanh(x Wc + s Uc + bc)
         s' = z * s + (1 - z) * c
 
-    One gate is enough for the short sequences used here and keeps the
-    per-step graph small.
+    One gate is enough for the short sequences used here, and each step is
+    a single `gated_step` op in the graph.
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, state_dim: int):
-        self.prefix = prefix
         self.state_dim = state_dim
         self.params = params
         for gate in ("z", "c"):
@@ -61,15 +63,13 @@ class RecurrentCell:
                 params.add_xavier(f"{prefix}.w{gate}", in_dim, state_dim)
                 params.add_xavier(f"{prefix}.u{gate}", state_dim, state_dim)
                 params.add_zeros(f"{prefix}.b{gate}", (state_dim,))
+        self.names = [f"{prefix}.{kind}{gate}" for gate in ("z", "c") for kind in "wub"]
 
     def initial_state(self, n: int) -> Tensor:
         return Tensor(np.zeros((n, self.state_dim)))
 
     def step(self, x: Tensor, state: Tensor) -> Tensor:
-        p, pre = self.params, self.prefix
-        z = (x @ p[f"{pre}.wz"] + state @ p[f"{pre}.uz"] + p[f"{pre}.bz"]).sigmoid()
-        c = (x @ p[f"{pre}.wc"] + state @ p[f"{pre}.uc"] + p[f"{pre}.bc"]).tanh()
-        return z * state + (1.0 - z) * c
+        return gated_step(x, state, *(self.params[name] for name in self.names))
 
 
 def unroll_states(cell: RecurrentCell, xs: Tensor) -> list[Tensor]:

@@ -7,7 +7,7 @@ import pytest
 
 from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
                                 adam_step, affine, clip_by_global_norm, concat,
-                                logsumexp, no_grad)
+                                gated_step, no_grad)
 from commodgen.nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
 
 
@@ -67,12 +67,14 @@ class TestOpGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "exp", "log",
                                     "sqrt", "tanh", "sigmoid", "softplus", "pow",
                                     "sum", "mean", "slice", "reshape", "transpose",
-                                    "concat", "logsumexp", "logsumexp_axis0_keepdims"])
+                                    "concat", "gated_step"])
     def test_each_op_matches_finite_differences(self, op):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 5))
         other = rng.standard_normal((4, 5))
         mat = rng.standard_normal((5, 3))
+        cell = [Tensor(rng.standard_normal(shape))
+                for shape in ((5, 5), (5, 5), (5,), (5, 5), (5, 5), (5,))]
         builds = {
             "add": lambda t: (t + Tensor(other)).sum(),
             "sub": lambda t: (t - Tensor(other) * 0.5).sum(),
@@ -92,39 +94,10 @@ class TestOpGradients:
             "reshape": lambda t: t.reshape((2, 10)).sum(axis=0).sum(),
             "transpose": lambda t: (t.transpose() @ Tensor(other)).sum(),
             "concat": lambda t: concat([t, t * 2.0], axis=1).sum(),
-            "logsumexp": lambda t: logsumexp(t, axis=1).sum(),
-            "logsumexp_axis0_keepdims":
-                lambda t: (logsumexp(t, axis=0, keepdims=True) * Tensor(other[:1])).sum(),
+            # the state: it feeds the step three times
+            "gated_step": lambda t: (gated_step(Tensor(other), t, *cell) * Tensor(other)).sum(),
         }
         check_grad(builds[op], x)
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("keepdims", [True, False])
-    def test_logsumexp_matches_composed_chain(self, axis, keepdims):
-        def composed(t):
-            """The sub/exp/sum/log/add chain of ops that `logsumexp` fuses."""
-            shift = np.max(t.data, axis=axis, keepdims=True)
-            shift = np.where(np.isfinite(shift), shift, 0.0)
-            out = ((t - shift).exp().sum(axis=axis, keepdims=True)).log() + shift
-            if not keepdims:
-                out = out.reshape(np.squeeze(out.data, axis=axis).shape)
-            return out
-
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((6, 7))
-        x[2] *= 300.0       # a row and a column spread over several hundred
-        x[:, 4] *= 300.0
-        weights = rng.standard_normal(np.max(x, axis=axis, keepdims=keepdims).shape)
-        results = []
-        for fn in (lambda t: logsumexp(t, axis=axis, keepdims=keepdims), composed):
-            t = Tensor(x.copy(), requires_grad=True)
-            out = fn(t)
-            (out * Tensor(weights)).sum().backward()
-            results.append((out.data, t.grad))
-        (native, native_grad), (chain, chain_grad) = results
-        assert native.shape == chain.shape
-        assert np.array_equal(native, chain)
-        assert np.array_equal(native_grad, chain_grad)
 
     @pytest.mark.parametrize("x_shape", [(6, 4), (3, 6, 4)])
     def test_affine_matches_matmul_add_chain(self, x_shape):
@@ -168,6 +141,68 @@ class TestOpGradients:
             out = affine(x, w, b)
         assert not out.requires_grad and out._parents == ()
         assert np.array_equal(out.data, np.full((3, 2), 5.0))
+
+    @pytest.mark.parametrize("x_grad,state_grad", [(True, True), (False, True), (False, False)])
+    def test_gated_step_matches_op_chain(self, x_grad, state_grad):
+        values = gated_step_values(np.random.default_rng(23))
+        weights = np.random.default_rng(24).standard_normal((6, 3))
+        results = []
+        for fn in (gated_step, reference_gated_step):
+            leaves = [Tensor(v.copy(), requires_grad=flag) for v, flag in
+                      zip(values, (x_grad, state_grad) + (True,) * 6)]
+            out = fn(*leaves)
+            (out * Tensor(weights)).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        fused_x_grad, fused_state_grad = results[0][1:3]
+        assert (fused_x_grad is not None, fused_state_grad is not None) == (x_grad, state_grad)
+        for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
+
+    def test_gated_step_unroll_matches_op_chain(self):
+        """Ten steps over shared parameters into a head that reads every
+        state: each parameter and the input sequence gather one
+        contribution per step, and each state a fourth from the head."""
+        rng = np.random.default_rng(25)
+        xs0 = rng.standard_normal((6, 10, 2))
+        cell0 = gated_step_values(rng)[2:]
+        head = rng.standard_normal((3, 2))
+        results = []
+        for fn in (gated_step, reference_gated_step):
+            xs = Tensor(xs0.copy(), requires_grad=True)
+            cell = [Tensor(v.copy(), requires_grad=True) for v in cell0]
+            state = Tensor(np.zeros((6, 3)))
+            outs = []
+            for t in range(xs0.shape[1]):
+                state = fn(xs[:, t, :], state, *cell)
+                outs.append((state @ Tensor(head)).tanh().reshape((6, 1, 2)))
+            seq = concat(outs, axis=1)
+            (seq * seq).mean().backward()
+            results.append([seq.data, xs.grad] + [t.grad for t in cell])
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
+
+    @pytest.mark.parametrize("operand", range(8))
+    def test_gated_step_matches_finite_differences(self, operand):
+        values = gated_step_values(np.random.default_rng(26))
+        weights = np.random.default_rng(27).standard_normal((6, 3))
+
+        def build(t):
+            args = [Tensor(v) for v in values]
+            args[operand] = t
+            return (gated_step(*args) * Tensor(weights)).sum()
+
+        check_grad(build, values[operand])
+
+    def test_gated_step_shape_errors_and_no_graph(self):
+        values = gated_step_values(np.random.default_rng(28))
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        with pytest.raises(ValueError, match="matmul inner dimensions differ"):
+            gated_step(Tensor(np.ones((6, 3))), *leaves[1:])
+        with no_grad():
+            out = gated_step(*leaves)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.data, reference_gated_step(*leaves).data)
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(3)
@@ -238,6 +273,21 @@ class TestOpGradients:
         num = numeric_grad(f, base.copy())
         scale = np.maximum(np.abs(num), 1.0)
         assert np.max(np.abs(grads[name] - num) / scale) < 1e-5
+
+
+def gated_step_values(rng):
+    """x (6, 2), state (6, 3) and the cell's six parameters, in
+    `gated_step`'s argument order."""
+    shapes = ((6, 2), (6, 3), (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,))
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+def reference_gated_step(x, s, wz, uz, bz, wc, uc, bc):
+    """The recurrent step as a chain of small ops: the oracle for the fused
+    op's value and gradients."""
+    z = (x @ wz + s @ uz + bz).sigmoid()
+    c = (x @ wc + s @ uc + bc).tanh()
+    return z * s + (1.0 - z) * c
 
 
 class TestGraphDiscipline:
@@ -312,6 +362,16 @@ class TestGraphDiscipline:
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericOverflowError, match="exp"):
                 big.exp()
+
+    def test_gated_step_overflow_raises_with_op_name(self):
+        """Sigmoid and tanh would saturate an infinite pre-activation into a
+        finite state; the op checks its pre-activations instead."""
+        values = gated_step_values(np.random.default_rng(29))
+        values[0] = np.full_like(values[0], 1e10)
+        values[2] = np.full_like(values[2], 1e300)      # x @ wz overflows
+        with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="'gated_step'"):
+                gated_step(*(Tensor(v, requires_grad=True) for v in values))
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):

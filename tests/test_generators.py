@@ -201,6 +201,23 @@ def test_cegen_sample_transition_loss_tracks_real():
 # adversarial kinds
 
 
+def test_cotgan_step_records_few_graph_nodes(monkeypatch):
+    """One COTGAN training step (batch 64, 30 steps, 30 Sinkhorn
+    iterations) records about 750 graph nodes: each recurrent-cell step is
+    one op (the generator and four critic unrolls) and each Sinkhorn sweep
+    one op (six per divergence).  Built from small ops the step records
+    4516."""
+    ops = []
+    result = Tensor._result
+    monkeypatch.setattr(Tensor, "_result",
+                        staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
+    train_generator("COTGAN", gbm_batch(n=128, seq_len=30),
+                    TrainConfig(iterations=1, batch_size=64, sinkhorn_iterations=30))
+    assert ops.count("gated_step") == 150
+    assert ops.count("sinkhorn_sweeps") == 6
+    assert len(ops) <= 800
+
+
 def test_cotgan_curve_records_both_sides():
     _, curve = train_generator("COTGAN", gbm_batch(64), tiny_cfg(iterations=4))
     assert len(curve) == 4

@@ -110,6 +110,47 @@ class TestSinkhorn:
         with pytest.raises(DataError):
             sinkhorn_divergence(np.ones((3, 4)), np.ones((3, 5)))
 
+    @pytest.mark.parametrize("row_first", [True, False])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_sweeps_bit_identical_to_op_chain(self, row_first, iterations):
+        """One sweep, and two sweeps of opposite order sharing one cost (as
+        `_ot_dual_value` runs them), against the op chain: value, violation
+        and the cost gradient, whose contributions must add up in the
+        chain's order."""
+        rng = np.random.default_rng(30 + iterations)
+        cost0 = rng.random((7, 5)) * 3.0
+        cost0[2] *= 40.0        # a row and a column whose exponents spread over hundreds
+        cost0[:, 3] *= 40.0
+        eps = 0.3
+        for shared in (False, True):
+            results = []
+            for fused in (True, False):
+                cost = Tensor(cost0.copy(), requires_grad=True)
+                if fused:
+                    value, violation = losses._gs_sweeps(cost, eps, iterations, row_first, True)
+                    second = losses._gs_sweeps(cost, eps, iterations, not row_first, False)[0]
+                else:
+                    value, f, g = reference_gs_sweeps(cost, eps, iterations, row_first)
+                    violation = losses._plan_marginal_violation(f.data, g.data, cost0, eps)
+                    second = reference_gs_sweeps(cost, eps, iterations, not row_first)[0]
+                if shared:
+                    value = (value + second) * 0.5
+                (value * 1.7).backward()
+                results.append((value.data, violation, cost.grad))
+            (fused_value, fused_violation, fused_grad), (value, violation, grad) = results
+            assert np.array_equal(fused_value, value)
+            assert fused_violation == violation
+            assert np.array_equal(fused_grad, grad)
+
+    def test_sweep_overflow_raises(self):
+        """An overflowing exponent would vanish inside the log-sum-exp and
+        leave a finite potential; the op checks its exponents instead."""
+        cost = np.random.default_rng(9).random((4, 5))
+        cost[1, 2] = 1e300      # (0 - 1e300) / eps overflows to -inf
+        with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="'sinkhorn_sweeps'"):
+                losses._gs_sweeps(Tensor(cost, requires_grad=True), 1e-10, 2, True, False)
+
 
 class TestCausalTransport:
     def make_batches(self, seed=0, n=8, seq_len=6, d=2):
@@ -141,32 +182,34 @@ class TestCausalTransport:
         assert np.isfinite(gen.item())
 
     def test_critic_gradient_matches_finite_differences(self):
-        real, fake = self.make_batches(n=5, seq_len=4)
+        """The whole loss, over every critic parameter (both cells and both
+        heads) and every entry of the fake batch: through the sweeps, the
+        cells and the causality penalty."""
+        real, fake0 = self.make_batches(n=5, seq_len=4)
         params = ParamSet(seed=4)
         critic = CausalCritic(params, dim=2, feature_dim=3, hidden=4)
         cfg = SinkhornConfig(epsilon=0.5, iterations=15, causal_weight=1.0)
+        fake = Tensor(fake0.copy(), requires_grad=True)
+        causal_transport_losses(real, fake, critic, cfg)[0].backward()
+        grads = {**params.take_grads(), "fake": fake.grad}
+        arrays = {**{name: p.data for name, p in params.items()}, "fake": fake0.copy()}
+        assert len(grads) == 17     # six per cell, two per head, the batch
 
         def value():
-            gen, _, _ = causal_transport_losses(real, fake, critic, cfg)
-            return gen
+            return causal_transport_losses(real, arrays["fake"], critic, cfg)[0].item()
 
-        value().backward()
-        grads = params.take_grads()
-        name = "critic.h.wz"
-        p = params[name]
-        base = p.data.copy()
-        h = 1e-5
-        for idx in [(0, 0), (1, 2)]:
-            up, dn = base.copy(), base.copy()
-            up[idx] += h
-            dn[idx] -= h
-            p.data = up
-            v_up = value().item()
-            p.data = dn
-            v_dn = value().item()
-            p.data = base
-            fd = (v_up - v_dn) / (2 * h)
-            assert abs(grads[name][idx] - fd) <= 1e-4 * max(abs(fd), 1.0)
+        h = 1e-6
+        for name, base in arrays.items():
+            fd = np.zeros_like(base)
+            for idx in np.ndindex(base.shape):
+                old = base[idx]
+                base[idx] = old + h
+                up = value()
+                base[idx] = old - h
+                down = value()
+                base[idx] = old
+                fd[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(grads[name], fd, rtol=1e-5, atol=1e-7, err_msg=name)
 
     def test_martingale_defect_zero_for_constant_features(self):
         h = Tensor(np.ones((4, 6, 3)))
@@ -344,6 +387,30 @@ class TestTransitionMoments:
             transition_moment_loss(np.ones((5, 4, 1)), np.ones((5, 4, 2)))
         with pytest.raises(ValueError):
             TransitionBinning(bins=0)
+
+
+def reference_logsumexp(t, axis):
+    """log(sum(exp(t))) along an axis, kept, as the shift-stabilised
+    sub/exp/sum/log/add chain of ops."""
+    shift = np.max(t.data, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return (t - shift).exp().sum(axis=axis, keepdims=True).log() + shift
+
+
+def reference_gs_sweeps(cost, eps, iterations, row_first):
+    """The Sinkhorn sweeps as a chain of small ops, five per half-step: the
+    oracle for the fused op.  Returns (value, f, g)."""
+    n, m = cost.shape
+    log_mu, log_nu = -float(np.log(n)), -float(np.log(m))
+    f, g = Tensor(np.zeros((n, 1))), Tensor(np.zeros((1, m)))
+    for _ in range(iterations):
+        if row_first:
+            f = reference_logsumexp((g - cost) / eps + log_nu, axis=1) * (-eps)
+            g = reference_logsumexp((f - cost) / eps + log_mu, axis=0) * (-eps)
+        else:
+            g = reference_logsumexp((f - cost) / eps + log_mu, axis=0) * (-eps)
+            f = reference_logsumexp((g - cost) / eps + log_nu, axis=1) * (-eps)
+    return f.mean() + g.mean(), f, g
 
 
 def reference_transition_loss(real, fake, bins):
