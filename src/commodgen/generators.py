@@ -110,8 +110,9 @@ TRAIN_BOUNDS = {
     **dict.fromkeys(("iterations", "layers", "pretrain_iterations", "seed",
                      "causal_weight"), ">= 0"),
     **dict.fromkeys(("batch_size", "hidden", "noise_dim", "sinkhorn_iterations",
-                     "critic_features", "sig_depth", "past_len", "future_len",
+                     "critic_features", "sig_depth", "future_len",
                      "sig_mc_samples", "bins", "latent_dim"), ">= 1"),
+    "past_len": ">= 2",   # a past of one point has no signature
     **dict.fromkeys(("lr", "critic_lr", "clip_norm", "sinkhorn_epsilon"), "> 0"),
 }
 

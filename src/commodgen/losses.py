@@ -16,11 +16,13 @@ Every loss returns an autodiff scalar: the gradient runs through every
 unrolled Sinkhorn iteration, the ridge regression coefficients are constants
 fitted on real data only, and quantile bucket edges are constants from real
 data, so the gradient flows through exactly the terms the corresponding
-papers train.  Two hot paths are single autodiff ops with hand-written numpy
-backwards, bit-identical to the op chains they replace: each Sinkhorn sweep
-(all its iterations) and the transition-moment loss.  The Sinkhorn marginal
-violation is a diagnostic measured once, at the last iteration of the cross
-term's sweeps.
+papers train.  Three hot paths are single autodiff ops with hand-written
+numpy backwards: each Sinkhorn sweep (all its iterations) and the
+transition-moment loss, both bit-identical to the op chains they replace,
+and the signature of a batch of paths, whose value is bit-identical to the
+chain's and whose gradient rounds differently in the last bits.  The
+Sinkhorn marginal violation is a diagnostic measured once, at the last
+iteration of the cross term's sweeps.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
 from .dataio import DataError
 from .nets import Mlp, RecurrentCell, unroll_states
-from .signature import signature_levels
+from .signature import level_sizes, sig_length, signature_levels, signature_levels_backward
 
 MARGINAL_TOL = 1e-6
 
@@ -271,30 +273,50 @@ def causal_transport_losses(real, fake, critic: CausalCritic | None,
 # conditional signature metric
 
 
-def _augmented_increment_block(values, seq_len: int):
+def _augmented_increment_block(values: np.ndarray) -> np.ndarray:
     """Time-augmented segment increments of (..., seq_len, d) paths.
 
-    The time channel advances by 1/(seq_len - 1) per segment, matching
-    `time_augment` followed by diff.  Works on tensors and arrays.
+    The time channel, prepended as channel 0, advances by 1/(seq_len - 1)
+    per segment: the increments of the path with a uniform time coordinate
+    running 0..1.  It keeps the signature injective on paths that revisit
+    values.
     """
+    seq_len = values.shape[-2]
     if seq_len < 2:
         raise DataError("need at least two points per path")
     incs = values[..., 1:, :] - values[..., :-1, :]
-    shape = tuple(incs.shape)
-    t_inc = np.full(shape[:-1] + (1,), 1.0 / (seq_len - 1))
-    if isinstance(incs, Tensor):
-        return concat([Tensor(t_inc), incs], axis=len(shape) - 1)
+    t_inc = np.full(incs.shape[:-1] + (1,), 1.0 / (seq_len - 1))
     return np.concatenate([t_inc, incs], axis=-1)
 
 
 def _signature_block(values, depth: int):
-    """Flattened time-augmented signatures of (..., T, d) paths -> (..., L)."""
-    seq_len = values.shape[-2]
-    incs = _augmented_increment_block(values, seq_len)
-    levels = signature_levels(incs, depth)
-    if isinstance(values, Tensor):
-        return concat(levels, axis=values.ndim - 2)
-    return np.concatenate(levels, axis=-1)
+    """Flattened time-augmented signatures of (..., T, d) paths -> (..., L).
+
+    Given a tensor, the block is one autodiff op, "signature": the forward
+    is `signature_levels` and the backward `signature_levels_backward`,
+    whose gradient w.r.t. the increments is routed back to the path values.
+    Every level is part of the block, so an overflow anywhere inside
+    reaches it as inf or NaN and the op's finiteness check names it.
+    """
+    x = values.data if isinstance(values, Tensor) else values
+    incs = _augmented_increment_block(x)
+    tape = [] if isinstance(values, Tensor) else None
+    block = np.concatenate(signature_levels(incs, depth, tape), axis=-1)
+    if tape is None:
+        return block
+    splits = np.cumsum(level_sizes(incs.shape[-1], depth))[:-1]
+
+    def backward(g):
+        g_inc = signature_levels_backward(incs, tape, np.split(g, splits, axis=-1))[..., 1:]
+        grad = np.zeros(x.shape)
+        grad[..., 1:, :] += g_inc
+        grad[..., :-1, :] -= g_inc
+        _accumulate(values, grad)
+
+    return Tensor._result(block, (values,), backward, "signature")
+
+
+FIT_BLOCK_ROWS = 512   # pairs per block of signatures in ConditionalSigMetric.fit
 
 
 @dataclass
@@ -324,25 +346,25 @@ class ConditionalSigMetric:
             raise DataError("fit expects matching (n, p, d) pasts and (n, q, d) futures")
         if self.ridge <= 0:
             raise ValueError("ridge must be positive")
-        phi = _signature_block(pasts, self.depth)
-        targets = _signature_block(self._attach_last(pasts, futures), self.depth)
-        design = np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
+        n = pasts.shape[0]
+        design = np.empty((n, sig_length(pasts.shape[2] + 1, self.depth) + 1))
+        design[:, -1] = 1.0   # intercept
+        targets = np.empty((n, sig_length(futures.shape[2] + 1, self.depth)))
+        for lo in range(0, n, FIT_BLOCK_ROWS):
+            rows = slice(lo, lo + FIT_BLOCK_ROWS)
+            design[rows, :-1] = _signature_block(pasts[rows], self.depth)
+            future = np.concatenate([pasts[rows, -1:, :], futures[rows]], axis=1)
+            targets[rows] = _signature_block(future, self.depth)
         penalty = self.ridge * np.eye(design.shape[1])
         penalty[-1, -1] = 0.0  # intercept unpenalised
         gram = design.T @ design + penalty
-        self.weights = np.linalg.solve(gram, design.T @ targets)
+        rhs = design.T @ targets
+        del targets   # before `fitted`, which is as large
+        self.weights = np.linalg.solve(gram, rhs)
         self.fitted = design @ self.weights
         self.past_dim = pasts.shape[2]
         self.future_shape = futures.shape[1:]
         return self
-
-    @staticmethod
-    def _attach_last(pasts: np.ndarray, futures) -> np.ndarray:
-        """Future path seen from the last past point: (n, q + 1, d)."""
-        last = pasts[:, -1:, :]
-        if isinstance(futures, Tensor):
-            return concat([Tensor(last), futures], axis=1)
-        return np.concatenate([last, futures], axis=1)
 
     def predict(self, pasts: np.ndarray) -> np.ndarray:
         if self.weights is None:

@@ -8,10 +8,10 @@ Iterating segment-by-segment gives the exact signature of the whole
 piecewise-linear path: no quadrature, no approximation beyond truncation.
 
 Levels are flattened row-major, so the level-k block has d^k entries and
-entry (i1, ..., ik) sits at position i1 * d^(k-1) + ... + ik.  The code is
-generic over numpy arrays and autodiff tensors: both support the small op
-set used here (slicing, reshape, +, *, /), which is what makes the
-signature-based training losses differentiable for free.
+entry (i1, ..., ik) sits at position i1 * d^(k-1) + ... + ik.  Everything
+here is numpy.  `signature_levels_backward` is the hand-written reverse
+pass of `signature_levels`, from which `losses` builds the signature of a
+tensor as one autodiff op.
 """
 
 from __future__ import annotations
@@ -44,46 +44,101 @@ def _check_budget(dim: int, depth: int) -> None:
                         f"{sig_length(dim, depth)} coefficients; refusing (> {MAX_COEFFS})")
 
 
-def _outer(a, b, batch_shape: tuple, na: int, nb: int):
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flattened tensor product of (..., na) and (..., nb) -> (..., na * nb)."""
-    left = a.reshape(batch_shape + (na, 1))
-    right = b.reshape(batch_shape + (1, nb))
-    return (left * right).reshape(batch_shape + (na * nb,))
+    out = np.multiply(a[..., :, None], b[..., None, :])
+    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
 
 
-def signature_levels(increments, depth: int) -> list:
+def _segment_levels(delta: np.ndarray, depth: int) -> list:
+    """Levels of the tensor exponential of increments `delta` (..., d)."""
+    segment = [delta]
+    for k in range(2, depth + 1):
+        level = _outer(segment[-1], delta)
+        segment.append(np.divide(level, float(k), out=level))
+    return segment
+
+
+def _chen(a: list, b: list) -> list:
+    """Chen's identity: levels of the concatenation of two paths' signatures."""
+    out = []
+    for k in range(1, len(a) + 1):
+        acc = a[k - 1] + b[k - 1]
+        for i in range(1, k):
+            np.add(acc, _outer(a[i - 1], b[k - i - 1]), out=acc)
+        out.append(acc)
+    return out
+
+
+def signature_levels(increments: np.ndarray, depth: int, tape: list | None = None) -> list:
     """Signature levels 1..depth from segment increments of shape (..., m, d).
 
-    Accepts numpy arrays or autodiff tensors; leading batch axes are carried
-    through unchanged, each level coming back as (..., d^k).
+    Leading batch axes are carried through unchanged, each level coming back
+    as (..., d^k).  Given a list as `tape`, appends each segment's (levels
+    of the path before it or None, its own levels) for
+    `signature_levels_backward`.
     """
-    shape = tuple(increments.shape)
+    shape = increments.shape
     if len(shape) < 2:
         raise DataError(f"increments must have shape (..., m, d), got {shape}")
-    m, d = shape[-2], shape[-1]
-    batch_shape = shape[:-2]
-    _check_budget(d, depth)
-    if m < 1:
+    _check_budget(shape[-1], depth)
+    if shape[-2] < 1:
         raise DataError("need at least one segment")
-
     levels = None
-    for j in range(m):
-        delta = increments[..., j, :]
-        segment = [delta]
-        for k in range(2, depth + 1):
-            segment.append(_outer(segment[-1], delta, batch_shape, d ** (k - 1), d) / float(k))
-        if levels is None:
-            levels = segment
-            continue
-        combined = []
-        for k in range(1, depth + 1):
-            acc = levels[k - 1] + segment[k - 1]
-            for i in range(1, k):
-                acc = acc + _outer(levels[i - 1], segment[k - i - 1],
-                                   batch_shape, d ** i, d ** (k - i))
-            combined.append(acc)
-        levels = combined
+    for j in range(shape[-2]):
+        segment = _segment_levels(increments[..., j, :], depth)
+        if tape is not None:
+            tape.append((levels, segment))
+        levels = segment if levels is None else _chen(levels, segment)
     return levels
+
+
+def _contract_right(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of `_outer(a, b)` w.r.t. a, given its gradient g (..., na * nb)."""
+    nb = b.shape[-1]
+    return np.matmul(g.reshape(g.shape[:-1] + (-1, nb)), b[..., :, None])[..., 0]
+
+
+def _contract_left(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of `_outer(a, b)` w.r.t. b, given its gradient g (..., na * nb)."""
+    na = a.shape[-1]
+    return np.matmul(a[..., None, :], g.reshape(g.shape[:-1] + (na, -1)))[..., 0, :]
+
+
+def signature_levels_backward(increments: np.ndarray, tape: list, grads: list) -> np.ndarray:
+    """Gradient w.r.t. `increments` (..., m, d) of the levels that
+    `signature_levels(increments, depth, tape)` returned, given their
+    gradients `grads` (one per level).
+
+    Walks the segments in reverse.  Each tensor product's two operand
+    gradients are matmul contractions of its output gradient with the other
+    operand, never a broadcast product summed over an axis.
+    """
+    depth = len(grads)
+    g_inc = np.empty(increments.shape)
+    g_levels = list(grads)
+    for j in range(increments.shape[-2] - 1, -1, -1):
+        prefix, segment = tape[j]
+        if prefix is None:
+            g_seg = g_levels
+        else:   # undo _chen(prefix, segment)
+            g_prefix, g_seg = list(g_levels), list(g_levels)
+            for k in range(2, depth + 1):
+                gk = g_levels[k - 1]
+                for i in range(1, k):
+                    g_prefix[i - 1] = g_prefix[i - 1] + _contract_right(gk, segment[k - i - 1])
+                    g_seg[k - i - 1] = g_seg[k - i - 1] + _contract_left(prefix[i - 1], gk)
+            g_levels = g_prefix
+        # undo _segment_levels: level k is _outer(level k - 1, delta) / k
+        delta = increments[..., j, :]
+        g_seg = list(g_seg)
+        g_delta = 0.0
+        for k in range(depth, 1, -1):
+            gk = g_seg[k - 1] / float(k)
+            g_seg[k - 2] = g_seg[k - 2] + _contract_right(gk, delta)
+            g_delta = g_delta + _contract_left(segment[k - 2], gk)
+        g_inc[..., j, :] = g_seg[0] + g_delta
+    return g_inc
 
 
 @dataclass
@@ -120,47 +175,10 @@ def signature(path: np.ndarray, depth: int) -> SignatureVector:
                            coeffs=np.concatenate(levels))
 
 
-def batch_signatures(paths: np.ndarray, depth: int) -> np.ndarray:
-    """Signatures of a batch (n, T, d) -> coefficient matrix (n, L)."""
-    paths = np.asarray(paths, dtype=np.float64)
-    if paths.ndim != 3 or paths.shape[1] < 2:
-        raise DataError(f"paths must have shape (n, T >= 2, d), got {paths.shape}")
-    levels = signature_levels(np.diff(paths, axis=1), depth)
-    return np.concatenate(levels, axis=-1)
-
-
-def expected_signature(paths: np.ndarray, depth: int) -> SignatureVector:
-    """Empirical mean signature over a batch of paths (n, T, d)."""
-    coeffs = batch_signatures(paths, depth).mean(axis=0)
-    return SignatureVector(dim=paths.shape[2], depth=depth, coeffs=coeffs)
-
-
 def chen_product(a: SignatureVector, b: SignatureVector) -> SignatureVector:
     """Signature of the concatenated path from the two pieces' signatures."""
     if a.dim != b.dim or a.depth != b.depth:
         raise DataError("chen_product needs matching dimension and depth")
-    d, depth = a.dim, a.depth
-    out = []
-    for k in range(1, depth + 1):
-        acc = a.level(k) + b.level(k)
-        for i in range(1, k):
-            acc = acc + _outer(a.level(i), b.level(k - i), (), d ** i, d ** (k - i))
-        out.append(acc)
-    return SignatureVector(dim=d, depth=depth, coeffs=np.concatenate(out))
-
-
-def time_augment(paths: np.ndarray) -> np.ndarray:
-    """Prepend a uniform time coordinate running 0..1 over the sequence.
-
-    Accepts (T, d) or (n, T, d); the time channel becomes column 0.  Makes
-    the signature injective on paths that revisit values.
-    """
-    paths = np.asarray(paths, dtype=np.float64)
-    if paths.ndim == 2:
-        t = np.linspace(0.0, 1.0, paths.shape[0])[:, None]
-        return np.concatenate([t, paths], axis=1)
-    if paths.ndim == 3:
-        t = np.broadcast_to(np.linspace(0.0, 1.0, paths.shape[1])[None, :, None],
-                            (paths.shape[0], paths.shape[1], 1))
-        return np.concatenate([t, paths], axis=2)
-    raise DataError(f"time_augment expects (T, d) or (n, T, d), got {paths.shape}")
+    return SignatureVector(dim=a.dim, depth=a.depth, coeffs=np.concatenate(
+        _chen([a.level(k) for k in range(1, a.depth + 1)],
+              [b.level(k) for k in range(1, b.depth + 1)])))

@@ -218,6 +218,20 @@ def test_cotgan_step_records_few_graph_nodes(monkeypatch):
     assert len(ops) <= 800
 
 
+def test_siggan_step_records_few_graph_nodes(monkeypatch):
+    """One SIGGAN training step (batch 128, two Monte Carlo futures) records
+    40 graph nodes: the signature of the fake futures is one op.  Built from
+    slice, reshape, mul, div and add ops the step records 160."""
+    ops = []
+    result = Tensor._result
+    monkeypatch.setattr(Tensor, "_result",
+                        staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
+    train_generator("SIGGAN", gbm_batch(n=64, seq_len=12),
+                    TrainConfig(iterations=1, batch_size=128, sig_depth=4))
+    assert ops.count("signature") == 1
+    assert len(ops) <= 50
+
+
 def test_cotgan_curve_records_both_sides():
     _, curve = train_generator("COTGAN", gbm_batch(64), tiny_cfg(iterations=4))
     assert len(curve) == 4

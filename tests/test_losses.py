@@ -270,6 +270,30 @@ class TestConditionalSigMetric:
             fd = (metric.loss(pasts, up).item() - metric.loss(pasts, dn).item()) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0)
 
+    def test_gradient_matches_central_differences_everywhere(self):
+        # the whole loss, with a Monte Carlo axis, over every fake entry
+        pasts, futures = self.make_pairs(n=6, d=2)
+        metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        rng = np.random.default_rng(3)
+        f0 = futures[:, None] + 0.05 * rng.standard_normal((6, 2, 3, 2))
+        ft = Tensor(f0.copy(), requires_grad=True)
+        metric.loss(pasts, ft).backward()
+        h = 1e-6
+        for idx in np.ndindex(f0.shape):
+            up, dn = f0.copy(), f0.copy()
+            up[idx] += h
+            dn[idx] -= h
+            fd = (metric.loss(pasts, up).item() - metric.loss(pasts, dn).item()) / (2 * h)
+            assert abs(ft.grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
+    def test_fit_in_row_blocks_equals_one_block(self, monkeypatch):
+        pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
+        whole = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        monkeypatch.setattr(losses, "FIT_BLOCK_ROWS", 7)
+        blocked = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        assert np.array_equal(blocked.fitted, whole.fitted)
+        assert np.array_equal(blocked.weights, whole.weights)
+
     def test_fitted_values_equal_predictions_on_the_fitted_pasts(self):
         pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
