@@ -7,9 +7,10 @@ the closures once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
 sum/mean reductions, slicing, reshape/transpose and concatenation, plus two
 fused ops that cut the per-op overhead of hot paths: `affine` (a dense
-layer's x @ w + b) and `gated_step` (one step of a single-gate recurrent
-cell).  That is enough for every network and loss in this package, and
-keeping it small keeps the gradient of every op individually testable.
+layer's x @ w + b) and `gated_scan` (a single-gate recurrent cell run over a
+whole sequence, with a backward through time).  That is enough for every
+network and loss in this package, and keeping it small keeps the gradient
+of every op individually testable.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
@@ -270,10 +271,9 @@ class Tensor:
     def softplus(self) -> "Tensor":
         # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|
         data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        sig = _sigmoid(self.data)
 
         def backward(g):
-            _accumulate(self, g * sig)
+            _accumulate(self, g * _sigmoid(self.data))
 
         return Tensor._result(data, (self,), backward, "softplus")
 
@@ -456,52 +456,73 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(data, (x, w, b), backward, "affine")
 
 
-def gated_step(x: Tensor, s: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
+def gated_scan(xs: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
                wc: Tensor, uc: Tensor, bc: Tensor) -> Tensor:
-    """One step of a single-gate recurrent cell as one op:
+    """A single-gate recurrent cell run over a sequence as one op:
 
-        z = sigmoid(x wz + s uz + bz),  c = tanh(x wc + s uc + bc),
-        s' = z * s + (1 - z) * c.
+        z = sigmoid(x_t wz + s uz + bz),  c = tanh(x_t wc + s uc + bc),
+        s_t = z * s + (1 - z) * c,
 
-    The forward and backward make the same numpy calls as the chain of
-    matmul/add/sigmoid/tanh/mul/sub ops they fuse, and accumulate into each
-    operand once per contribution of that chain, in its order (the state's
-    three: through `z * s`, `s @ uz`, `s @ uc`), so both are bit-identical
-    to it; `backward()` reaches the state's subgraph before the input's, as
-    through the chain.  Non-finite pre-activations raise: sigmoid and tanh
-    would saturate them to a finite state.
+    from a zero state s over the steps of xs (n, T, in); returns the states
+    (n, T, k).  Each step makes the numpy calls of the matmul/add/sigmoid/
+    tanh/mul/sub chain it fuses.  The backward walks the steps in reverse,
+    summing a state's gradient as the chain does (its output gradient, then
+    the next step's terms through `z * s`, `s @ uz`, `s @ uc`) and giving
+    each parameter one accumulation per step, so values and gradients are
+    bit-identical to the chain stepped by hand.  Each step's input gradient
+    goes into its slice of one array.  Non-finite pre-activations raise:
+    sigmoid and tanh would saturate them to a finite state.
     """
-    x, s = Tensor._lift(x), Tensor._lift(s)
-    xd, sd, wzd, uzd, wcd, ucd = x.data, s.data, wz.data, uz.data, wc.data, uc.data
-    z_pre = _apply("add", np.add, _apply("add", np.add, _matmul(xd, wzd), _matmul(sd, uzd)),
-                   bz.data)
-    c_pre = _apply("add", np.add, _apply("add", np.add, _matmul(xd, wcd), _matmul(sd, ucd)),
-                   bc.data)
-    _check_finite(z_pre, "gated_step")
-    _check_finite(c_pre, "gated_step")
-    z = _sigmoid(z_pre)
-    c = np.tanh(c_pre)
-    keep = np.subtract(1.0, z)
-    data = np.add(np.multiply(z, sd), np.multiply(keep, c))
+    xs = Tensor._lift(xs)
+    if xs.ndim != 3:
+        raise ValueError(f"gated_scan needs an (n, T, in) sequence, got shape {xs.shape}")
+    parents = (xs, wz, uz, bz, wc, uc, bc)
+    cell = [(w, w.data, u, u.data, b) for w, u, b in ((wz, uz, bz), (wc, uc, bc))]
+    xt = np.ascontiguousarray(np.swapaxes(xs.data, 0, 1))    # each step's input contiguous
+    state = np.zeros((xs.shape[0], uz.data.shape[0]))
+    data = np.empty(xs.shape[:2] + state.shape[1:])
+    saved = []
+    for t, x in enumerate(xt):
+        pre = [_apply("add", np.add, _apply("add", np.add, _matmul(x, wd), _matmul(state, ud)),
+                      b.data) for _, wd, _, ud, b in cell]
+        for p in pre:
+            _check_finite(p, "gated_scan")
+        z, c = _sigmoid(pre[0]), np.tanh(pre[1])
+        keep = np.subtract(1.0, z)
+        if _grad_enabled:          # the backward's operands; none kept under no_grad
+            saved.append((state, z, c, keep))
+        state = np.add(np.multiply(z, state), np.multiply(keep, c))
+        data[:, t, :] = state
 
     def backward(g):
-        if s.requires_grad:
-            _accumulate(s, _unbroadcast(g * z, sd.shape))
-        gz = g * sd + -(g * c)
-        g_pre = (gz * z * (1.0 - z), g * keep * (1.0 - c * c))
-        for gp, (w, wd, u, ud, b) in zip(g_pre, ((wz, wzd, uz, uzd, bz), (wc, wcd, uc, ucd, bc))):
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(gp, b.data.shape))
-            if x.requires_grad:
-                _accumulate(x, _unbroadcast(np.matmul(gp, np.swapaxes(wd, -1, -2)), xd.shape))
-            if w.requires_grad:
-                _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gp), wd.shape))
-            if s.requires_grad:
-                _accumulate(s, _unbroadcast(np.matmul(gp, np.swapaxes(ud, -1, -2)), sd.shape))
-            if u.requires_grad:
-                _accumulate(u, _unbroadcast(np.matmul(np.swapaxes(sd, -1, -2), gp), ud.shape))
+        gx = np.empty_like(xs.data) if xs.requires_grad else None
+        into_state = []          # step t+1's three contributions to state t's gradient
+        for t in reversed(range(len(saved))):
+            sd, z, c, keep = saved[t]
+            gs = g[:, t, :]
+            for part in into_state:
+                gs = gs + part
+            gz = gs * sd + -(gs * c)
+            g_pre = (gz * z * (1.0 - z), gs * keep * (1.0 - c * c))
+            into_state = [gs * z] if t else []
+            gxt = []
+            for gp, (w, wd, u, ud, b) in zip(g_pre, cell):
+                if b.requires_grad:
+                    _accumulate(b, _unbroadcast(gp, b.data.shape))
+                if gx is not None:
+                    gxt.append(np.matmul(gp, wd.T))
+                if w.requires_grad:
+                    _accumulate(w, np.matmul(xt[t].T, gp))
+                if t:
+                    into_state.append(np.matmul(gp, ud.T))
+                if u.requires_grad:
+                    _accumulate(u, np.matmul(sd.T, gp))
+            if gx is not None:
+                gx[:, t, :] = gxt[0] + gxt[1]
+        if gx is not None:
+            _accumulate(xs, gx)
 
-    return Tensor._result(data, (x, s, wz, uz, bz, wc, uc, bc), backward, "gated_step")
+    return Tensor._result(data, parents, backward, "gated_scan")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .dataio import Normalizer, PathBatch
 from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      TransitionBinning, causal_transport_losses,
                      transition_moment_loss)
-from .nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
+from .nets import Mlp, RecurrentCell, per_step
 from .rng import rng_for
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
 from . import store
@@ -44,6 +44,10 @@ from .store import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, DataError
 KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
 
 DIVERGENCE_LIMIT = 1e6
+
+# COTGAN samples this many paths at a time: its head reads every state of a
+# block at once, and over 10 000 paths its hidden layer alone takes ~150 MB
+COTGAN_SAMPLE_PATHS = 1000
 
 LOSS_CURVE_HEADER = "iteration,gen_loss,disc_loss"
 
@@ -280,10 +284,12 @@ class GeneratorModel:
                 return np.concatenate([past] + [x.data for x in steps], axis=1)[:, :seq_len]
             z = noise.standard_normal((n, seq_len, _noise_dim(cfg, d)))
             if self.kind == "COTGAN":
-                steps = _cotgan_rollout(*_cotgan_nets(self.params, d, cfg), z)
-                return np.stack([x.data for x in steps], axis=1)
+                cell, head = _cotgan_nets(self.params, d, cfg)
+                block = COTGAN_SAMPLE_PATHS
+                return np.concatenate([_cotgan_rollout(cell, head, z[i : i + block]).data
+                                       for i in range(0, n, block)])
             nets = _tsgan_nets(self.params, d, cfg)
-            return _tsgan_recover(nets, _tsgan_rollout(nets, z)).data.reshape(n, seq_len, d)
+            return _tsgan_recover(nets, _tsgan_rollout(nets, z)).data
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +339,9 @@ def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig):
     return cell, head
 
 
-def _cotgan_rollout(cell: RecurrentCell, head: Mlp, z: np.ndarray) -> list[Tensor]:
-    """Noise (n, T, noise_dim) -> T path slices of (n, d)."""
-    return [head(s) for s in unroll_states(cell, Tensor(z))]
+def _cotgan_rollout(cell: RecurrentCell, head: Mlp, z: np.ndarray) -> Tensor:
+    """Noise (n, T, noise_dim) -> paths (n, T, d)."""
+    return per_step(head, cell(Tensor(z)))
 
 
 def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
@@ -351,14 +357,19 @@ def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
 
 def _tsgan_rollout(nets: dict, z: np.ndarray) -> Tensor:
     """Noise (n, T, noise_dim) -> supervised latent sequence (n, T, latent)."""
-    latents = states_to_sequence(unroll_states(nets["gen"], Tensor(z)))
-    return states_to_sequence(unroll_states(nets["sup"], latents))
+    return nets["sup"](nets["gen"](Tensor(z)))
 
 
 def _tsgan_recover(nets: dict, h: Tensor) -> Tensor:
-    """Latent sequence (b, T, latent) -> paths flattened to (b * T, d)."""
-    b, seq_len, latent = h.shape
-    return nets["rec"](h.reshape((b * seq_len, latent)))
+    """Latent sequence (b, T, latent) -> paths (b, T, d)."""
+    return per_step(nets["rec"], h)
+
+
+def _tsgan_supervised_loss(nets: dict, h: Tensor) -> Tensor:
+    """Mean squared gap between the supervisor's next-step prediction from
+    the latent sequence h (b, T, latent) and h one step on."""
+    gap = nets["sup"](h)[:, :-1, :] - h[:, 1:, :]
+    return (gap * gap).mean()
 
 
 def _siggan_net(params: ParamSet, dim: int, cfg: TrainConfig) -> Mlp:
@@ -481,8 +492,7 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         mb = data.values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len, _noise_dim(cfg, d)))
-        fake = concat([x.reshape((idx.size, 1, d)) for x in _cotgan_rollout(cell, head, z)],
-                      axis=1)
+        fake = _cotgan_rollout(cell, head, z)
         gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, critic, sink)
         # one backward serves both sides: the critic ascends the same loss
         grads = backprop(gen_loss, params, it, "transport loss")
@@ -520,16 +530,8 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     n, seq_len, d = data.values.shape
     curve = LossCurve()
 
-    def embed(mb: np.ndarray) -> Tensor:
-        return states_to_sequence(unroll_states(nets["emb"], Tensor(mb)))
-
-    def recover(h: Tensor) -> Tensor:
-        return _tsgan_recover(nets, h).reshape((h.shape[0], seq_len, d))
-
     def score(h: Tensor) -> Tensor:
-        b = h.shape[0]
-        states = states_to_sequence(unroll_states(nets["disc"], h))
-        return nets["disc_out"](states.reshape((b * seq_len, cfg.hidden)))
+        return per_step(nets["disc_out"], nets["disc"](h))
 
     def minibatch() -> np.ndarray:
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
@@ -541,7 +543,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     # phase 1: autoencoding
     for it in range(pretrain):
         mb = minibatch()
-        recon = recover(embed(mb)) - Tensor(mb)
+        recon = _tsgan_recover(nets, nets["emb"](Tensor(mb))) - Tensor(mb)
         loss = (recon * recon).mean() * 10.0
         opt_emb.step(backprop(loss, params, it, "reconstruction loss"))
 
@@ -549,10 +551,8 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     for it in range(pretrain):
         mb = minibatch()
         with no_grad():
-            h = embed(mb)
-        pred = states_to_sequence(unroll_states(nets["sup"], Tensor(h.data)))
-        gap = pred[:, :-1, :] - Tensor(h.data[:, 1:, :])
-        loss = (gap * gap).mean()
+            h = nets["emb"](Tensor(mb))
+        loss = _tsgan_supervised_loss(nets, h)
         opt_sup.step(backprop(loss, params, it, "supervised loss"))
 
     # phase 3: joint adversarial training
@@ -562,30 +562,26 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
 
         # (a) generator + supervisor
         sup_fake = _tsgan_rollout(nets, z)
-        fake = recover(sup_fake)
+        fake = _tsgan_recover(nets, sup_fake)
         adv = score(sup_fake)
         adv_loss = (-adv).softplus().mean()
         with no_grad():
-            h_real = embed(mb)
-        sup_pred = states_to_sequence(unroll_states(nets["sup"], Tensor(h_real.data)))
-        sup_gap = sup_pred[:, :-1, :] - Tensor(h_real.data[:, 1:, :])
-        sup_loss = (sup_gap * sup_gap).mean()
+            h_real = nets["emb"](Tensor(mb))
+        sup_loss = _tsgan_supervised_loss(nets, h_real)
         moment_loss = _tsgan_moment_gap(fake, mb)
         gen_loss = adv_loss + sup_loss + moment_loss
         opt_gen.step(backprop(gen_loss, params, it, "generator loss"))
 
         # (b) embedder + recovery
-        h = embed(mb)
-        recon = recover(h) - Tensor(mb)
+        h = nets["emb"](Tensor(mb))
+        recon = _tsgan_recover(nets, h) - Tensor(mb)
         recon_loss = (recon * recon).mean() * 10.0
-        sup_pred_e = states_to_sequence(unroll_states(nets["sup"], h))
-        gap_e = sup_pred_e[:, :-1, :] - h[:, 1:, :]
-        emb_loss = recon_loss + (gap_e * gap_e).mean() * 0.1
+        emb_loss = recon_loss + _tsgan_supervised_loss(nets, h) * 0.1
         opt_emb.step(backprop(emb_loss, params, it, "embedding loss"))
 
         # (c) discriminator on frozen features
         with no_grad():
-            h_real_const = embed(mb)
+            h_real_const = nets["emb"](Tensor(mb))
             sup_fake_const = _tsgan_rollout(nets, z)
         d_real = score(Tensor(h_real_const.data))
         d_fake = score(Tensor(sup_fake_const.data))

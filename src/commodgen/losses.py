@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
 from .dataio import DataError
-from .nets import Mlp, RecurrentCell, unroll_states
+from .nets import Mlp, RecurrentCell, per_step
 from .signature import level_sizes, sig_length, signature_levels, signature_levels_backward
 
 MARGINAL_TOL = 1e-6
@@ -217,7 +217,6 @@ class CausalCritic:
     """
 
     def __init__(self, params: ParamSet, dim: int, feature_dim: int = 8, hidden: int = 32):
-        self.feature_dim = feature_dim
         self.h_cell = RecurrentCell(params, "critic.h", dim, hidden)
         self.h_head = Mlp(params, "critic.h_out", hidden, 0, feature_dim, layers=0)
         self.m_cell = RecurrentCell(params, "critic.m", dim, hidden)
@@ -225,12 +224,7 @@ class CausalCritic:
 
     def features(self, paths: Tensor) -> tuple[Tensor, Tensor]:
         """(h, m) feature sequences, each (n, T, feature_dim)."""
-        n, seq_len, _ = paths.shape
-        h_states = unroll_states(self.h_cell, paths)
-        m_states = unroll_states(self.m_cell, paths)
-        h = concat([self.h_head(s).reshape((n, 1, self.feature_dim)) for s in h_states], axis=1)
-        m = concat([self.m_head(s).reshape((n, 1, self.feature_dim)) for s in m_states], axis=1)
-        return h, m
+        return per_step(self.h_head, self.h_cell(paths)), per_step(self.m_head, self.m_cell(paths))
 
 
 def martingale_defect(h: Tensor, m: Tensor) -> Tensor:

@@ -4,15 +4,13 @@ Weights live in a shared `ParamSet` under a caller-chosen prefix; a block
 only remembers its parameter names, so checkpointing operates on the flat
 named set and an optimiser group is a set of name prefixes (`"gen."` takes
 every block registered under `gen`).  Each dense layer is one `affine` op
-and each recurrent step one `gated_step` op, so an unrolled cell records one
-graph node per time step besides its input slice.
+and each run of a recurrent cell over a whole sequence one `gated_scan` op,
+so a cell records one graph node however long the sequence.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .autodiff import ParamSet, Tensor, affine, concat, gated_step
+from .autodiff import ParamSet, Tensor, affine, gated_scan
 
 
 class Mlp:
@@ -51,12 +49,12 @@ class RecurrentCell:
         c = tanh(x Wc + s Uc + bc)
         s' = z * s + (1 - z) * c
 
-    One gate is enough for the short sequences used here, and each step is
-    a single `gated_step` op in the graph.
+    One gate is enough for the short sequences used here.  Calling the cell
+    on a sequence (n, T, in_dim) runs it from a zero state and returns its
+    states (n, T, state_dim), one `gated_scan` op in the graph.
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, state_dim: int):
-        self.state_dim = state_dim
         self.params = params
         for gate in ("z", "c"):
             if f"{prefix}.w{gate}" not in params:
@@ -65,25 +63,12 @@ class RecurrentCell:
                 params.add_zeros(f"{prefix}.b{gate}", (state_dim,))
         self.names = [f"{prefix}.{kind}{gate}" for gate in ("z", "c") for kind in "wub"]
 
-    def initial_state(self, n: int) -> Tensor:
-        return Tensor(np.zeros((n, self.state_dim)))
-
-    def step(self, x: Tensor, state: Tensor) -> Tensor:
-        return gated_step(x, state, *(self.params[name] for name in self.names))
+    def __call__(self, xs: Tensor) -> Tensor:
+        return gated_scan(xs, *(self.params[name] for name in self.names))
 
 
-def unroll_states(cell: RecurrentCell, xs: Tensor) -> list[Tensor]:
-    """Run a cell over time-major slices of xs (n, T, in_dim); list of (n, state)."""
-    n, seq_len = xs.shape[0], xs.shape[1]
-    state = cell.initial_state(n)
-    states = []
-    for t in range(seq_len):
-        state = cell.step(xs[:, t, :], state)
-        states.append(state)
-    return states
-
-
-def states_to_sequence(states: list[Tensor]) -> Tensor:
-    """Stack per-step (n, k) states into an (n, T, k) sequence tensor."""
-    n, k = states[0].shape
-    return concat([s.reshape((n, 1, k)) for s in states], axis=1)
+def per_step(net: Mlp, seq: Tensor) -> Tensor:
+    """`net` applied to every step of seq (n, T, k) at once, as (n * T, k)
+    rows; returns (n, T, out_dim)."""
+    n, seq_len, k = seq.shape
+    return net(seq.reshape((n * seq_len, k))).reshape((n, seq_len, -1))

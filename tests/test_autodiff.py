@@ -7,8 +7,8 @@ import pytest
 
 from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
                                 adam_step, affine, clip_by_global_norm, concat,
-                                gated_step, no_grad)
-from commodgen.nets import Mlp, RecurrentCell, states_to_sequence, unroll_states
+                                gated_scan, no_grad)
+from commodgen.nets import Mlp, RecurrentCell
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -67,7 +67,7 @@ class TestOpGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "exp", "log",
                                     "sqrt", "tanh", "sigmoid", "softplus", "pow",
                                     "sum", "mean", "slice", "reshape", "transpose",
-                                    "concat", "gated_step"])
+                                    "concat", "gated_scan"])
     def test_each_op_matches_finite_differences(self, op):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 5))
@@ -94,8 +94,9 @@ class TestOpGradients:
             "reshape": lambda t: t.reshape((2, 10)).sum(axis=0).sum(),
             "transpose": lambda t: (t.transpose() @ Tensor(other)).sum(),
             "concat": lambda t: concat([t, t * 2.0], axis=1).sum(),
-            # the state: it feeds the step three times
-            "gated_step": lambda t: (gated_step(Tensor(other), t, *cell) * Tensor(other)).sum(),
+            # the input as two steps: the first also reaches the second through the state
+            "gated_scan": lambda t: (gated_scan(t.reshape((2, 2, 5)), *cell)
+                                     * Tensor(other.reshape((2, 2, 5)))).sum(),
         }
         check_grad(builds[op], x)
 
@@ -142,67 +143,71 @@ class TestOpGradients:
         assert not out.requires_grad and out._parents == ()
         assert np.array_equal(out.data, np.full((3, 2), 5.0))
 
-    @pytest.mark.parametrize("x_grad,state_grad", [(True, True), (False, True), (False, False)])
-    def test_gated_step_matches_op_chain(self, x_grad, state_grad):
-        values = gated_step_values(np.random.default_rng(23))
-        weights = np.random.default_rng(24).standard_normal((6, 3))
+    @pytest.mark.parametrize("x_grad,twice", [(True, True), (False, True), (False, False),
+                                              (True, False)])
+    def test_gated_step_matches_op_chain(self, x_grad, twice):
+        """`gated_scan` against the chain oracle stepped by hand: value and
+        every gradient bit-identical, with and without an input gradient,
+        and with one cell run twice in one graph, as `CausalCritic` runs on
+        real and fake paths."""
+        rng = np.random.default_rng(23)
+        values = gated_scan_values(rng)
+        weights = [rng.standard_normal((6, 5, 3)) for _ in range(2)]
         results = []
-        for fn in (gated_step, reference_gated_step):
-            leaves = [Tensor(v.copy(), requires_grad=flag) for v, flag in
-                      zip(values, (x_grad, state_grad) + (True,) * 6)]
-            out = fn(*leaves)
-            (out * Tensor(weights)).sum().backward()
-            results.append([out.data] + [t.grad for t in leaves])
-        fused_x_grad, fused_state_grad = results[0][1:3]
-        assert (fused_x_grad is not None, fused_state_grad is not None) == (x_grad, state_grad)
+        for fn in (gated_scan, reference_scan):
+            xs = Tensor(values[0].copy(), requires_grad=x_grad)
+            cell = [Tensor(v.copy(), requires_grad=True) for v in values[1:]]
+            out = fn(xs, *cell)
+            loss = (out * Tensor(weights[0])).sum()
+            if twice:
+                loss = loss + (fn(xs * 0.5, *cell) * Tensor(weights[1])).sum()
+            loss.backward()
+            results.append([out.data, xs.grad] + [t.grad for t in cell])
+        assert (results[0][1] is not None) == x_grad
         for fused, chain in zip(*results):
             assert (fused is None) == (chain is None)
             assert fused is None or np.array_equal(fused, chain)
 
     def test_gated_step_unroll_matches_op_chain(self):
-        """Ten steps over shared parameters into a head that reads every
-        state: each parameter and the input sequence gather one
-        contribution per step, and each state a fourth from the head."""
+        """Ten steps into a head that reads every state: each parameter
+        gathers one contribution per step, each state one from the head and
+        three from the next step, and the input sequence one per step."""
         rng = np.random.default_rng(25)
-        xs0 = rng.standard_normal((6, 10, 2))
-        cell0 = gated_step_values(rng)[2:]
+        values = [rng.standard_normal((6, 10, 2))] + gated_scan_values(rng)[1:]
         head = rng.standard_normal((3, 2))
         results = []
-        for fn in (gated_step, reference_gated_step):
-            xs = Tensor(xs0.copy(), requires_grad=True)
-            cell = [Tensor(v.copy(), requires_grad=True) for v in cell0]
-            state = Tensor(np.zeros((6, 3)))
-            outs = []
-            for t in range(xs0.shape[1]):
-                state = fn(xs[:, t, :], state, *cell)
-                outs.append((state @ Tensor(head)).tanh().reshape((6, 1, 2)))
-            seq = concat(outs, axis=1)
-            (seq * seq).mean().backward()
+        for fn in (gated_scan, reference_scan):
+            xs, *cell = (Tensor(v.copy(), requires_grad=True) for v in values)
+            seq = fn(xs, *cell)
+            out = (seq.reshape((60, 3)) @ Tensor(head)).tanh()
+            (out * out).mean().backward()
             results.append([seq.data, xs.grad] + [t.grad for t in cell])
         for fused, chain in zip(*results):
             assert np.array_equal(fused, chain)
 
-    @pytest.mark.parametrize("operand", range(8))
+    @pytest.mark.parametrize("operand", range(7))
     def test_gated_step_matches_finite_differences(self, operand):
-        values = gated_step_values(np.random.default_rng(26))
-        weights = np.random.default_rng(27).standard_normal((6, 3))
+        values = gated_scan_values(np.random.default_rng(26))
+        weights = np.random.default_rng(27).standard_normal((6, 5, 3))
 
         def build(t):
             args = [Tensor(v) for v in values]
             args[operand] = t
-            return (gated_step(*args) * Tensor(weights)).sum()
+            return (gated_scan(*args) * Tensor(weights)).sum()
 
         check_grad(build, values[operand])
 
     def test_gated_step_shape_errors_and_no_graph(self):
-        values = gated_step_values(np.random.default_rng(28))
+        values = gated_scan_values(np.random.default_rng(28))
         leaves = [Tensor(v, requires_grad=True) for v in values]
         with pytest.raises(ValueError, match="matmul inner dimensions differ"):
-            gated_step(Tensor(np.ones((6, 3))), *leaves[1:])
+            gated_scan(Tensor(np.ones((6, 5, 3))), *leaves[1:])
+        with pytest.raises(ValueError, match=r"gated_scan needs an \(n, T, in\) sequence"):
+            gated_scan(Tensor(np.ones((6, 2))), *leaves[1:])
         with no_grad():
-            out = gated_step(*leaves)
+            out = gated_scan(*leaves)
         assert not out.requires_grad and out._parents == ()
-        assert np.array_equal(out.data, reference_gated_step(*leaves).data)
+        assert np.array_equal(out.data, reference_scan(*leaves).data)
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(3)
@@ -255,30 +260,30 @@ class TestOpGradients:
         xs = rng.standard_normal((4, 5, 2))
 
         def loss_value():
-            seq = states_to_sequence(unroll_states(cell, Tensor(xs)))
+            seq = cell(Tensor(xs))
             return (seq * seq).mean()
 
         loss_value().backward()
         grads = params.take_grads()
-        name = "c.wz"
-        p = params[name]
-        base = p.data.copy()
+        for name in params.names():
+            p = params[name]
+            base = p.data.copy()
 
-        def f(arr):
-            p.data = arr
-            val = loss_value().item()
-            p.data = base
-            return val
+            def f(arr):
+                p.data = arr
+                val = loss_value().item()
+                p.data = base
+                return val
 
-        num = numeric_grad(f, base.copy())
-        scale = np.maximum(np.abs(num), 1.0)
-        assert np.max(np.abs(grads[name] - num) / scale) < 1e-5
+            num = numeric_grad(f, base.copy())
+            scale = np.maximum(np.abs(num), 1.0)
+            assert np.max(np.abs(grads[name] - num) / scale) < 1e-5, name
 
 
-def gated_step_values(rng):
-    """x (6, 2), state (6, 3) and the cell's six parameters, in
-    `gated_step`'s argument order."""
-    shapes = ((6, 2), (6, 3), (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,))
+def gated_scan_values(rng):
+    """An input sequence xs (6, 5, 2) and the cell's six parameters (input
+    2, state 3), in `gated_scan`'s argument order."""
+    shapes = ((6, 5, 2), (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,))
     return [rng.standard_normal(shape) for shape in shapes]
 
 
@@ -288,6 +293,19 @@ def reference_gated_step(x, s, wz, uz, bz, wc, uc, bc):
     z = (x @ wz + s @ uz + bz).sigmoid()
     c = (x @ wc + s @ uc + bc).tanh()
     return z * s + (1.0 - z) * c
+
+
+def reference_scan(xs, *cell):
+    """`gated_scan` as the chain it fuses: each step's input sliced from xs,
+    stepped through `reference_gated_step` from a zero state, and the
+    states concatenated along time."""
+    n, seq_len, _ = xs.shape
+    state = Tensor(np.zeros((n, cell[1].shape[0])))
+    states = []
+    for t in range(seq_len):
+        state = reference_gated_step(xs[:, t, :], state, *cell)
+        states.append(state.reshape((n, 1, state.shape[1])))
+    return concat(states, axis=1)
 
 
 class TestGraphDiscipline:
@@ -365,13 +383,13 @@ class TestGraphDiscipline:
 
     def test_gated_step_overflow_raises_with_op_name(self):
         """Sigmoid and tanh would saturate an infinite pre-activation into a
-        finite state; the op checks its pre-activations instead."""
-        values = gated_step_values(np.random.default_rng(29))
-        values[0] = np.full_like(values[0], 1e10)
-        values[2] = np.full_like(values[2], 1e300)      # x @ wz overflows
+        finite state; the op checks its pre-activations at every step."""
+        values = gated_scan_values(np.random.default_rng(29))
+        values[0][:, 3, :] = 1e10                       # only step 3 overflows
+        values[1] = np.full_like(values[1], 1e300)      # x @ wz
         with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
-            with pytest.raises(NumericOverflowError, match="'gated_step'"):
-                gated_step(*(Tensor(v, requires_grad=True) for v in values))
+            with pytest.raises(NumericOverflowError, match="'gated_scan'"):
+                gated_scan(*(Tensor(v, requires_grad=True) for v in values))
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):

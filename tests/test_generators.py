@@ -203,19 +203,36 @@ def test_cegen_sample_transition_loss_tracks_real():
 
 def test_cotgan_step_records_few_graph_nodes(monkeypatch):
     """One COTGAN training step (batch 64, 30 steps, 30 Sinkhorn
-    iterations) records about 750 graph nodes: each recurrent-cell step is
-    one op (the generator and four critic unrolls) and each Sinkhorn sweep
-    one op (six per divergence).  Built from small ops the step records
-    4516."""
+    iterations) records about 100 graph nodes: each run of a recurrent cell
+    over the sequence is one op (the generator and four critic runs), each
+    head reads the stacked states once, and each Sinkhorn sweep is one op
+    (six per divergence).  With one op per recurrent step the step records
+    742; built from small ops, 4516."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
                         staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
     train_generator("COTGAN", gbm_batch(n=128, seq_len=30),
                     TrainConfig(iterations=1, batch_size=64, sinkhorn_iterations=30))
-    assert ops.count("gated_step") == 150
+    assert ops.count("gated_scan") == 5
     assert ops.count("sinkhorn_sweeps") == 6
-    assert len(ops) <= 800
+    assert len(ops) <= 100
+
+
+def test_tsgan_step_records_few_graph_nodes(monkeypatch):
+    """One TSGAN joint step (batch 64, 30 steps, no pretraining) records
+    about 80 graph nodes: each of its twelve recurrent-cell runs (the
+    generator's, supervisor's, embedder's and discriminator's, over the
+    generator, embedding and discriminator phases) is one op.  With one op
+    per recurrent step the step records 1156."""
+    ops = []
+    result = Tensor._result
+    monkeypatch.setattr(Tensor, "_result",
+                        staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
+    train_generator("TSGAN", gbm_batch(n=128, seq_len=30),
+                    TrainConfig(iterations=1, batch_size=64, pretrain_iterations=0))
+    assert ops.count("gated_scan") == 12
+    assert len(ops) <= 100
 
 
 def test_siggan_step_records_few_graph_nodes(monkeypatch):
@@ -276,11 +293,9 @@ def training_rollout(model, n, seed):
         return concat([Tensor(past)] + steps, axis=1).data[:, :seq_len]
     z = noise.standard_normal((n, seq_len, noise_dim))
     if model.kind == "COTGAN":
-        steps = G._cotgan_rollout(*G._cotgan_nets(model.params, d, cfg), z)
-        return concat([x.reshape((n, 1, d)) for x in steps], axis=1).data
+        return G._cotgan_rollout(*G._cotgan_nets(model.params, d, cfg), z).data
     nets = G._tsgan_nets(model.params, d, cfg)
-    flat = G._tsgan_recover(nets, G._tsgan_rollout(nets, z))
-    return flat.reshape((n, seq_len, d)).data
+    return G._tsgan_recover(nets, G._tsgan_rollout(nets, z)).data
 
 
 @pytest.mark.parametrize("kind,seq_len", [(k, 12) for k in NEURAL_KINDS] +
@@ -291,6 +306,18 @@ def test_sample_equals_training_rollout(kind, seq_len):
     out = model.sample(7, seed=4).values
     assert out.shape == (7, seq_len, 1)
     assert np.array_equal(out, training_rollout(model, 7, seed=4))
+
+
+def test_cotgan_samples_in_blocks(monkeypatch):
+    """`sample()` runs COTGAN's rollout `COTGAN_SAMPLE_PATHS` paths at a
+    time: blocks of 3 give the 7 paths one block gives, up to the rounding
+    of the head's matmuls over fewer rows."""
+    model, _ = train_generator("COTGAN", gbm_batch(64), tiny_cfg())
+    whole = model.sample(7, seed=4).values
+    monkeypatch.setattr(G, "COTGAN_SAMPLE_PATHS", 3)
+    blocks = model.sample(7, seed=4).values
+    assert blocks.shape == whole.shape
+    np.testing.assert_allclose(blocks, whole, rtol=1e-12, atol=0)
 
 
 def test_siggan_needs_long_enough_sequences():
