@@ -39,7 +39,6 @@ only where the default is null.  A bad value exits 2 naming its key.  All keys:
   hedge.underlying      payoff label (spread: [long, short]); defaults per case
   hedge.tradable        tradable labels; defaults per case
   hedge.strike          strike; default mean start level (spread: 42.41)
-  hedge.maturity        years; default: the window span
   hedge.rebase          rescale every window (and sampler path) to the common
                         mean start level, so the fixed strike is the same
                         claim on every window; false evaluates at raw levels
@@ -113,7 +112,6 @@ CONFIG_SCHEMA = {
     "hedge.underlying": (None, str | list | None, None),
     "hedge.tradable": (None, str | list | None, None),
     "hedge.strike": (None, float | None, None),
-    "hedge.maturity": (None, float | None, "> 0"),
     "hedge.rebase": (True, bool, None),
 }
 
@@ -250,10 +248,6 @@ def resolve_dataset(cfg: dict) -> PathBatch:
     return windowize(table, length=d["window"], stride=d["stride"])
 
 
-def _dataset_id(cfg: dict) -> str:
-    return cfg["data"]["dataset"] or cfg["data"]["source"]
-
-
 def _write_diagnostic(out_dir: pathlib.Path, cfg_hash: str, exc: Exception) -> None:
     store.write_json(out_dir / "diagnostic.json", {
         "error": type(exc).__name__, "message": str(exc), "config_hash": cfg_hash,
@@ -269,11 +263,17 @@ def _fit_generator(cfg: dict, data: PathBatch):
     return train_generator(g["kind"], train_data, tc, normalizer=normalizer)
 
 
-def _load_generator(cfg: dict):
+def _load_generator(cfg: dict, data: PathBatch):
+    """The configured checkpoint's model, refused unless it generates paths
+    of `data`'s window length and columns, in the same order."""
     path = pathlib.Path(cfg["generator"]["checkpoint"])
     if not path.exists():
         raise DataError(f"no generator checkpoint at {path}")
-    return load_checkpoint(path)
+    model = load_checkpoint(path)
+    if (data.seq_len, data.dim, data.labels) != (model.seq_len, model.dim, model.labels):
+        raise DataError(f"dataset windows are {data.seq_len} steps of {data.labels} but "
+                        f"the checkpoint generates {model.seq_len} steps of {model.labels}")
+    return model
 
 
 # -------------------------------------------------------------------- commands
@@ -314,11 +314,8 @@ def cmd_eval_gen(cfg: dict) -> int:
     out = _out_dir(cfg["out"], "eval-gen")
     if not cfg["generator"]["checkpoint"]:
         raise ConfigError("eval-gen needs generator.checkpoint")
-    model = _load_generator(cfg)
     data = resolve_dataset(cfg)
-    if data.seq_len != model.seq_len or data.dim != model.dim:
-        raise DataError(f"dataset windows are {data.seq_len} x {data.dim} but the "
-                        f"checkpoint generates {model.seq_len} x {model.dim}")
+    model = _load_generator(cfg, data)
     fake = model.sample(cfg["eval"]["n_samples"], seed=cfg["seed"])
     real_v, fake_v = data.values, fake.values
     if cfg["eval"]["normalized"] and model.normalizer is not None:
@@ -326,8 +323,7 @@ def cmd_eval_gen(cfg: dict) -> int:
         fake_v = model.normalizer.apply(fake).values
     if cfg["eval"]["unit_scale"]:
         real_v, fake_v = unit_scale_pair(real_v, fake_v)
-    report = metric_report(real_v, fake_v, model=model.kind,
-                           dataset_id=_dataset_id(cfg))
+    report = metric_report(real_v, fake_v, model=model.kind)
     emit_report(report, out / "report.csv")
     write_manifest(out, "eval-gen", config_hash(cfg),
                    meta={"kind": model.kind, "n_samples": cfg["eval"]["n_samples"]})
@@ -374,11 +370,9 @@ def build_hedging_spec(cfg: dict, data: PathBatch) -> HedgingSpec:
         default_tradable = ["coal"] if case == "proxy" else und
         tradable = h["tradable"] if h["tradable"] is not None else default_tradable
     tradable = _resolve_labels(tradable, labels, "hedge.tradable")
-    maturity = h["maturity"] if h["maturity"] is not None \
-        else (data.seq_len - 1) * data.dt
     return HedgingSpec(payoff=payoff,
                        tradable=tuple(labels.index(t) for t in tradable),
-                       maturity=float(maturity),
+                       maturity=(data.seq_len - 1) * data.dt,
                        s0=starts if h["rebase"] else None)
 
 
@@ -391,11 +385,7 @@ def cmd_hedge(cfg: dict) -> int:
         data = rebase_batch(data, spec.s0)
     spec.check_batch(data)
     if cfg["generator"]["checkpoint"]:
-        model = _load_generator(cfg)
-        if model.seq_len != data.seq_len or model.dim != data.dim:
-            raise DataError(f"checkpoint generates {model.seq_len} x {model.dim} "
-                            f"paths but the dataset windows are "
-                            f"{data.seq_len} x {data.dim}")
+        model = _load_generator(cfg, data)
     elif cfg["generator"]["kind"] == "GBM":
         model, _ = _fit_generator(cfg, data)      # calibrated on the fly
     else:

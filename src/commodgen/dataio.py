@@ -103,12 +103,11 @@ class PathBatch:
         return self.values.shape[2]
 
 
-def load_csv(path, schema: list[str] | None = None) -> PriceTable:
+def load_csv(path) -> PriceTable:
     """Read a date-indexed price CSV.
 
     First column must be 'date' (ISO format); remaining columns are price
-    series.  If `schema` is given, exactly those columns must be present and
-    the table follows schema order.  Rows are sorted by date.
+    series, in file order.  Rows are sorted by date.
     """
     header, rows = store.read_csv(path)
     header = [h.strip() for h in header]
@@ -119,15 +118,6 @@ def load_csv(path, schema: list[str] | None = None) -> PriceTable:
         raise DataError(f"{path}: no price columns")
     if len(set(names)) != len(names):
         raise DataError(f"{path}: duplicate column names in header")
-    if schema is not None:
-        missing = [c for c in schema if c not in names]
-        extra = [c for c in names if c not in schema]
-        if missing or extra:
-            raise DataError(f"{path}: columns {names} do not match expected {list(schema)}")
-        order = [names.index(c) for c in schema]
-        names = list(schema)
-    else:
-        order = list(range(len(names)))
 
     parsed: list[tuple] = []
     for n, row in enumerate(rows, start=1):
@@ -136,10 +126,10 @@ def load_csv(path, schema: list[str] | None = None) -> PriceTable:
         except ValueError as exc:
             raise DataError(f"{path}: data row {n}: unparsable date '{row[0]}'") from exc
         prices = []
-        for k, j in enumerate(order):
-            cell = row[1 + j].strip()
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
             if not cell:
-                raise DataError(f"{path}: data row {n}: missing value in column '{names[k]}'")
+                raise DataError(f"{path}: data row {n}: missing value in column '{name}'")
             try:
                 prices.append(float(cell))
             except ValueError as exc:

@@ -33,8 +33,7 @@ import numpy as np
 from .autodiff import Optimizer, ParamSet, Tensor, concat, no_grad
 from .dataio import Normalizer, PathBatch
 from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornConfig,
-                     TransitionBinning, causal_transport_losses,
-                     transition_moment_loss)
+                     causal_transport_losses, transition_moment_loss)
 from .nets import Mlp, RecurrentCell, per_step
 from .rng import rng_for
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
@@ -267,14 +266,12 @@ class GeneratorModel:
         noise = rng_for(seed, self.kind.lower(), "sample")
         with no_grad():
             if self.kind == "CEGEN":
-                scale = np.ones(d) if self.cegen_scale is None else self.cegen_scale
+                scale = self.cegen_scale
                 steps = _cegen_rollout(*_cegen_nets(self.params, d, cfg),
                                        np.tile(self.start_levels / scale, (n, 1)),
                                        noise.standard_normal((n, seq_len - 1, d)), self.dt)
                 return np.stack([x.data for x in steps], axis=1) * scale
             if self.kind == "SIGGAN":
-                if self.sig_pool is None or not len(self.sig_pool):
-                    raise DataError("signature generator has no stored starting segments")
                 p, q = cfg.past_len, cfg.future_len
                 past = self.sig_pool[rng_for(seed, "siggan", "starts").integers(
                     0, self.sig_pool.shape[0], size=n)]
@@ -446,7 +443,6 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
     noise_rng = rng_for(cfg.seed, "cegen", "noise")
-    binning = TransitionBinning(bins=cfg.bins)
     curve = LossCurve()
     n, seq_len, d = data.values.shape
     # standardize per-step increments: the squared-moment loss is scale
@@ -461,7 +457,7 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         z = noise_rng.standard_normal((idx.size, seq_len - 1, d))
         slices = _cegen_rollout(drift, diff, mb[:, 0, :], z, data.dt)
         fake = concat([s.reshape((idx.size, 1, d)) for s in slices], axis=1)
-        out = transition_moment_loss(mb, fake, binning)
+        out = transition_moment_loss(mb, fake, cfg.bins)
         if not out.used_buckets:
             raise TrainingError(f"training aborted: no bucket of the transition loss has "
                                 f"{MIN_BUCKET} real and {MIN_BUCKET} fake paths at iteration "
@@ -665,20 +661,57 @@ def save_checkpoint(model: GeneratorModel, path) -> None:
     })
 
 
-def load_checkpoint(path, expect_kind: str | None = None) -> GeneratorModel:
+def load_checkpoint(path) -> GeneratorModel:
     return store.read_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                "generator checkpoint",
-                                lambda raw: _decode_model(raw, path, expect_kind))
+                                "generator checkpoint", lambda raw: _decode_model(raw, path))
 
 
-def _decode_model(raw: dict, path, expect_kind: str | None) -> GeneratorModel:
+# the nets each kind registers in its ParamSet, COTGAN's critic included
+_KIND_NETS = {
+    "GBM": lambda params, dim, cfg: None,
+    "CEGEN": _cegen_nets,
+    "TSGAN": _tsgan_nets,
+    "COTGAN": lambda params, dim, cfg: (_cotgan_nets(params, dim, cfg), CausalCritic(
+        params, dim, cfg.critic_features, cfg.hidden)),
+    "SIGGAN": _siggan_net,
+}
+
+
+def _check_fit(path, model: GeneratorModel) -> None:
+    """Refuse a loaded model whose contents disagree with its kind, `cfg` and
+    `dim`: exactly the parameter names and shapes the kind's nets register,
+    and the kind's own block, each of `dim` dimensions."""
+    kind, cfg, dim = model.kind, model.cfg, model.dim
+    expected = ParamSet(cfg.seed)
+    _KIND_NETS[kind](expected, dim, cfg)
+    shapes = {} if model.params is None else {n: t.data.shape for n, t in model.params.items()}
+    for name in sorted(set(expected.names()) | set(shapes)):
+        if name not in shapes:
+            raise DataError(f"{path}: {kind} checkpoint lacks parameter '{name}'")
+        if name not in expected:
+            raise DataError(f"{path}: parameter '{name}' is not registered by a {kind} "
+                            f"of this cfg")
+        if shapes[name] != expected[name].data.shape:
+            raise DataError(f"{path}: parameter '{name}' has shape {shapes[name]}, but a "
+                            f"{kind} of this cfg and dim {dim} registers "
+                            f"{expected[name].data.shape}")
+    gbm, pool, scale = model.gbm, model.sig_pool, model.cegen_scale
+    own = {"GBM": ("gbm", f"of {dim} dimensions", gbm is not None and gbm.dim == dim),
+           "CEGEN": ("cegen_scale", f"of shape ({dim},)",
+                     scale is not None and scale.shape == (dim,)),
+           "SIGGAN": ("sig_pool", f"of shape (n >= 1, {cfg.past_len}, {dim})",
+                      pool is not None and pool.ndim == 3 and len(pool) > 0
+                      and pool.shape[1:] == (cfg.past_len, dim))}
+    if kind in own and not own[kind][2]:
+        key, what, _ = own[kind]
+        raise DataError(f"{path}: {kind} checkpoint needs a '{key}' block {what}")
+
+
+def _decode_model(raw: dict, path) -> GeneratorModel:
     kind = raw["kind"]
     if kind not in KINDS:
         raise DataError(f"{path}: checkpoint kind '{kind}' is not a generator kind "
                         f"({', '.join(KINDS)})")
-    if expect_kind is not None and kind != expect_kind:
-        raise DataError(f"{path}: checkpoint kind '{kind}' does not match "
-                        f"expected '{expect_kind}'")
     cfg = TrainConfig.from_dict(raw["cfg"])
     params = None
     if raw["params"] is not None:
@@ -688,7 +721,7 @@ def _decode_model(raw: dict, path, expect_kind: str | None) -> GeneratorModel:
     def block(key):
         return None if raw[key] is None else store.block_array(raw[key])
 
-    return GeneratorModel(
+    model = GeneratorModel(
         kind=kind, cfg=cfg, seq_len=int(raw["seq_len"]), dim=int(raw["dim"]),
         labels=list(raw["labels"]), dt=float(raw["dt"]),
         start_levels=store.block_array(raw["start_levels"]),
@@ -698,3 +731,5 @@ def _decode_model(raw: dict, path, expect_kind: str | None) -> GeneratorModel:
         sig_pool=block("sig_pool"), cegen_scale=block("cegen_scale"),
         trained_iterations=raw["trained_iterations"],
     )
+    _check_fit(path, model)
+    return model

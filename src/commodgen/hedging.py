@@ -30,6 +30,8 @@ HEDGER_KIND = "hedger"
 
 HEDGE_EXPORT_HEADER = "path_id,S_T,payoff,portfolio_T"
 
+EVAL_EVERY = 10   # iterations between test-curve points of `train_hedger`
+
 
 @dataclass
 class Payoff:
@@ -190,18 +192,6 @@ def rebase_batch(batch: PathBatch, s0) -> PathBatch:
     return PathBatch(values=values, labels=batch.labels, dt=batch.dt)
 
 
-def policy_controls(policy: HedgerPolicy, prices: PathBatch,
-                    spec: HedgingSpec) -> np.ndarray:
-    """All positions as an (n, N, n_tradable) array (diagnostics, exports)."""
-    spec.check_batch(prices)
-    v = prices.values
-    idx = list(spec.tradable)
-    n_steps = prices.seq_len - 1
-    with no_grad():
-        return np.stack([policy.controls(j / n_steps, v[:, j, idx]).data
-                         for j in range(n_steps)], axis=1)
-
-
 @dataclass
 class HedgeEvaluation:
     """Replication quality on one evaluation batch."""
@@ -237,16 +227,14 @@ def write_hedge_export(ev: HedgeEvaluation, path) -> None:
 
 
 def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
-                 test_data: PathBatch | None = None, eval_every: int = 10):
+                 test_data: PathBatch | None = None):
     """Fit a HedgerPolicy on fresh sampler batches every iteration.
 
     Returns (policy, train_curve, test_curve); the test curve is evaluated
-    on the fixed `test_data` batch every `eval_every` iterations (and at the
+    on the fixed `test_data` batch every `EVAL_EVERY` iterations (and at the
     last one) when provided.  Deterministic per (sampler, spec, cfg).
     """
     cfg = cfg or TrainConfig()
-    if eval_every < 1:
-        raise DataError("eval_every must be >= 1")
     seeds = rng_for(cfg.seed, "hedger", "draws").integers(0, 2**63 - 1,
                                                           size=cfg.iterations + 1)
     pilot = sampler.sample(cfg.batch_size, seed=int(seeds[-1]), s0=spec.s0)
@@ -266,7 +254,7 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
         loss = (gap * gap).mean()
         opt.step(backprop(loss, params, it, "replication loss"))
         train_curve.append(it, loss.item())
-        if test_data is not None and (it % eval_every == 0 or it == cfg.iterations - 1):
+        if test_data is not None and (it % EVAL_EVERY == 0 or it == cfg.iterations - 1):
             test_curve.append(it, eval_hedger(policy, test_data, spec).repl_loss)
     return policy, train_curve, test_curve
 

@@ -238,12 +238,11 @@ def martingale_defect(h: Tensor, m: Tensor) -> Tensor:
     return (per_feature * per_feature).mean()
 
 
-def causal_transport_losses(real, fake, critic: CausalCritic | None,
+def causal_transport_losses(real, fake, critic: CausalCritic,
                             cfg: SinkhornConfig | None = None):
     """(generator loss, critic loss, SinkhornValue) for adversarial training.
 
-    Without a critic this reduces to the debiased divergence on raw paths.
-    With one, the transport cost runs on adapted h features and the
+    The transport cost runs on the critic's adapted h features and the
     generator additionally pays `causal_weight` times the martingale-defect
     difference.  The critic loss is the exact negation; both come from one
     shared graph, so run a single backward and negate the critic gradients.
@@ -251,15 +250,11 @@ def causal_transport_losses(real, fake, critic: CausalCritic | None,
     cfg = cfg or SinkhornConfig()
     real_t = real if isinstance(real, Tensor) else Tensor(np.asarray(real, dtype=np.float64))
     fake_t = fake if isinstance(fake, Tensor) else Tensor(np.asarray(fake, dtype=np.float64))
-    if critic is None:
-        sv = sinkhorn_divergence(real_t, fake_t, cfg)
-        gen_loss = sv.value
-    else:
-        h_real, m_real = critic.features(real_t)
-        h_fake, m_fake = critic.features(fake_t)
-        sv = sinkhorn_divergence(h_real, h_fake, cfg)
-        penalty = martingale_defect(h_fake, m_fake) - martingale_defect(h_real, m_real)
-        gen_loss = sv.value + cfg.causal_weight * penalty
+    h_real, m_real = critic.features(real_t)
+    h_fake, m_fake = critic.features(fake_t)
+    sv = sinkhorn_divergence(h_real, h_fake, cfg)
+    penalty = martingale_defect(h_fake, m_fake) - martingale_defect(h_real, m_real)
+    gen_loss = sv.value + cfg.causal_weight * penalty
     return gen_loss, -gen_loss, sv
 
 
@@ -311,6 +306,7 @@ def _signature_block(values, depth: int):
 
 
 FIT_BLOCK_ROWS = 512   # pairs per block of signatures in ConditionalSigMetric.fit
+RIDGE = 1e-6           # penalty on every regression coefficient but the intercept
 
 
 @dataclass
@@ -321,25 +317,20 @@ class ConditionalSigMetric:
     on past signatures with an intercept and ridge penalty.  The loss of a
     batch of fake futures (conditioned on the same pasts) is the mean
     squared distance between the regression prediction and the empirical
-    mean fake signature.  `fit` keeps its fitted values, `predict(pasts)`
-    on the pasts it was fitted on, as `fitted`, so training need not
-    compute their signatures a second time.
+    mean fake signature.  `fit` keeps the regression's predictions on the
+    pasts it was fitted on as `fitted`, so training need not compute their
+    signatures a second time.
     """
 
     depth: int = 4
-    ridge: float = 1e-6
     weights: np.ndarray | None = None
     fitted: np.ndarray | None = None
-    past_dim: int | None = None
-    future_shape: tuple | None = None
 
     def fit(self, pasts: np.ndarray, futures: np.ndarray) -> "ConditionalSigMetric":
         pasts = np.asarray(pasts, dtype=np.float64)
         futures = np.asarray(futures, dtype=np.float64)
         if pasts.ndim != 3 or futures.ndim != 3 or pasts.shape[0] != futures.shape[0]:
             raise DataError("fit expects matching (n, p, d) pasts and (n, q, d) futures")
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
         n = pasts.shape[0]
         design = np.empty((n, sig_length(pasts.shape[2] + 1, self.depth) + 1))
         design[:, -1] = 1.0   # intercept
@@ -349,42 +340,24 @@ class ConditionalSigMetric:
             design[rows, :-1] = _signature_block(pasts[rows], self.depth)
             future = np.concatenate([pasts[rows, -1:, :], futures[rows]], axis=1)
             targets[rows] = _signature_block(future, self.depth)
-        penalty = self.ridge * np.eye(design.shape[1])
+        penalty = RIDGE * np.eye(design.shape[1])
         penalty[-1, -1] = 0.0  # intercept unpenalised
         gram = design.T @ design + penalty
         rhs = design.T @ targets
         del targets   # before `fitted`, which is as large
         self.weights = np.linalg.solve(gram, rhs)
         self.fitted = design @ self.weights
-        self.past_dim = pasts.shape[2]
-        self.future_shape = futures.shape[1:]
         return self
-
-    def predict(self, pasts: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise RuntimeError("metric is not fitted")
-        phi = _signature_block(np.asarray(pasts, dtype=np.float64), self.depth)
-        design = np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
-        return design @ self.weights
-
-    def loss(self, pasts: np.ndarray, fake_futures) -> Tensor:
-        """Mean squared gap between predicted and fake conditional signatures.
-
-        `fake_futures` is (n, q, d) or (n, mc, q, d); with a Monte Carlo axis
-        the fake signatures are averaged over it before comparison, which is
-        the conditional-expectation estimate.
-        """
-        pasts = np.asarray(pasts, dtype=np.float64)
-        return self.loss_given_prediction(self.predict(pasts), pasts[:, -1:, :],
-                                          fake_futures)
 
     def loss_given_prediction(self, predicted: np.ndarray, last: np.ndarray,
                               fake_futures) -> Tensor:
-        """Same as `loss` but with the regression output precomputed.
+        """Mean squared gap between predicted and fake conditional signatures.
 
-        Training loops that revisit the same pasts many times cache
-        `predict(pasts)` once and pass rows of it here, together with the
-        (n, 1, d) last past points the fake futures grow from.
+        `predicted` holds rows of `fitted`, the regression's output on the
+        pasts, and `last` the (n, 1, d) last past points the fake futures
+        grow from.  `fake_futures` is (n, q, d) or (n, mc, q, d); with a
+        Monte Carlo axis the fake signatures are averaged over it before
+        comparison, which is the conditional-expectation estimate.
         """
         predicted_t = Tensor(np.asarray(predicted, dtype=np.float64))
         last = np.asarray(last, dtype=np.float64)
@@ -419,31 +392,19 @@ def _increment_moments(inc: np.ndarray):
 
 
 @dataclass
-class TransitionBinning:
-    """Quantile bucketing of the current level of the first dimension."""
-
-    bins: int = 5
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
-
-
-@dataclass
 class TransitionLossValue:
     value: Tensor
     used_buckets: int
     skipped_buckets: int
 
 
-def transition_moment_loss(real, fake, binning: TransitionBinning | None = None
-                           ) -> TransitionLossValue:
+def transition_moment_loss(real, fake, bins: int = 5) -> TransitionLossValue:
     """Conditional mean/covariance distance of one-step increments.
 
-    At each time t, real paths are bucketed by the quantiles of the first
-    dimension's current level (edges from real data only); fake paths fall
-    into the same buckets.  Within each bucket the squared difference of the
-    increment mean vector and increment covariance matrix is accumulated.
+    At each time t, real paths are bucketed by the `bins` quantiles of the
+    first dimension's current level (edges from real data only); fake paths
+    fall into the same buckets.  Within each bucket the squared difference of
+    the increment mean vector and increment covariance matrix is accumulated.
     Buckets with fewer than `MIN_BUCKET` members on either side are skipped
     and counted; with none used the value is a constant 0.
 
@@ -456,7 +417,8 @@ def transition_moment_loss(real, fake, binning: TransitionBinning | None = None
     contributions, from the steps before and after it, so the order of
     accumulation across buckets cannot change a bit either.
     """
-    binning = binning or TransitionBinning()
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     rv = np.asarray(real, dtype=np.float64)
     fake_t = fake if isinstance(fake, Tensor) else Tensor(np.asarray(fake, dtype=np.float64))
     if rv.ndim != 3 or fake_t.ndim != 3:
@@ -466,21 +428,20 @@ def transition_moment_loss(real, fake, binning: TransitionBinning | None = None
                         f"on sequence length or dimension")
     fv = fake_t.data
     seq_len, dim = rv.shape[1], rv.shape[2]
-    n_bins = binning.bins
     buckets = []  # (t, fake members, centred fake increments, mean gap, covariance gap)
     total = None
     skipped = 0
     for t in range(seq_len - 1):
         key_real = rv[:, t, 0]
-        if n_bins > 1:
-            edges = np.quantile(key_real, np.arange(1, n_bins) / n_bins)
+        if bins > 1:
+            edges = np.quantile(key_real, np.arange(1, bins) / bins)
             real_bucket = np.digitize(key_real, edges)
             fake_bucket = np.digitize(fv[:, t, 0], edges)
         else:
             real_bucket = np.zeros(rv.shape[0], dtype=int)
             fake_bucket = np.zeros(fv.shape[0], dtype=int)
         real_inc = rv[:, t + 1, :] - rv[:, t, :]
-        for b in range(n_bins):
+        for b in range(bins):
             r_idx = np.nonzero(real_bucket == b)[0]
             f_idx = np.nonzero(fake_bucket == b)[0]
             if r_idx.size < MIN_BUCKET or f_idx.size < MIN_BUCKET:

@@ -126,7 +126,6 @@ class MetricReport:
     n_fake: int
     seq_len: int
     dim: int
-    dataset_id: str = ""
     low_confidence: bool = False
 
     def rows(self) -> list[dict]:
@@ -136,7 +135,7 @@ class MetricReport:
                 for i in range(self.dim)]
 
 
-def metric_report(real, fake, model: str = "model", dataset_id: str = "") -> MetricReport:
+def metric_report(real, fake, model: str = "model") -> MetricReport:
     rv, fv = _pair(real, fake)
     marg = marginal_metrics(rv, fv)
     return MetricReport(
@@ -147,7 +146,6 @@ def metric_report(real, fake, model: str = "model", dataset_id: str = "") -> Met
         corr_pearson=pearson_metric(rv, fv),
         n_real=rv.shape[0], n_fake=fv.shape[0],
         seq_len=rv.shape[1], dim=rv.shape[2],
-        dataset_id=dataset_id,
         low_confidence=min(rv.shape[0], fv.shape[0]) < LOW_CONFIDENCE_N,
     )
 
@@ -157,11 +155,9 @@ def format_metric(x: float) -> str:
     return f"{float(x):.2e}"
 
 
-def emit_report(reports, path) -> None:
-    """Write one or more reports as CSV rows under the fixed schema."""
-    if isinstance(reports, MetricReport):
-        reports = [reports]
+def emit_report(report: MetricReport, path) -> None:
+    """Write a report as CSV rows, one per dimension, under the fixed schema."""
     store.write_csv(path, REPORT_HEADER.split(","),
                     [[row["model"], str(row["dim"])]
                      + [format_metric(row[k]) for k in ("p05", "avg", "p95", "qvar", "corr")]
-                     for rep in reports for row in rep.rows()])
+                     for row in report.rows()])

@@ -125,7 +125,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path) -> tuple[list, list]:
-    """Return (header, rows) of string cells, skipping blank lines.
+    """Return (header, rows) of string cells, skipping blank lines and a
+    leading UTF-8 byte-order mark (as spreadsheet "CSV UTF-8" exports write).
 
     Bytes that are not UTF-8, an empty file, a row whose field count
     differs from the header's and a field the csv module cannot parse raise
@@ -134,11 +135,13 @@ def read_csv(path) -> tuple[list, list]:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # offsets count from past a leading byte-order mark, which the codec strips
+        start = exc.start + len(raw) - len(exc.object)
+        line = raw.count(b"\n", 0, start) + 1
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} "
-                        f"at byte {exc.start})") from None
+                        f"at byte {start})") from None
     header, rows = None, []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:

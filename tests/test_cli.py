@@ -78,6 +78,8 @@ def test_merge_override_and_reject_unknown():
         merge_config(DEFAULT_CONFIG, {"data": {"nope": 1}})
     with pytest.raises(ConfigError, match="must be an object"):
         merge_config(DEFAULT_CONFIG, {"data": 5})
+    with pytest.raises(ConfigError, match="unknown config key 'hedge.maturity'"):
+        merge_config(DEFAULT_CONFIG, {"hedge": {"maturity": 0.5}})   # the window span
 
 
 def test_train_block_accepts_any_trainconfig_field():
@@ -100,11 +102,11 @@ NAN, INF = float("nan"), float("inf")
     {"data": {"quantile_level": 0.0}},
     {"eval": {"n_samples": 1}},
     {"hedge": {"case": "digital"}},
-    {"hedge": {"maturity": -0.5}},
+    {"generator": {"train": {"critic_lr": -0.5}}},
     {"hedge": {"strike": NAN}},
     {"generator": {"train": {"lr": NAN}}},
     {"generator": {"train": {"clip_norm": INF}}},
-    {"hedge": {"maturity": INF}},
+    {"hedge": {"train": {"critic_lr": INF}}},
     {"generator": {"train": {"iterations": 2.5}}},
     {"generator": {"train": {"hidden": 2.0}}},
     {"generator": {"train": {"batch_size": True}}},
@@ -125,7 +127,7 @@ NAN, INF = float("nan"), float("inf")
     {"eval": {"normalized": "x"}},
     {"hedge": {"rebase": "no"}},
     {"hedge": {"strike": True}},
-    {"hedge": {"maturity": True}},
+    {"generator": {"train": {"critic_lr": True}}},
 ])
 def test_validate_rejects_bad_values(patch):
     cfg = merge_config(DEFAULT_CONFIG, patch)
@@ -307,6 +309,26 @@ def test_eval_rejects_window_mismatch(tmp_path, dataset):
                      "--out", str(tmp_path / "run")]) == 3
 
 
+@pytest.mark.parametrize("command", ["eval-gen", "hedge"])
+def test_columns_in_another_order_exit_3(tmp_path, dataset, capsys, command):
+    """The same prices with their columns swapped would score and hedge each
+    commodity against the checkpoint's paths of another."""
+    ds, csv = dataset
+    train_out = tmp_path / "train"
+    cfg = write_config(tmp_path / "t.json", data={"dataset": str(ds)})
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(train_out)]) == 0
+    header, rows = store.read_csv(csv)
+    swapped = tmp_path / "swapped.csv"
+    store.write_csv(swapped, [header[0], header[2], header[1]],
+                    [[r[0], r[2], r[1]] for r in rows])
+    cfg = write_config(tmp_path / "s.json", data={"source": str(swapped), "window": 12},
+                       generator={"checkpoint": str(train_out / "generator.json")},
+                       hedge={"underlying": "c0", "train": {"iterations": 2, "batch_size": 8}})
+    assert_one_line_exit_3([command, "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, "dataset windows are 12 steps of ['c1', 'c0'] but the "
+                                   "checkpoint generates 12 steps of ['c0', 'c1']")
+
+
 def divergent_config(tmp_path, scale=1.0):
     """A train-gen config whose training aborts: raw-scale reconstruction on
     ~1e4 levels blows past the divergence limit.  At `scale` 1e200 the
@@ -454,22 +476,55 @@ def assert_one_line_exit_3(argv, capsys, needle):
     assert needle in err
 
 
-@pytest.mark.parametrize("corrupt,needle", [
-    (_truncate, "not valid JSON"),
-    (_replace_with_directory, "Is a directory"),
-    (_edit(dim=None), "lacks key 'dim'"),
-    (_edit(format="commodgen-dataset"), "not a generator checkpoint"),
-    (_edit(version=7), "unsupported generator checkpoint version 7"),
-    (_edit(kind="VAE"), "kind 'VAE'"),
-    (_edit(start_levels={"shape": [2]}), "lacks key 'data'"),
-    (_edit(cfg={"lr": "fast"}), "malformed generator checkpoint"),
-    (_edit_cfg(lr=NAN), "not valid JSON (NaN is not a JSON number)"),
-    (_edit_cfg(iterations=2.5), "malformed generator checkpoint"),
+def _edit_params(changes):
+    """Drop (None) or replace named parameters of a checkpoint."""
+    def apply(path):
+        raw = store.read_json(path)
+        for name, value in changes.items():
+            if value is None:
+                del raw["params"][name]
+            else:
+                raw["params"][name] = value
+        store.write_json(path, raw)
+    return apply
+
+
+def train_checkpoint(tmp_path, ds, kind: str):
+    """A generator checkpoint of `kind`, briefly trained on the dataset `ds`."""
+    out = tmp_path / f"train-{kind}"
+    cfg = write_config(tmp_path / f"{kind}.json", data={"dataset": str(ds)},
+                       generator={"kind": kind, "train": {"iterations": 1, "batch_size": 32,
+                                                          "hidden": 4, "bins": 1}})
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "generator.json"
+
+
+@pytest.mark.parametrize("kind,corrupt,needle", [
+    ("GBM", _truncate, "not valid JSON"),
+    ("GBM", _replace_with_directory, "Is a directory"),
+    ("GBM", _edit(dim=None), "lacks key 'dim'"),
+    ("GBM", _edit(format="commodgen-dataset"), "not a generator checkpoint"),
+    ("GBM", _edit(version=7), "unsupported generator checkpoint version 7"),
+    ("GBM", _edit(kind="VAE"), "kind 'VAE'"),
+    ("GBM", _edit(start_levels={"shape": [2]}), "lacks key 'data'"),
+    ("GBM", _edit(cfg={"lr": "fast"}), "malformed generator checkpoint"),
+    ("GBM", _edit_cfg(lr=NAN), "not valid JSON (NaN is not a JSON number)"),
+    ("GBM", _edit_cfg(iterations=2.5), "malformed generator checkpoint"),
+    ("CEGEN", _edit_params({"drift.b0": None}), "CEGEN checkpoint lacks parameter 'drift.b0'"),
+    ("CEGEN", _edit_params({"drift.w0": None}), "CEGEN checkpoint lacks parameter 'drift.w0'"),
+    ("CEGEN", _edit_params({"drift.w0": {"shape": [2, 2], "data": [0.0] * 4}}),
+     "parameter 'drift.w0' has shape (2, 2), but a CEGEN of this cfg and dim 2 registers (3, 4)"),
+    ("CEGEN", _edit_cfg(layers=1), "parameter 'diff.b2' is not registered by a CEGEN"),
+    ("CEGEN", _edit(cegen_scale={"shape": [3], "data": [1.0] * 3}),
+     "CEGEN checkpoint needs a 'cegen_scale' block of shape (2,)"),
 ], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
-        "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg"])
+        "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg",
+        "no-bias", "no-weight", "weight-shape", "cfg-layers", "cegen-scale"])
 @pytest.mark.parametrize("command", ["eval-gen", "hedge"])
-def test_malformed_checkpoint_exits_3(tmp_path, gbm_runs, capsys, corrupt, needle, command):
-    ds, checkpoint, _ = gbm_runs
+def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, needle,
+                                      command):
+    ds, _ = dataset
+    checkpoint = train_checkpoint(tmp_path, ds, kind)
     corrupt(checkpoint)
     cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},
                        generator={"checkpoint": str(checkpoint)},

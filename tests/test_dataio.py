@@ -20,13 +20,15 @@ class TestLoadCsv:
         assert table.dates[0].isoformat() == "2021-01-04"
         np.testing.assert_array_equal(table.columns["gas"], [10.0, 10.5])
 
-    def test_schema_reorders_and_validates(self, tmp_path):
-        p = write_csv(tmp_path, "date,coal,gas\n2021-01-04,51.0,10.0\n2021-01-05,52.0,10.5\n")
-        table = load_csv(p, schema=["gas", "coal"])
-        assert table.names == ["gas", "coal"]
-        np.testing.assert_array_equal(table.values[:, 0], [10.0, 10.5])
-        with pytest.raises(DataError, match="do not match"):
-            load_csv(p, schema=["gas", "oil"])
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "date,gas,coal\n2021-01-05,10.5,52.0\n2021-01-04,10.0,51.0\n"
+        plain = load_csv(write_csv(tmp_path, text))
+        p = tmp_path / "excel.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())     # as "CSV UTF-8" exports write
+        marked = load_csv(p)
+        assert marked.names == plain.names == ["gas", "coal"]
+        assert marked.dates == plain.dates
+        np.testing.assert_array_equal(marked.values, plain.values)
 
     @pytest.mark.parametrize("text,fragment", [
         ("gas,coal\n1,2\n", "first column must be 'date'"),

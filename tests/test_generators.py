@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from commodgen.generators import (GeneratorModel, LossCurve, TrainConfig,
                                   TrainingError, check_loss, load_checkpoint,
                                   save_checkpoint, train_generator)
 from commodgen.hedging import HedgingSpec, Payoff, train_hedger
-from commodgen.losses import TransitionBinning, transition_moment_loss
+from commodgen.losses import transition_moment_loss
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
 from commodgen import store
@@ -192,7 +194,7 @@ def test_cegen_sample_transition_loss_tracks_real():
     data = gbm_batch(n=1000, seq_len=10, sigma=0.3, seed=5)
     model, _ = train_generator("CEGEN", data, TrainConfig(iterations=150, batch_size=128))
     fake = model.sample(1000, seed=13)
-    out = transition_moment_loss(data.values, fake.values, TransitionBinning(bins=5))
+    out = transition_moment_loss(data.values, fake.values, bins=5)
     assert out.value.item() < 1.0
     assert out.used_buckets > 0
 
@@ -408,7 +410,7 @@ def test_checkpoint_roundtrip_preserves_sampling(tmp_path, kind):
     model, _ = train_generator(kind, norm.apply(data), tiny_cfg(), normalizer=norm)
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path, expect_kind=kind)
+    loaded = load_checkpoint(path)
     assert loaded.kind == kind
     assert loaded.labels == model.labels
     a = model.sample(6, seed=21).values
@@ -420,8 +422,29 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
     model, _ = train_generator("GBM", gbm_batch(32), tiny_cfg(iterations=1))
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
-    with pytest.raises(DataError, match="kind"):
-        load_checkpoint(path, expect_kind="CEGEN")
+    raw = store.read_json(path)
+    raw["kind"] = "CEGEN"           # a GBM's contents under another kind
+    store.write_json(path, raw)
+    with pytest.raises(DataError, match="CEGEN checkpoint lacks parameter"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind,edit,needle", [
+    ("COTGAN", lambda raw: raw["params"].pop("critic.h.wz"),
+     "COTGAN checkpoint lacks parameter 'critic.h.wz'"),
+    ("SIGGAN", lambda raw: raw.update(sig_pool={"shape": [2, 2, 1], "data": [1.0] * 4}),
+     "SIGGAN checkpoint needs a 'sig_pool' block of shape (n >= 1, 3, 1)"),
+    ("GBM", lambda raw: raw.update(gbm=None), "GBM checkpoint needs a 'gbm' block"),
+], ids=["critic", "sig-pool", "gbm"])
+def test_checkpoint_rejects_contents_another_cfg_would_have(tmp_path, kind, edit, needle):
+    model, _ = train_generator(kind, gbm_batch(32), tiny_cfg(iterations=1))
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    raw = store.read_json(path)
+    edit(raw)
+    store.write_json(path, raw)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_version_or_format(tmp_path):

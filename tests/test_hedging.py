@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from commodgen.autodiff import ParamSet
+from commodgen.autodiff import ParamSet, no_grad
 from commodgen.dataio import DataError, PathBatch
 from commodgen.generators import TrainConfig, save_checkpoint, train_generator
 from commodgen.hedging import (HEDGE_EXPORT_HEADER, HedgerPolicy, HedgingSpec,
                                Payoff, bs_delta_strategy, eval_hedger,
-                               load_hedger, policy_controls, rebase_batch,
+                               load_hedger, rebase_batch,
                                replicate_terminal, save_hedger, train_hedger,
                                write_hedge_export)
 from commodgen.rng import rng_for
@@ -38,6 +38,23 @@ class TwoStateSampler:
         end = np.where(up, 2.0, 0.5)
         values = np.stack([np.ones(n), end], axis=1)[:, :, None]
         return PathBatch(values=values, labels=["s"], dt=1.0)
+
+
+def positions(policy, prices, spec):
+    """Every position `replicate_terminal` takes, as an (n, N, n_tradable) array."""
+    taken, controls = [], policy.controls
+
+    def record(t_frac, v):
+        taken.append(controls(t_frac, v))
+        return taken[-1]
+
+    policy.controls = record
+    try:
+        with no_grad():
+            replicate_terminal(policy, prices, spec)
+    finally:
+        del policy.controls
+    return np.stack([p.data for p in taken], axis=1)
 
 
 def call_spec(strike=1.0, **over):
@@ -179,19 +196,12 @@ def test_train_and_test_losses_agree_on_matching_law():
     test = simulate_gbm(params, 2000, 10, np.array([1.0]), seed=9)
     spec = call_spec(strike=1.0, maturity=9 / 252, s0=np.array([1.0]))
     cfg = TrainConfig(iterations=150, batch_size=128, lr=1e-2, hidden=16, seed=1)
-    policy, train_curve, test_curve = train_hedger(sampler, spec, cfg,
-                                                   test_data=test, eval_every=25)
+    policy, train_curve, test_curve = train_hedger(sampler, spec, cfg, test_data=test)
     assert len(test_curve) >= 6
     # same law on both sides: no meaningful generalization gap
     train_tail = np.mean(train_curve.gen_loss[-20:])
     assert test_curve.gen_loss[-1] < 2.0 * train_tail
     assert test_curve.gen_loss[-1] < test_curve.gen_loss[0]
-
-
-def test_eval_every_validated():
-    with pytest.raises(DataError):
-        train_hedger(TwoStateSampler(), call_spec(), TrainConfig(iterations=1),
-                     eval_every=0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +248,11 @@ def test_positions_ignore_future_prices():
     policy = fresh_policy(hidden=6, layers=2)
     spec = call_spec()
     batch = price_batch(n=16, seq_len=10, seed=6)
-    before = policy_controls(policy, batch, spec)
+    before = positions(policy, batch, spec)
     bumped = batch.values.copy()
     bumped[:, 6:, :] *= 1.9  # strictly after t_5
-    after = policy_controls(policy, PathBatch(values=bumped, labels=batch.labels,
-                                              dt=batch.dt), spec)
+    after = positions(policy, PathBatch(values=bumped, labels=batch.labels,
+                                        dt=batch.dt), spec)
     assert np.array_equal(before[:, :6, :], after[:, :6, :])
     assert not np.array_equal(before[:, 6:, :], after[:, 6:, :])
 
@@ -253,12 +263,12 @@ def test_proxy_policy_never_sees_untradable_dim():
                        tradable=(1,), maturity=1.0)
     policy = fresh_policy(n_tradable=1)
     batch = price_batch(n=12, seq_len=6, d=2, seed=7)
-    controls = policy_controls(policy, batch, spec)
+    controls = positions(policy, batch, spec)
     assert controls.shape == (12, 5, 1)
     bumped = batch.values.copy()
     bumped[:, :, 0] *= 3.0  # perturb the non-tradable dimension everywhere
-    again = policy_controls(policy, PathBatch(values=bumped, labels=batch.labels,
-                                              dt=batch.dt), spec)
+    again = positions(policy, PathBatch(values=bumped, labels=batch.labels,
+                                        dt=batch.dt), spec)
     assert np.array_equal(controls, again)
 
 
@@ -324,8 +334,8 @@ def test_hedger_checkpoint_roundtrip(tmp_path):
     loaded, spec2, cfg2 = load_hedger(path)
     assert spec2.payoff == spec.payoff and cfg2 == cfg
     batch = TwoStateSampler().sample(50, seed=77)
-    assert np.array_equal(policy_controls(policy, batch, spec),
-                          policy_controls(loaded, batch, spec2))
+    assert np.array_equal(positions(policy, batch, spec),
+                          positions(loaded, batch, spec2))
     assert float(loaded.premium().data) == float(policy.premium().data)
 
 

@@ -5,9 +5,8 @@ from commodgen import losses
 from commodgen.autodiff import NumericOverflowError, ParamSet, Tensor
 from commodgen.dataio import DataError
 from commodgen.losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
-                              TransitionBinning, causal_transport_losses,
-                              martingale_defect, sinkhorn_divergence,
-                              transition_moment_loss)
+                              causal_transport_losses, martingale_defect,
+                              sinkhorn_divergence, transition_moment_loss)
 from commodgen.stochastic import GbmParams, simulate_gbm
 
 
@@ -159,16 +158,10 @@ class TestCausalTransport:
         fake = 1.0 + 0.1 * rng.standard_normal((n, seq_len, d)).cumsum(axis=1)
         return real, fake
 
-    def test_no_critic_reduces_to_raw_sinkhorn(self):
-        real, fake = self.make_batches()
-        gen, critic_loss, sv = causal_transport_losses(real, fake, critic=None)
-        direct = sinkhorn_divergence(real, fake)
-        assert gen.item() == direct.value.item()
-        assert critic_loss.item() == -gen.item()
-
     def test_identical_batches_zero_loss(self):
         real, _ = self.make_batches()
-        gen, _, _ = causal_transport_losses(real, real.copy(), critic=None,
+        critic = CausalCritic(ParamSet(seed=3), dim=2, feature_dim=4, hidden=8)
+        gen, _, _ = causal_transport_losses(real, real.copy(), critic,
                                             cfg=SinkhornConfig(causal_weight=0.0))
         assert abs(gen.item()) <= 1e-8
 
@@ -224,6 +217,11 @@ class TestCausalTransport:
         assert martingale_defect(Tensor(h), Tensor(m)).item() > 0.0
 
 
+def sig_loss(metric, pasts, fake_futures):
+    """The metric's loss of fakes grown from the pasts it was fitted on."""
+    return metric.loss_given_prediction(metric.fitted, pasts[:, -1:, :], fake_futures)
+
+
 class TestConditionalSigMetric:
     def make_pairs(self, seed=0, n=40, p=3, q=3, d=1):
         rng = np.random.default_rng(seed)
@@ -236,23 +234,24 @@ class TestConditionalSigMetric:
         # so the loss against exact copies sits at numerical zero
         pasts, _ = self.make_pairs(n=30)
         futures = np.repeat(pasts[:, -1:, :], 3, axis=1)
-        loss = ConditionalSigMetric(depth=3).fit(pasts, futures).loss(pasts, futures.copy())
+        metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
+        loss = sig_loss(metric, pasts, futures.copy())
         assert loss.item() <= 1e-8
 
     def test_matched_futures_beat_scaled_futures(self):
         pasts, futures = self.make_pairs(n=60)
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
-        good = metric.loss(pasts, futures.copy()).item()
-        bad = metric.loss(pasts, futures * 2.0).item()
+        good = sig_loss(metric, pasts, futures.copy()).item()
+        bad = sig_loss(metric, pasts, futures * 2.0).item()
         assert good < bad
         assert bad > 0.0
 
     def test_monte_carlo_axis_supported(self):
         pasts, futures = self.make_pairs(n=20)
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
-        single = metric.loss(pasts, futures.copy())
+        single = sig_loss(metric, pasts, futures.copy())
         tiled = np.repeat(futures[:, None, :, :], 4, axis=1)
-        multi = metric.loss(pasts, tiled)
+        multi = sig_loss(metric, pasts, tiled)
         np.testing.assert_allclose(multi.item(), single.item(), rtol=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -260,14 +259,15 @@ class TestConditionalSigMetric:
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
         f0 = futures.copy()
         ft = Tensor(f0.copy(), requires_grad=True)
-        metric.loss(pasts, ft).backward()
+        sig_loss(metric, pasts, ft).backward()
         grad = ft.grad
         h = 1e-6
         for idx in [(0, 0, 0), (5, 2, 0), (11, 1, 0)]:
             up, dn = f0.copy(), f0.copy()
             up[idx] += h
             dn[idx] -= h
-            fd = (metric.loss(pasts, up).item() - metric.loss(pasts, dn).item()) / (2 * h)
+            fd = (sig_loss(metric, pasts, up).item()
+                  - sig_loss(metric, pasts, dn).item()) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0)
 
     def test_gradient_matches_central_differences_everywhere(self):
@@ -277,13 +277,14 @@ class TestConditionalSigMetric:
         rng = np.random.default_rng(3)
         f0 = futures[:, None] + 0.05 * rng.standard_normal((6, 2, 3, 2))
         ft = Tensor(f0.copy(), requires_grad=True)
-        metric.loss(pasts, ft).backward()
+        sig_loss(metric, pasts, ft).backward()
         h = 1e-6
         for idx in np.ndindex(f0.shape):
             up, dn = f0.copy(), f0.copy()
             up[idx] += h
             dn[idx] -= h
-            fd = (metric.loss(pasts, up).item() - metric.loss(pasts, dn).item()) / (2 * h)
+            fd = (sig_loss(metric, pasts, up).item()
+                  - sig_loss(metric, pasts, dn).item()) / (2 * h)
             assert abs(ft.grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3)
 
     def test_fit_in_row_blocks_equals_one_block(self, monkeypatch):
@@ -298,7 +299,10 @@ class TestConditionalSigMetric:
         pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
         assert metric.fitted.shape == (200, metric.weights.shape[1])
-        assert np.array_equal(metric.fitted, metric.predict(pasts))
+        # the prediction on the whole batch of pasts at once
+        phi = losses._signature_block(pasts, 3)
+        design = np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
+        assert np.array_equal(metric.fitted, design @ metric.weights)
 
     def test_shape_validation(self):
         pasts, futures = self.make_pairs()
@@ -306,14 +310,14 @@ class TestConditionalSigMetric:
             ConditionalSigMetric(depth=2).fit(pasts[:5], futures)
         metric = ConditionalSigMetric(depth=2).fit(pasts, futures)
         with pytest.raises(DataError):
-            metric.loss(pasts, futures[:3])
+            sig_loss(metric, pasts, futures[:3])
 
 
 class TestTransitionMoments:
     def test_identical_batches_exact_zero(self):
         rng = np.random.default_rng(0)
         batch = rng.standard_normal((60, 8, 2)).cumsum(axis=1)
-        out = transition_moment_loss(batch, batch.copy(), TransitionBinning(bins=5))
+        out = transition_moment_loss(batch, batch.copy(), bins=5)
         assert out.value.item() == 0.0
         assert out.used_buckets > 0
 
@@ -321,7 +325,7 @@ class TestTransitionMoments:
         rng = np.random.default_rng(1)
         real = rng.standard_normal((50, 6, 1)).cumsum(axis=1)
         fake = rng.standard_normal((50, 6, 1)).cumsum(axis=1)
-        out = transition_moment_loss(real, fake, TransitionBinning(bins=1))
+        out = transition_moment_loss(real, fake, bins=1)
         # hand-rolled unconditional mean/var matching
         expected = 0.0
         for t in range(5):
@@ -345,7 +349,7 @@ class TestTransitionMoments:
     def test_small_buckets_skipped_and_counted(self):
         real = np.ones((10, 3, 1)) * np.linspace(1, 2, 10)[:, None, None]
         fake = np.ones((3, 3, 1))  # all fake paths land in one bucket
-        out = transition_moment_loss(real, fake, TransitionBinning(bins=5))
+        out = transition_moment_loss(real, fake, bins=5)
         assert out.skipped_buckets > 0
 
     def test_gradient_matches_finite_differences(self):
@@ -377,10 +381,9 @@ class TestTransitionMoments:
         real = rng.standard_normal((n_real, seq_len, dim)).cumsum(axis=1)
         fake = rng.standard_normal((n_fake, seq_len, dim)).cumsum(axis=1)
         fake[:, 1:] += shift * np.arange(1, seq_len)[:, None]
-        binning = TransitionBinning(bins=bins)
         for scale in (1.0, 1.7):    # a unit and a non-unit output gradient
             fused_t = Tensor(fake.copy(), requires_grad=True)
-            fused = transition_moment_loss(real, fused_t, binning)
+            fused = transition_moment_loss(real, fused_t, bins)
             (fused.value * scale).backward()
             ref_t = Tensor(fake.copy(), requires_grad=True)
             ref = reference_transition_loss(real, ref_t, bins)
@@ -392,7 +395,7 @@ class TestTransitionMoments:
         assert fused.used_buckets > 0
         if shift:
             assert fused.skipped_buckets > 0
-        constant = transition_moment_loss(real, fake, binning)   # ndarray: no graph
+        constant = transition_moment_loss(real, fake, bins)   # ndarray: no graph
         assert np.array_equal(constant.value.data, ref.value.data)
         assert not constant.value.requires_grad and constant.value._parents == ()
 
@@ -410,7 +413,7 @@ class TestTransitionMoments:
         with pytest.raises(DataError):
             transition_moment_loss(np.ones((5, 4, 1)), np.ones((5, 4, 2)))
         with pytest.raises(ValueError):
-            TransitionBinning(bins=0)
+            transition_moment_loss(np.ones((5, 4, 1)), np.ones((5, 4, 1)), bins=0)
 
 
 def reference_logsumexp(t, axis):

@@ -170,16 +170,6 @@ def test_emit_and_read_report_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_emit_report_accepts_multiple_models(tmp_path):
-    a = metric_report(random_batch(n=25), random_batch(n=25, seed=5), model="GBM")
-    b = metric_report(random_batch(n=25), random_batch(n=25, seed=6), model="TSGAN")
-    path = tmp_path / "joint.csv"
-    emit_report([a, b], path)
-    header, rows = store.read_csv(path)
-    assert header == REPORT_HEADER.split(",")
-    assert [r[0] for r in rows] == ["GBM"] * 3 + ["TSGAN"] * 3
-
-
 def test_unit_scaling_is_unit_invariant():
     real, fake = random_batch(seed=1) + 5.0, random_batch(seed=2) + 5.0
     r1, f1 = unit_scale_pair(real, fake)

@@ -25,6 +25,7 @@ def test_read_csv_rejects_ragged_empty_and_non_utf8(tmp_path):
         (b"", "t.csv:1: file is empty"),
         (b"\n \n", "t.csv:1: file is empty"),
         (b"a,b\n1,2\n\xff\xfe,3\n", "t.csv:3: not UTF-8"),
+        (b"\xef\xbb\xbfa,b\n1,2\n\xff\xfe,3\n", r"t.csv:3: not UTF-8 .* at byte 11\)"),
         (b"a,b\n\"" + b"x" * 200_000, "t.csv:2: field larger than field limit"),
     ]:
         path.write_bytes(content)
