@@ -580,15 +580,14 @@ class ParamSet:
         return grads
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Overwrite registered parameters with `state`'s values; a name that
+        is not registered raises KeyError and a changed shape ValueError."""
         for name, value in state.items():
             value = np.asarray(value, dtype=np.float64)
-            if name in self._params:
-                if self._params[name].data.shape != value.shape:
-                    raise ValueError(f"parameter '{name}' shape mismatch: "
-                                     f"{self._params[name].data.shape} != {value.shape}")
-                self._params[name].data = value.copy()
-            else:
-                self.add(name, value)
+            if self._params[name].data.shape != value.shape:
+                raise ValueError(f"parameter '{name}' shape mismatch: "
+                                 f"{self._params[name].data.shape} != {value.shape}")
+            self._params[name].data = value.copy()
 
 
 ADAM_BETA1 = 0.9

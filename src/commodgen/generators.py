@@ -2,7 +2,7 @@
 
 All five kinds share one interface: `train_generator(kind, data, cfg)` on a
 normalized PathBatch returns a GeneratorModel plus its LossCurve, and
-`model.sample(n, seed, s0)` emits denormalized paths.  The kinds are:
+`model.sample(n, seed)` emits denormalized paths.  The kinds are:
 
 * GBM    - calibrated driftless geometric Brownian motion, no gradients;
 * CEGEN  - neural drift/diffusion Euler scheme trained on conditional
@@ -16,8 +16,10 @@ normalized PathBatch returns a GeneratorModel plus its LossCurve, and
            noise) to q future steps, trained on the conditional signature
            metric and rolled out autoregressively.
 
-Training is deterministic per (data, cfg, seed): every random draw comes
-from a named counter-based stream, so reruns produce identical parameters.
+Each model's nets are built once, by its trainer or by the checkpoint
+decoder, and `sample()` runs the training rollout on them.  Training is
+deterministic per (data, cfg, seed): every random draw comes from a named
+counter-based stream, so reruns produce identical parameters.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ class GeneratorModel:
     labels: list[str]
     dt: float
     start_levels: np.ndarray
+    params: ParamSet | None     # None for GBM, as are the nets
+    nets: dict | None           # the kind's nets over `params`, by role
     normalizer: Normalizer | None = None
-    params: ParamSet | None = None
     gbm: GbmParams | None = None
     sig_pool: np.ndarray | None = None
     cegen_scale: np.ndarray | None = None
@@ -233,81 +236,64 @@ class GeneratorModel:
 
     # -- sampling -------------------------------------------------------------
 
-    def sample(self, n: int, seed: int, s0=None) -> PathBatch:
+    def sample(self, n: int, seed: int) -> PathBatch:
         """Draw n paths of shape (n, seq_len, dim), denormalized.
 
-        Deterministic per (model, n, seed).  With `s0`, every path is
-        rescaled so its first time slice equals s0 exactly.
+        Deterministic per (model, n, seed).
         """
         if n < 1:
             raise DataError(f"n must be >= 1, got {n}")
-        values = self._sample_normalized(n, seed)
-        if self.normalizer is not None:
-            values = self.normalizer.invert(
-                PathBatch(values=values, labels=self.labels, dt=self.dt)).values
-        if s0 is not None:
-            s0 = np.atleast_1d(np.asarray(s0, dtype=np.float64))
-            if s0.shape != (self.dim,):
-                raise DataError(f"s0 dimension mismatch: got shape {s0.shape}, "
-                                f"model has {self.dim} dimensions")
-            starts = values[:, :1, :]
-            # guard untrained generators whose paths may start at ~0
-            safe = np.where(np.abs(starts) < 1e-12, 1e-12, starts)
-            values = values * (s0 / safe)
-            values[:, 0, :] = s0
-        return PathBatch(values=values, labels=self.labels, dt=self.dt)
+        batch = PathBatch(values=self._sample_normalized(n, seed), labels=self.labels,
+                          dt=self.dt)
+        return batch if self.normalizer is None else self.normalizer.invert(batch)
 
     def _sample_normalized(self, n: int, seed: int) -> np.ndarray:
-        """Run the kind's training rollout under no_grad on fresh draws."""
+        """Run the kind's training rollout on the model's nets under no_grad,
+        on fresh draws."""
         if self.kind == "GBM":
             return simulate_gbm(self.gbm, n, self.seq_len, self.start_levels,
                                 seed=seed, labels=self.labels).values
-        cfg, d, seq_len = self.cfg, self.dim, self.seq_len
+        cfg, d, seq_len, nets = self.cfg, self.dim, self.seq_len, self.nets
         noise = rng_for(seed, self.kind.lower(), "sample")
         with no_grad():
             if self.kind == "CEGEN":
                 scale = self.cegen_scale
-                steps = _cegen_rollout(*_cegen_nets(self.params, d, cfg),
-                                       np.tile(self.start_levels / scale, (n, 1)),
-                                       noise.standard_normal((n, seq_len - 1, d)), self.dt)
-                return np.stack([x.data for x in steps], axis=1) * scale
+                return _cegen_rollout(nets, np.tile(self.start_levels / scale, (n, 1)),
+                                      noise.standard_normal((n, seq_len - 1, d)),
+                                      self.dt).data * scale
             if self.kind == "SIGGAN":
                 p, q = cfg.past_len, cfg.future_len
                 past = self.sig_pool[rng_for(seed, "siggan", "starts").integers(
                     0, self.sig_pool.shape[0], size=n)]
                 chunks = -(-(seq_len - p) // q)
-                steps = _siggan_rollout(_siggan_net(self.params, d, cfg), past,
-                                        noise.standard_normal((chunks, n, _noise_dim(cfg, d))))
-                return np.concatenate([past] + [x.data for x in steps], axis=1)[:, :seq_len]
+                rolled = _siggan_rollout(nets, past, noise.standard_normal(
+                    (chunks, n, _noise_dim(cfg, d))))
+                return np.concatenate([past, rolled.data], axis=1)[:, :seq_len]
             z = noise.standard_normal((n, seq_len, _noise_dim(cfg, d)))
             if self.kind == "COTGAN":
-                cell, head = _cotgan_nets(self.params, d, cfg)
                 block = COTGAN_SAMPLE_PATHS
-                return np.concatenate([_cotgan_rollout(cell, head, z[i : i + block]).data
+                return np.concatenate([_cotgan_rollout(nets, z[i : i + block]).data
                                        for i in range(0, n, block)])
-            nets = _tsgan_nets(self.params, d, cfg)
             return _tsgan_recover(nets, _tsgan_rollout(nets, z)).data
 
 
 # ---------------------------------------------------------------------------
-# network builders and rollouts (shared by training and sampling; ParamSet
-# reuses names).  A rollout maps noise to paths; training runs it with
-# gradients, `GeneratorModel.sample` under no_grad.
+# network builders and rollouts.  A builder registers a kind's nets in a
+# fresh ParamSet (`_build_nets`); a rollout maps noise to an (n, T, d) path
+# tensor, run with gradients in training and under no_grad by `sample()`.
 
 
 def _noise_dim(cfg: TrainConfig, dim: int) -> int:
     return cfg.noise_dim if cfg.noise_dim is not None else dim
 
 
-def _cegen_nets(params: ParamSet, dim: int, cfg: TrainConfig):
-    drift = Mlp(params, "drift", 1 + dim, cfg.hidden, dim, cfg.layers)
-    diff = Mlp(params, "diff", 1 + dim, cfg.hidden, dim * dim, cfg.layers)
-    return drift, diff
+def _cegen_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
+    return {"drift": Mlp(params, "drift", 1 + dim, cfg.hidden, dim, cfg.layers),
+            "diff": Mlp(params, "diff", 1 + dim, cfg.hidden, dim * dim, cfg.layers)}
 
 
-def _cegen_rollout(drift: Mlp, diff: Mlp, x0: np.ndarray, z: np.ndarray,
-                   dt: float) -> list[Tensor]:
-    """Euler scheme from x0 (n, d) over shocks z (n, T-1, d); T slices of (n, d).
+def _cegen_rollout(nets: dict, x0: np.ndarray, z: np.ndarray, dt: float) -> Tensor:
+    """Euler scheme from x0 (n, d) over shocks z (n, T-1, d); paths (n, T, d).
 
     Each step is X + b dt + (L z) sqrt(dt) with lower-triangular L: the
     diffusion net emits a d*d block; strictly-lower entries pass through,
@@ -321,24 +307,24 @@ def _cegen_rollout(drift: Mlp, diff: Mlp, x0: np.ndarray, z: np.ndarray,
     slices = [x]
     for t in range(steps):
         inp = concat([Tensor(np.full((n, 1), t / float(steps))), x], axis=1)
-        b = drift(inp)
-        raw = diff(inp).reshape((n, dim, dim))
+        b = nets["drift"](inp)
+        raw = nets["diff"](inp).reshape((n, dim, dim))
         factor = raw * strict + raw.softplus() * eye
         shock = (factor @ Tensor(z[:, t, :]).reshape((n, dim, 1))).reshape((n, dim))
         x = x + b * dt + shock * math.sqrt(dt)
         slices.append(x)
-    return slices
+    return concat([s.reshape((n, 1, dim)) for s in slices], axis=1)
 
 
-def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig):
-    cell = RecurrentCell(params, "gen", _noise_dim(cfg, dim), cfg.hidden)
-    head = Mlp(params, "gen.out", cfg.hidden, cfg.hidden, dim, layers=1)
-    return cell, head
+def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
+    return {"cell": RecurrentCell(params, "gen", _noise_dim(cfg, dim), cfg.hidden),
+            "head": Mlp(params, "gen.out", cfg.hidden, cfg.hidden, dim, layers=1),
+            "critic": CausalCritic(params, dim, cfg.critic_features, cfg.hidden)}
 
 
-def _cotgan_rollout(cell: RecurrentCell, head: Mlp, z: np.ndarray) -> Tensor:
+def _cotgan_rollout(nets: dict, z: np.ndarray) -> Tensor:
     """Noise (n, T, noise_dim) -> paths (n, T, d)."""
-    return per_step(head, cell(Tensor(z)))
+    return per_step(nets["head"], nets["cell"](Tensor(z)))
 
 
 def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
@@ -369,14 +355,15 @@ def _tsgan_supervised_loss(nets: dict, h: Tensor) -> Tensor:
     return (gap * gap).mean()
 
 
-def _siggan_net(params: ParamSet, dim: int, cfg: TrainConfig) -> Mlp:
-    return Mlp(params, "gen", cfg.past_len * dim + _noise_dim(cfg, dim), cfg.hidden,
-               cfg.future_len * dim, cfg.layers)
+def _siggan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
+    return {"gen": Mlp(params, "gen", cfg.past_len * dim + _noise_dim(cfg, dim),
+                       cfg.hidden, cfg.future_len * dim, cfg.layers)}
 
 
-def _siggan_rollout(net: Mlp, past: np.ndarray, z: np.ndarray) -> list[Tensor]:
+def _siggan_rollout(nets: dict, past: np.ndarray, z: np.ndarray) -> Tensor:
     """Autoregressive rollout from past windows (n, p, d), one q-step chunk
-    per noise draw in z (chunks, n, noise_dim); every rolled level, (n, 1, d).
+    per noise draw in z (chunks, n, noise_dim); the rolled levels
+    (n, chunks * q, d) that follow the past.
 
     The net maps (flattened past, noise) to q increments, summed onto the
     last level.  Each chunk conditions on the values of the last p levels;
@@ -386,14 +373,14 @@ def _siggan_rollout(net: Mlp, past: np.ndarray, z: np.ndarray) -> list[Tensor]:
     level = Tensor(past[:, -1:, :])
     steps = []
     for zc in z:
-        incs = net(concat([Tensor(past.reshape(n, p * d)), Tensor(zc)], axis=1))
+        incs = nets["gen"](concat([Tensor(past.reshape(n, p * d)), Tensor(zc)], axis=1))
         q = incs.shape[1] // d
         incs = incs.reshape((n, q, d))
         for j in range(q):
             level = level + incs[:, j : j + 1, :]
             steps.append(level)
         past = np.concatenate([past] + [s.data for s in steps[-q:]], axis=1)[:, -p:, :]
-    return steps
+    return concat(steps, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +404,23 @@ def train_generator(kind: str, data: PathBatch, cfg: TrainConfig | None = None,
     return model, curve
 
 
+# each kind's builder of the nets it registers, COTGAN's critic included
+_KIND_NETS = {
+    "GBM": lambda params, dim, cfg: None,
+    "CEGEN": _cegen_nets,
+    "TSGAN": _tsgan_nets,
+    "COTGAN": _cotgan_nets,
+    "SIGGAN": _siggan_nets,
+}
+
+
+def _build_nets(kind: str, dim: int, cfg: TrainConfig):
+    """A fresh `ParamSet(cfg.seed)` and the kind's nets registered in it
+    (GBM registers none: its nets are None)."""
+    params = ParamSet(cfg.seed)
+    return params, _KIND_NETS[kind](params, dim, cfg)
+
+
 def _model_base(kind: str, data: PathBatch, cfg: TrainConfig) -> dict:
     return dict(kind=kind, cfg=cfg, seq_len=data.seq_len, dim=data.dim,
                 labels=list(data.labels), dt=data.dt,
@@ -432,14 +436,13 @@ def _train_gbm(data: PathBatch, cfg: TrainConfig):
         params = GbmParams(sigma=np.full(data.dim, 0.2), corr=np.eye(data.dim),
                            dt=data.dt)
         trained = 0
-    model = GeneratorModel(**_model_base("GBM", data, cfg), gbm=params,
-                           trained_iterations=trained)
+    model = GeneratorModel(**_model_base("GBM", data, cfg), params=None, nets=None,
+                           gbm=params, trained_iterations=trained)
     return model, LossCurve()
 
 
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
-    params = ParamSet(cfg.seed)
-    drift, diff = _cegen_nets(params, data.dim, cfg)
+    params, nets = _build_nets("CEGEN", data.dim, cfg)
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
     noise_rng = rng_for(cfg.seed, "cegen", "noise")
@@ -455,8 +458,7 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         mb = values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len - 1, d))
-        slices = _cegen_rollout(drift, diff, mb[:, 0, :], z, data.dt)
-        fake = concat([s.reshape((idx.size, 1, d)) for s in slices], axis=1)
+        fake = _cegen_rollout(nets, mb[:, 0, :], z, data.dt)
         out = transition_moment_loss(mb, fake, cfg.bins)
         if not out.used_buckets:
             raise TrainingError(f"training aborted: no bucket of the transition loss has "
@@ -465,15 +467,13 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
         loss = out.value
         opt.step(backprop(loss, params, it, "transition loss"))
         curve.append(it, loss.item())
-    model = GeneratorModel(**_model_base("CEGEN", data, cfg), params=params,
+    model = GeneratorModel(**_model_base("CEGEN", data, cfg), params=params, nets=nets,
                            cegen_scale=scale, trained_iterations=cfg.iterations)
     return model, curve
 
 
 def _train_cotgan(data: PathBatch, cfg: TrainConfig):
-    params = ParamSet(cfg.seed)
-    cell, head = _cotgan_nets(params, data.dim, cfg)
-    critic = CausalCritic(params, data.dim, cfg.critic_features, cfg.hidden)
+    params, nets = _build_nets("COTGAN", data.dim, cfg)
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.",))
     opt_critic = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
                            cfg.clip_norm, ("critic.",))
@@ -488,14 +488,14 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
         mb = data.values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len, _noise_dim(cfg, d)))
-        fake = _cotgan_rollout(cell, head, z)
-        gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, critic, sink)
+        fake = _cotgan_rollout(nets, z)
+        gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, nets["critic"], sink)
         # one backward serves both sides: the critic ascends the same loss
         grads = backprop(gen_loss, params, it, "transport loss")
         opt_gen.step(grads)
         opt_critic.step(grads, ascend=True)
         curve.append(it, gen_loss.item(), critic_loss.item())
-    model = GeneratorModel(**_model_base("COTGAN", data, cfg), params=params,
+    model = GeneratorModel(**_model_base("COTGAN", data, cfg), params=params, nets=nets,
                            trained_iterations=cfg.iterations)
     return model, curve
 
@@ -512,8 +512,7 @@ def _tsgan_moment_gap(fake: Tensor, mb: np.ndarray) -> Tensor:
 
 
 def _train_tsgan(data: PathBatch, cfg: TrainConfig):
-    params = ParamSet(cfg.seed)
-    nets = _tsgan_nets(params, data.dim, cfg)
+    params, nets = _build_nets("TSGAN", data.dim, cfg)
     opt_emb = Optimizer(params, cfg.lr, cfg.clip_norm, ("emb.", "rec."))
     opt_sup = Optimizer(params, cfg.lr, cfg.clip_norm, ("sup.",))
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.", "sup."))
@@ -586,7 +585,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
 
         curve.append(it, gen_loss.item() + recon_loss.item(), disc_loss.item())
 
-    model = GeneratorModel(**_model_base("TSGAN", data, cfg), params=params,
+    model = GeneratorModel(**_model_base("TSGAN", data, cfg), params=params, nets=nets,
                            trained_iterations=cfg.iterations)
     return model, curve
 
@@ -605,8 +604,7 @@ def _siggan_pairs(data: PathBatch, p: int, q: int):
 
 
 def _train_siggan(data: PathBatch, cfg: TrainConfig):
-    params = ParamSet(cfg.seed)
-    net = _siggan_net(params, data.dim, cfg)
+    params, nets = _build_nets("SIGGAN", data.dim, cfg)
     p, q = cfg.past_len, cfg.future_len
     pasts, futures = _siggan_pairs(data, p, q)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)
@@ -623,13 +621,13 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
         mc = []
         for _ in range(cfg.sig_mc_samples):
             z = noise_rng.standard_normal((1, idx.size, _noise_dim(cfg, d)))
-            future = concat(_siggan_rollout(net, mb_past, z), axis=1)
+            future = _siggan_rollout(nets, mb_past, z)
             mc.append(future.reshape((idx.size, 1, q, d)))
         fake = concat(mc, axis=1)
         loss = metric.loss_given_prediction(predicted[idx], mb_past[:, -1:, :], fake)
         opt.step(backprop(loss, params, it, "signature loss"))
         curve.append(it, loss.item())
-    model = GeneratorModel(**_model_base("SIGGAN", data, cfg), params=params,
+    model = GeneratorModel(**_model_base("SIGGAN", data, cfg), params=params, nets=nets,
                            sig_pool=data.values[:, :p, :].copy(),
                            trained_iterations=cfg.iterations)
     return model, curve
@@ -666,35 +664,32 @@ def load_checkpoint(path) -> GeneratorModel:
                                 "generator checkpoint", lambda raw: _decode_model(raw, path))
 
 
-# the nets each kind registers in its ParamSet, COTGAN's critic included
-_KIND_NETS = {
-    "GBM": lambda params, dim, cfg: None,
-    "CEGEN": _cegen_nets,
-    "TSGAN": _tsgan_nets,
-    "COTGAN": lambda params, dim, cfg: (_cotgan_nets(params, dim, cfg), CausalCritic(
-        params, dim, cfg.critic_features, cfg.hidden)),
-    "SIGGAN": _siggan_net,
-}
+def fill_params(path, params: ParamSet, state: dict, kind: str, dim: int) -> None:
+    """Load a checkpoint's parameter blocks `state` into `params`, in which
+    the nets of a `kind` of the stored cfg and `dim` have just registered.
+
+    Refuses, naming the file, a name they register that `state` lacks, a
+    name they do not register and a block of another shape; nothing is
+    loaded unless every name and shape matches.
+    """
+    arrays = {name: store.block_array(block) for name, block in state.items()}
+    for name in sorted(set(params.names()) | set(arrays)):
+        if name not in arrays:
+            raise DataError(f"{path}: {kind} checkpoint lacks parameter '{name}'")
+        if name not in params:
+            raise DataError(f"{path}: parameter '{name}' is not registered by a {kind} "
+                            f"of this cfg")
+        if arrays[name].shape != params[name].data.shape:
+            raise DataError(f"{path}: parameter '{name}' has shape {arrays[name].shape}, "
+                            f"but a {kind} of this cfg and dim {dim} registers "
+                            f"{params[name].data.shape}")
+    params.load_state(arrays)
 
 
 def _check_fit(path, model: GeneratorModel) -> None:
-    """Refuse a loaded model whose contents disagree with its kind, `cfg` and
-    `dim`: exactly the parameter names and shapes the kind's nets register,
-    and the kind's own block, each of `dim` dimensions."""
+    """Refuse a loaded model whose own block disagrees with its kind, `cfg`
+    and `dim` (its parameters are checked by `fill_params`)."""
     kind, cfg, dim = model.kind, model.cfg, model.dim
-    expected = ParamSet(cfg.seed)
-    _KIND_NETS[kind](expected, dim, cfg)
-    shapes = {} if model.params is None else {n: t.data.shape for n, t in model.params.items()}
-    for name in sorted(set(expected.names()) | set(shapes)):
-        if name not in shapes:
-            raise DataError(f"{path}: {kind} checkpoint lacks parameter '{name}'")
-        if name not in expected:
-            raise DataError(f"{path}: parameter '{name}' is not registered by a {kind} "
-                            f"of this cfg")
-        if shapes[name] != expected[name].data.shape:
-            raise DataError(f"{path}: parameter '{name}' has shape {shapes[name]}, but a "
-                            f"{kind} of this cfg and dim {dim} registers "
-                            f"{expected[name].data.shape}")
     gbm, pool, scale = model.gbm, model.sig_pool, model.cegen_scale
     own = {"GBM": ("gbm", f"of {dim} dimensions", gbm is not None and gbm.dim == dim),
            "CEGEN": ("cegen_scale", f"of shape ({dim},)",
@@ -713,20 +708,19 @@ def _decode_model(raw: dict, path) -> GeneratorModel:
         raise DataError(f"{path}: checkpoint kind '{kind}' is not a generator kind "
                         f"({', '.join(KINDS)})")
     cfg = TrainConfig.from_dict(raw["cfg"])
-    params = None
-    if raw["params"] is not None:
-        params = ParamSet(cfg.seed)
-        params.load_state({k: store.block_array(v) for k, v in raw["params"].items()})
+    dim = int(raw["dim"])
+    params, nets = _build_nets(kind, dim, cfg)
+    fill_params(path, params, raw["params"] or {}, kind, dim)
 
     def block(key):
         return None if raw[key] is None else store.block_array(raw[key])
 
     model = GeneratorModel(
-        kind=kind, cfg=cfg, seq_len=int(raw["seq_len"]), dim=int(raw["dim"]),
+        kind=kind, cfg=cfg, seq_len=int(raw["seq_len"]), dim=dim,
         labels=list(raw["labels"]), dt=float(raw["dt"]),
         start_levels=store.block_array(raw["start_levels"]),
+        params=None if nets is None else params, nets=nets,
         normalizer=None if raw["normalizer"] is None else Normalizer.from_dict(raw["normalizer"]),
-        params=params,
         gbm=None if raw["gbm"] is None else GbmParams.from_dict(raw["gbm"]),
         sig_pool=block("sig_pool"), cegen_scale=block("cegen_scale"),
         trained_iterations=raw["trained_iterations"],

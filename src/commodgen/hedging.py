@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Optimizer, ParamSet, Tensor, no_grad
 from .dataio import DataError, PathBatch
-from .generators import LossCurve, TrainConfig, backprop
+from .generators import LossCurve, TrainConfig, backprop, fill_params
 from .nets import Mlp
 from .rng import rng_for
 from .stochastic import bs_delta, bs_price
@@ -88,7 +88,7 @@ class HedgingSpec:
     payoff: Payoff
     tradable: tuple = (0,)
     maturity: float = 30.0 / 252.0
-    s0: np.ndarray | None = None    # start levels handed to the sampler
+    s0: np.ndarray | None = None    # common start every sampled path is rebased to
 
     def __post_init__(self):
         self.tradable = tuple(int(i) for i in self.tradable)
@@ -129,25 +129,24 @@ class HedgerPolicy:
     The network sees (t_j / T, tradable prices / their start levels) and
     emits one position per tradable asset, so positions at t_j are adapted
     by construction.  The premium is a single trainable scalar.  Parameters
-    live under `hedge.`.
+    are registered in `params` under `hedge.`.
     """
 
     def __init__(self, params: ParamSet, n_tradable: int, s0_tradable,
-                 hidden: int = 32, layers: int = 2):
+                 hidden: int, layers: int):
         self.params = params
         self.n_tradable = n_tradable
         self.s0_tradable = np.atleast_1d(np.asarray(s0_tradable, dtype=np.float64))
         if self.s0_tradable.shape != (n_tradable,) or np.any(self.s0_tradable <= 0):
             raise DataError("start levels must be positive, one per tradable dim")
         self.net = Mlp(params, "hedge.net", 1 + n_tradable, hidden, n_tradable, layers)
-        if "hedge.premium" not in params:
-            params.add("hedge.premium", np.zeros(()))
+        self._premium = params.add("hedge.premium", np.zeros(()))
 
     def premium(self) -> Tensor:
-        return self.params["hedge.premium"]
+        return self._premium
 
     def set_premium(self, value: float) -> None:
-        self.params["hedge.premium"].data = np.asarray(float(value))
+        self._premium.data = np.asarray(float(value))
 
     def controls(self, t_frac: float, prices: np.ndarray) -> Tensor:
         """Positions (n, n_tradable) at one hedge date."""
@@ -186,7 +185,9 @@ def rebase_batch(batch: PathBatch, s0) -> PathBatch:
         raise DataError(f"s0 shape {s0.shape} does not match batch dimension {batch.dim}")
     starts = batch.values[:, :1, :]
     if np.any(starts <= 0):
-        raise DataError("rebasing needs strictly positive start prices")
+        raise DataError(f"rebasing needs strictly positive start prices, but "
+                        f"{np.any(starts <= 0, axis=(1, 2)).sum()} of {batch.n_samples} "
+                        f"paths start at or below zero")
     values = batch.values * (s0 / starts)
     values[:, 0, :] = s0
     return PathBatch(values=values, labels=batch.labels, dt=batch.dt)
@@ -230,6 +231,10 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
                  test_data: PathBatch | None = None):
     """Fit a HedgerPolicy on fresh sampler batches every iteration.
 
+    `sampler.sample(n, seed)` returns a PathBatch of n paths, the same
+    paths for the same seed (a `GeneratorModel` is one).  With `spec.s0`
+    set, every sampled batch is rebased to it (`rebase_batch`), which
+    raises DataError when a sampled path starts at or below zero.
     Returns (policy, train_curve, test_curve); the test curve is evaluated
     on the fixed `test_data` batch every `EVAL_EVERY` iterations (and at the
     last one) when provided.  Deterministic per (sampler, spec, cfg).
@@ -237,7 +242,12 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
     cfg = cfg or TrainConfig()
     seeds = rng_for(cfg.seed, "hedger", "draws").integers(0, 2**63 - 1,
                                                           size=cfg.iterations + 1)
-    pilot = sampler.sample(cfg.batch_size, seed=int(seeds[-1]), s0=spec.s0)
+
+    def draw(seed) -> PathBatch:
+        batch = sampler.sample(cfg.batch_size, seed=int(seed))
+        return batch if spec.s0 is None else rebase_batch(batch, spec.s0)
+
+    pilot = draw(seeds[-1])
     spec.check_batch(pilot)
     params = ParamSet(cfg.seed)
     s0_tradable = pilot.values[:, 0, list(spec.tradable)].mean(axis=0)
@@ -248,7 +258,7 @@ def train_hedger(sampler, spec: HedgingSpec, cfg: TrainConfig | None = None,
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     train_curve, test_curve = LossCurve(), LossCurve()
     for it in range(cfg.iterations):
-        batch = sampler.sample(cfg.batch_size, seed=int(seeds[it]), s0=spec.s0)
+        batch = draw(seeds[it])
         g = spec.payoff.value(batch.values[:, -1, :])
         gap = replicate_terminal(policy, batch, spec) - Tensor(g)
         loss = (gap * gap).mean()
@@ -335,8 +345,8 @@ def _decode_hedger(raw: dict, path):
     cfg = TrainConfig.from_dict(raw["cfg"])
     spec = HedgingSpec.from_dict(raw["spec"])
     params = ParamSet(cfg.seed)
-    params.load_state({k: store.block_array(v) for k, v in raw["params"].items()})
     policy = HedgerPolicy(params, len(spec.tradable),
                           store.block_array(raw["s0_tradable"]),
                           hidden=cfg.hidden, layers=cfg.layers)
+    fill_params(path, params, raw["params"], HEDGER_KIND, len(spec.tradable))
     return policy, spec, cfg

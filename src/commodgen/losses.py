@@ -69,7 +69,7 @@ class SinkhornValue:
 
 def _as_points(x) -> Tensor:
     """Lift paths or feature blocks to a 2-d point cloud (n, features)."""
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    t = Tensor._lift(x)
     if t.ndim == 3:
         n, seq_len, d = t.shape
         t = t.reshape((n, seq_len * d))
@@ -168,10 +168,9 @@ def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int,
 
     At a finite iteration count the alternating schedule's value depends on
     which marginal sweeps first, so both orders are run over the shared
-    cost matrix and averaged.  Swapping x and y maps the two runs onto each
-    other, making the value exactly symmetric without any branch selection
-    that could kink the loss surface.  When x and y are the same object one
-    run suffices: on a symmetric cost the orders mirror each other.  With
+    cost matrix and averaged: two sweeps per call.  Swapping x and y maps
+    the two runs onto each other, making the value exactly symmetric
+    without any branch selection that could kink the loss surface.  With
     `measure` the violation is the larger of the runs' last-iteration
     marginal violations; without it, None.
     """
@@ -180,8 +179,6 @@ def _ot_dual_value(x: Tensor, y: Tensor, eps: float, iterations: int,
         raise DataError(f"point clouds disagree on feature size: "
                         f"{x.shape[1]} vs {y.shape[1]}")
     cost = _pairwise_sq_cost(x, y)
-    if x is y:
-        return _gs_sweeps(cost, eps, iterations, row_first=True, measure=measure)
     va, ma = _gs_sweeps(cost, eps, iterations, row_first=True, measure=measure)
     vb, mb = _gs_sweeps(cost, eps, iterations, row_first=False, measure=measure)
     return (va + vb) * 0.5, (max(ma, mb) if measure else None)
@@ -192,7 +189,8 @@ def sinkhorn_divergence(x, y, cfg: SinkhornConfig | None = None) -> SinkhornValu
 
     Accepts (n, features) clouds or (n, T, d) path batches (flattened).  The
     debiasing terms make the divergence vanish at x == y and stay
-    non-negative in practice; the value is an autodiff scalar.  The
+    non-negative in practice; the value is an autodiff scalar.  Each of the
+    three terms runs both sweep orders, so a call runs 6 sweeps.  The
     marginal violation is that of the W(x, y) plan at the last iteration.
     """
     cfg = cfg or SinkhornConfig()
@@ -216,7 +214,7 @@ class CausalCritic:
     time t only sees the path up to t.
     """
 
-    def __init__(self, params: ParamSet, dim: int, feature_dim: int = 8, hidden: int = 32):
+    def __init__(self, params: ParamSet, dim: int, feature_dim: int, hidden: int):
         self.h_cell = RecurrentCell(params, "critic.h", dim, hidden)
         self.h_head = Mlp(params, "critic.h_out", hidden, 0, feature_dim, layers=0)
         self.m_cell = RecurrentCell(params, "critic.m", dim, hidden)
@@ -248,10 +246,8 @@ def causal_transport_losses(real, fake, critic: CausalCritic,
     shared graph, so run a single backward and negate the critic gradients.
     """
     cfg = cfg or SinkhornConfig()
-    real_t = real if isinstance(real, Tensor) else Tensor(np.asarray(real, dtype=np.float64))
-    fake_t = fake if isinstance(fake, Tensor) else Tensor(np.asarray(fake, dtype=np.float64))
-    h_real, m_real = critic.features(real_t)
-    h_fake, m_fake = critic.features(fake_t)
+    h_real, m_real = critic.features(Tensor._lift(real))
+    h_fake, m_fake = critic.features(Tensor._lift(fake))
     sv = sinkhorn_divergence(h_real, h_fake, cfg)
     penalty = martingale_defect(h_fake, m_fake) - martingale_defect(h_real, m_real)
     gen_loss = sv.value + cfg.causal_weight * penalty
@@ -355,16 +351,13 @@ class ConditionalSigMetric:
 
         `predicted` holds rows of `fitted`, the regression's output on the
         pasts, and `last` the (n, 1, d) last past points the fake futures
-        grow from.  `fake_futures` is (n, q, d) or (n, mc, q, d); with a
-        Monte Carlo axis the fake signatures are averaged over it before
+        grow from.  `fake_futures` is (n, mc, q, d), mc Monte Carlo futures
+        per past: their signatures are averaged over that axis before
         comparison, which is the conditional-expectation estimate.
         """
         predicted_t = Tensor(np.asarray(predicted, dtype=np.float64))
         last = np.asarray(last, dtype=np.float64)
-        fake = fake_futures if isinstance(fake_futures, Tensor) \
-            else Tensor(np.asarray(fake_futures, dtype=np.float64))
-        if fake.ndim == 3:
-            fake = fake.reshape((fake.shape[0], 1) + tuple(fake.shape[1:]))
+        fake = Tensor._lift(fake_futures)
         if fake.ndim != 4 or fake.shape[0] != predicted_t.shape[0]:
             raise DataError(f"fake futures shape {fake.shape} does not match "
                             f"{predicted_t.shape[0]} predictions")
@@ -420,7 +413,7 @@ def transition_moment_loss(real, fake, bins: int = 5) -> TransitionLossValue:
     if bins < 1:
         raise ValueError("bins must be >= 1")
     rv = np.asarray(real, dtype=np.float64)
-    fake_t = fake if isinstance(fake, Tensor) else Tensor(np.asarray(fake, dtype=np.float64))
+    fake_t = Tensor._lift(fake)
     if rv.ndim != 3 or fake_t.ndim != 3:
         raise DataError("transition_moment_loss expects (n, T, d) batches")
     if rv.shape[1] != fake_t.shape[1] or rv.shape[2] != fake_t.shape[2]:

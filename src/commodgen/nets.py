@@ -1,11 +1,12 @@
 """Small trainable blocks: MLPs and a single-gate recurrent cell.
 
-Weights live in a shared `ParamSet` under a caller-chosen prefix; a block
-only remembers its parameter names, so checkpointing operates on the flat
-named set and an optimiser group is a set of name prefixes (`"gen."` takes
-every block registered under `gen`).  Each dense layer is one `affine` op
-and each run of a recurrent cell over a whole sequence one `gated_scan` op,
-so a cell records one graph node however long the sequence.
+A block registers its weights in a shared `ParamSet` under a caller-chosen
+prefix and keeps the tensors registration returns, so it is built once per
+parameter set: checkpointing operates on the flat named set and an optimiser
+group is a set of name prefixes (`"gen."` takes every block registered under
+`gen`).  Each dense layer is one `affine` op and each run of a recurrent
+cell over a whole sequence one `gated_scan` op, so a cell records one graph
+node however long the sequence.
 """
 
 from __future__ import annotations
@@ -21,25 +22,19 @@ class Mlp:
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, hidden: int,
-                 out_dim: int, layers: int = 2):
+                 out_dim: int, layers: int):
         if layers < 0:
             raise ValueError("layers must be >= 0")
-        self.names: list[tuple[str, str]] = []
         widths = [in_dim] + [hidden] * layers + [out_dim]
-        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            w, bias = f"{prefix}.w{i}", f"{prefix}.b{i}"
-            if w not in params:
-                params.add_xavier(w, a, b)
-                params.add_zeros(bias, (b,))
-            self.names.append((w, bias))
-        self.params = params
+        self.layers = [(params.add_xavier(f"{prefix}.w{i}", a, b),
+                        params.add_zeros(f"{prefix}.b{i}", (b,)))
+                       for i, (a, b) in enumerate(zip(widths[:-1], widths[1:]))]
 
     def __call__(self, x: Tensor) -> Tensor:
         h = x
-        for w, b in self.names[:-1]:
-            h = affine(h, self.params[w], self.params[b]).tanh()
-        w, b = self.names[-1]
-        return affine(h, self.params[w], self.params[b])
+        for w, b in self.layers[:-1]:
+            h = affine(h, w, b).tanh()
+        return affine(h, *self.layers[-1])
 
 
 class RecurrentCell:
@@ -55,16 +50,13 @@ class RecurrentCell:
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, state_dim: int):
-        self.params = params
-        for gate in ("z", "c"):
-            if f"{prefix}.w{gate}" not in params:
-                params.add_xavier(f"{prefix}.w{gate}", in_dim, state_dim)
-                params.add_xavier(f"{prefix}.u{gate}", state_dim, state_dim)
-                params.add_zeros(f"{prefix}.b{gate}", (state_dim,))
-        self.names = [f"{prefix}.{kind}{gate}" for gate in ("z", "c") for kind in "wub"]
+        self.weights = [w for gate in ("z", "c") for w in (
+            params.add_xavier(f"{prefix}.w{gate}", in_dim, state_dim),
+            params.add_xavier(f"{prefix}.u{gate}", state_dim, state_dim),
+            params.add_zeros(f"{prefix}.b{gate}", (state_dim,)))]
 
     def __call__(self, xs: Tensor) -> Tensor:
-        return gated_scan(xs, *(self.params[name] for name in self.names))
+        return gated_scan(xs, *self.weights)
 
 
 def per_step(net: Mlp, seq: Tensor) -> Tensor:

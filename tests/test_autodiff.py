@@ -468,7 +468,18 @@ class TestParamSet:
     def test_state_roundtrip(self):
         p = ParamSet(seed=1)
         p.add_xavier("w", 3, 3)
-        q = ParamSet(seed=1)
+        q = ParamSet(seed=2)
+        w = q.add_zeros("w", (3, 3))
         q.load_state({name: t.data for name, t in p.items()})
+        assert q["w"] is w
         np.testing.assert_array_equal(q["w"].data, p["w"].data)
+
+    def test_load_state_registers_no_name(self):
+        q = ParamSet()
+        q.add_zeros("w", (3, 3))
+        with pytest.raises(KeyError):
+            q.load_state({"v": np.zeros(2)})
+        with pytest.raises(ValueError, match="shape mismatch"):
+            q.load_state({"w": np.zeros((3, 2))})
+        assert q.names() == ["w"]
 

@@ -533,6 +533,19 @@ def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, 
                            capsys, needle)
 
 
+def test_hedge_on_sampled_paths_starting_at_or_below_zero_exits_3(tmp_path, dataset,
+                                                                   capsys):
+    # a head bias of -1000 makes every sampled path start far below zero
+    ds, _ = dataset
+    checkpoint = train_checkpoint(tmp_path, ds, "COTGAN")
+    _edit_params({"gen.out.b1": {"shape": [2], "data": [-1e3] * 2}})(checkpoint)
+    cfg = write_config(tmp_path / "h.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(checkpoint)},
+                       hedge={"underlying": "c0"})
+    assert_one_line_exit_3(["hedge", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, "but 128 of 128 paths start at or below zero")
+
+
 def test_hedger_container_as_generator_checkpoint_exits_3(tmp_path, gbm_runs, capsys):
     ds, _, hedger = gbm_runs
     cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},

@@ -9,7 +9,7 @@ from commodgen.dataio import DataError, PathBatch, fit_normalizer
 from commodgen.generators import (GeneratorModel, LossCurve, TrainConfig,
                                   TrainingError, check_loss, load_checkpoint,
                                   save_checkpoint, train_generator)
-from commodgen.hedging import HedgingSpec, Payoff, train_hedger
+from commodgen.hedging import HedgingSpec, Payoff, rebase_batch, train_hedger
 from commodgen.losses import transition_moment_loss
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
@@ -90,17 +90,32 @@ def test_sampling_is_deterministic_per_seed(kind):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("kind", NEURAL_KINDS)
+def test_sample_builds_no_nets(kind, monkeypatch):
+    # `sample()` runs the nets the trainer built; building them anew would
+    # need a re-attach path beside registration
+    model, _ = train_generator(kind, gbm_batch(64), tiny_cfg())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample() built a net")
+
+    monkeypatch.setattr(G, "Mlp", refuse)
+    monkeypatch.setattr(G, "RecurrentCell", refuse)
+    monkeypatch.setattr(ParamSet, "add", refuse)
+    assert model.sample(3, seed=1).values.shape == (3, 12, 1)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_s0_rebase_is_exact(kind):
     model, _ = train_generator(kind, gbm_batch(64), tiny_cfg())
-    out = model.sample(5, seed=1, s0=np.array([37.25]))
+    out = rebase_batch(model.sample(5, seed=1), np.array([37.25]))
     assert np.all(out.values[:, 0, 0] == 37.25)
 
 
 def test_s0_dimension_mismatch_rejected():
     model, _ = train_generator("GBM", gbm_batch(32), tiny_cfg())
     with pytest.raises(DataError):
-        model.sample(2, seed=0, s0=np.array([1.0, 2.0]))
+        rebase_batch(model.sample(2, seed=0), np.array([1.0, 2.0]))
 
 
 def test_sample_respects_normalizer():
@@ -144,7 +159,7 @@ def test_gbm_untrained_keeps_default_sigma():
 def test_gbm_terminal_mean_is_martingale():
     data = gbm_batch(n=128, seq_len=25, sigma=0.35, seed=9)
     model, _ = train_generator("GBM", data, tiny_cfg(iterations=1))
-    out = model.sample(10_000, seed=42, s0=np.array([1.0]))
+    out = rebase_batch(model.sample(10_000, seed=42), np.array([1.0]))
     terminal = out.values[:, -1, 0]
     stderr = terminal.std(ddof=1) / np.sqrt(terminal.size)
     assert abs(terminal.mean() - 1.0) < 3.0 * stderr
@@ -274,29 +289,28 @@ def test_siggan_rollout_covers_odd_lengths():
 
 
 def training_rollout(model, n, seed):
-    """The kind's rollout with gradients on, fed the draws `sample(n, seed)`
-    makes and assembled the way training assembles it."""
-    cfg, d, seq_len = model.cfg, model.dim, model.seq_len
+    """The kind's rollout on the model's nets with gradients on, fed the
+    draws `sample(n, seed)` makes and assembled the way training assembles it."""
+    cfg, d, seq_len, nets = model.cfg, model.dim, model.seq_len, model.nets
     noise = rng_for(seed, model.kind.lower(), "sample")
     noise_dim = d if cfg.noise_dim is None else cfg.noise_dim
     if model.kind == "CEGEN":
         x0 = np.tile(model.start_levels / model.cegen_scale, (n, 1))
-        steps = G._cegen_rollout(*G._cegen_nets(model.params, d, cfg), x0,
-                                 noise.standard_normal((n, seq_len - 1, d)), model.dt)
-        return concat([x.reshape((n, 1, d)) for x in steps], axis=1).data * model.cegen_scale
+        paths = G._cegen_rollout(nets, x0, noise.standard_normal((n, seq_len - 1, d)),
+                                 model.dt)
+        assert paths.requires_grad
+        return paths.data * model.cegen_scale
     if model.kind == "SIGGAN":
         p, q = cfg.past_len, cfg.future_len
         starts = rng_for(seed, "siggan", "starts").integers(0, len(model.sig_pool), size=n)
         past = model.sig_pool[starts]
         chunks = -(-(seq_len - p) // q)
-        steps = G._siggan_rollout(G._siggan_net(model.params, d, cfg), past,
-                                  noise.standard_normal((chunks, n, noise_dim)))
-        assert len(steps) == chunks * q and (chunks - 1) * q < seq_len - p <= chunks * q
-        return concat([Tensor(past)] + steps, axis=1).data[:, :seq_len]
+        rolled = G._siggan_rollout(nets, past, noise.standard_normal((chunks, n, noise_dim)))
+        assert rolled.shape[1] == chunks * q and (chunks - 1) * q < seq_len - p <= chunks * q
+        return concat([Tensor(past), rolled], axis=1).data[:, :seq_len]
     z = noise.standard_normal((n, seq_len, noise_dim))
     if model.kind == "COTGAN":
-        return G._cotgan_rollout(*G._cotgan_nets(model.params, d, cfg), z).data
-    nets = G._tsgan_nets(model.params, d, cfg)
+        return G._cotgan_rollout(nets, z).data
     return G._tsgan_recover(nets, G._tsgan_rollout(nets, z)).data
 
 
@@ -416,6 +430,9 @@ def test_checkpoint_roundtrip_preserves_sampling(tmp_path, kind):
     a = model.sample(6, seed=21).values
     b = loaded.sample(6, seed=21).values
     assert np.array_equal(a, b)
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from commodgen.hedging import (HEDGE_EXPORT_HEADER, HedgerPolicy, HedgingSpec,
                                load_hedger, rebase_batch,
                                replicate_terminal, save_hedger, train_hedger,
                                write_hedge_export)
+from commodgen import store
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, bs_price, simulate_gbm
 
@@ -325,18 +328,74 @@ def test_bs_strategy_rejects_proxy_and_spread():
 # checkpoints
 
 
-def test_hedger_checkpoint_roundtrip(tmp_path):
+def saved_hedger(tmp_path):
+    """A briefly trained one-asset hedger (hidden 8, one hidden layer) and
+    its checkpoint path."""
     spec = call_spec(strike=1.0)
     cfg = TrainConfig(iterations=30, batch_size=64, lr=1e-2, hidden=8, layers=1)
     policy, _, _ = train_hedger(TwoStateSampler(), spec, cfg)
     path = tmp_path / "hedger.json"
     save_hedger(policy, spec, cfg, path, trained_iterations=30)
+    return policy, spec, cfg, path
+
+
+def test_hedger_checkpoint_roundtrip(tmp_path):
+    policy, spec, cfg, path = saved_hedger(tmp_path)
     loaded, spec2, cfg2 = load_hedger(path)
     assert spec2.payoff == spec.payoff and cfg2 == cfg
     batch = TwoStateSampler().sample(50, seed=77)
     assert np.array_equal(positions(policy, batch, spec),
                           positions(loaded, batch, spec2))
     assert float(loaded.premium().data) == float(policy.premium().data)
+    again = tmp_path / "again.json"
+    save_hedger(loaded, spec2, cfg2, again, trained_iterations=30)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _edit_hedger(params=None, **cfg):
+    """Drop (None) or replace named parameters, or set `cfg` fields."""
+    def apply(raw):
+        for name, value in (params or {}).items():
+            if value is None:
+                del raw["params"][name]
+            else:
+                raw["params"][name] = value
+        raw["cfg"].update(cfg)
+    return apply
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_edit_hedger({"hedge.net.b0": None}), "hedger checkpoint lacks parameter 'hedge.net.b0'"),
+    (_edit_hedger({"hedge.premium": None}),
+     "hedger checkpoint lacks parameter 'hedge.premium'"),
+    (_edit_hedger({"hedge.net.w0": {"shape": [3, 8], "data": [0.0] * 24}}),
+     "parameter 'hedge.net.w0' has shape (3, 8), but a hedger of this cfg and dim 1 "
+     "registers (2, 8)"),
+    (_edit_hedger({"hedge.extra": {"shape": [], "data": [0.0]}}),
+     "parameter 'hedge.extra' is not registered by a hedger of this cfg"),
+    (_edit_hedger(hidden=4),
+     "parameter 'hedge.net.b0' has shape (8,), but a hedger of this cfg and dim 1 "
+     "registers (4,)"),
+], ids=["no-bias", "no-premium", "weight-shape", "extra", "cfg-hidden"])
+def test_hedger_checkpoint_refuses_parameters_its_cfg_does_not_register(tmp_path, edit,
+                                                                       needle):
+    path = saved_hedger(tmp_path)[3]
+    raw = store.read_json(path)
+    edit(raw)
+    store.write_json(path, raw)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
+        load_hedger(path)
+
+
+def test_train_hedger_refuses_sampled_starts_at_or_below_zero():
+    class SignFlipped:
+        def sample(self, n, seed):
+            batch = price_batch(n=n, seed=seed)
+            return PathBatch(values=-batch.values, labels=batch.labels, dt=batch.dt)
+
+    spec = call_spec(strike=1.0, s0=np.array([1.0]))
+    with pytest.raises(DataError, match="but 8 of 8 paths start at or below zero"):
+        train_hedger(SignFlipped(), spec, TrainConfig(iterations=2, batch_size=8))
 
 
 def test_load_hedger_rejects_generator_checkpoints(tmp_path):

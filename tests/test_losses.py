@@ -218,8 +218,12 @@ class TestCausalTransport:
 
 
 def sig_loss(metric, pasts, fake_futures):
-    """The metric's loss of fakes grown from the pasts it was fitted on."""
-    return metric.loss_given_prediction(metric.fitted, pasts[:, -1:, :], fake_futures)
+    """The metric's loss of fakes grown from the pasts it was fitted on;
+    (n, q, d) fakes are one Monte Carlo draw per past."""
+    fake = Tensor._lift(fake_futures)
+    if fake.ndim == 3:
+        fake = fake.reshape((fake.shape[0], 1) + fake.shape[1:])
+    return metric.loss_given_prediction(metric.fitted, pasts[:, -1:, :], fake)
 
 
 class TestConditionalSigMetric:
