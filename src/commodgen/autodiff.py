@@ -5,12 +5,14 @@ output gradient back to its parents.  Each op builds the routing closure at
 forward time; `backward()` topologically sorts the reachable graph and runs
 the closures once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
-sum/mean reductions, slicing, reshape/transpose and concatenation, plus two
-fused ops that cut the per-op overhead of hot paths: `affine` (a dense
-layer's x @ w + b) and `gated_scan` (a single-gate recurrent cell run over a
-whole sequence, with a backward through time).  That is enough for every
-network and loss in this package, and keeping it small keeps the gradient
-of every op individually testable.
+sum/mean reductions, slicing, reshape/transpose and concatenation, plus the
+fused op `gated_scan` (a single-gate recurrent cell run over a whole
+sequence, with a backward through time), which cuts the per-op overhead of
+a hot path.  That is enough for every network and loss in this package, and
+keeping it small keeps the gradient of every op individually testable.
+Other modules record fused ops of their own over the private helpers
+(`Tensor._result`, `_recording`, `_accumulate`, `_check_finite`): `mlp` (a
+whole `nets.Mlp`), `euler_scan` (CEGEN's Euler scheme) and the loss kernels.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
@@ -99,7 +101,7 @@ class Tensor:
         out.grad = None
         out._consumed = False
         out._op = op
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _recording(parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -269,8 +271,7 @@ class Tensor:
         return Tensor._result(data, (self,), backward, "sigmoid")
 
     def softplus(self) -> "Tensor":
-        # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|
-        data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
+        data = _softplus(self.data)
 
         def backward(g):
             _accumulate(self, g * _sigmoid(self.data))
@@ -377,6 +378,17 @@ class Tensor:
                     node.grad = None if node is not self else node.grad
 
 
+def _recording(parents) -> bool:
+    """Whether an op over `parents` records a graph node (and so whether a
+    fused op must keep the operands of its backward)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically symmetric logistic function; never overflows."""
     e = np.exp(-np.abs(x))
@@ -432,30 +444,6 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NumericOverflowError(f"non-finite result in op '{op}'")
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one op: a dense layer's pre-activation.
-
-    The forward and backward make the same numpy calls as the matmul/add
-    pair of ops they fuse, so both are bit-identical to it; matmul's shape
-    checks and messages apply unchanged.
-    """
-    x, w, b = Tensor._lift(x), Tensor._lift(w), Tensor._lift(b)
-    xd, wd = x.data, w.data
-    product = _matmul(xd, wd)
-    data = _apply("add", np.add, product, b.data)
-
-    def backward(g):
-        gp = _unbroadcast(g, product.shape)
-        if x.requires_grad:
-            _accumulate(x, _unbroadcast(np.matmul(gp, np.swapaxes(wd, -1, -2)), xd.shape))
-        if w.requires_grad:
-            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), gp), wd.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor._result(data, (x, w, b), backward, "affine")
-
-
 def gated_scan(xs: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
                wc: Tensor, uc: Tensor, bc: Tensor) -> Tensor:
     """A single-gate recurrent cell run over a sequence as one op:
@@ -481,7 +469,7 @@ def gated_scan(xs: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
     xt = np.ascontiguousarray(np.swapaxes(xs.data, 0, 1))    # each step's input contiguous
     state = np.zeros((xs.shape[0], uz.data.shape[0]))
     data = np.empty(xs.shape[:2] + state.shape[1:])
-    saved = []
+    record, saved = _recording(parents), []     # no backward operands kept unless recorded
     for t, x in enumerate(xt):
         pre = [_apply("add", np.add, _apply("add", np.add, _matmul(x, wd), _matmul(state, ud)),
                       b.data) for _, wd, _, ud, b in cell]
@@ -489,7 +477,7 @@ def gated_scan(xs: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
             _check_finite(p, "gated_scan")
         z, c = _sigmoid(pre[0]), np.tanh(pre[1])
         keep = np.subtract(1.0, z)
-        if _grad_enabled:          # the backward's operands; none kept under no_grad
+        if record:
             saved.append((state, z, c, keep))
         state = np.add(np.multiply(z, state), np.multiply(keep, c))
         data[:, t, :] = state

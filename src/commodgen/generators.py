@@ -6,7 +6,7 @@ normalized PathBatch returns a GeneratorModel plus its LossCurve, and
 
 * GBM    - calibrated driftless geometric Brownian motion, no gradients;
 * CEGEN  - neural drift/diffusion Euler scheme trained on conditional
-           transition moments;
+           transition moments; the whole scheme is one `euler_scan` op;
 * TSGAN  - embedder/recovery/generator/supervisor/discriminator quintet
            trained with reconstruction, supervised next-step and
            adversarial losses in a learned latent space;
@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Optimizer, ParamSet, Tensor, concat, no_grad
+from .autodiff import (Optimizer, ParamSet, Tensor, _check_finite, _recording, _sigmoid,
+                       _softplus, concat, no_grad)
 from .dataio import Normalizer, PathBatch
 from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      causal_transport_losses, transition_moment_loss)
@@ -293,27 +294,58 @@ def _cegen_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
 
 
 def _cegen_rollout(nets: dict, x0: np.ndarray, z: np.ndarray, dt: float) -> Tensor:
-    """Euler scheme from x0 (n, d) over shocks z (n, T-1, d); paths (n, T, d).
+    """Euler scheme from x0 (n, d) over shocks z (n, T-1, d); paths (n, T, d),
+    one `euler_scan` op over the drift and diffusion nets' parameters.
 
-    Each step is X + b dt + (L z) sqrt(dt) with lower-triangular L: the
+    Each step is X + b dt + (L z) sqrt(dt), where the drift b and the
+    diffusion block read (t / (T-1), X).  L is lower-triangular: the
     diffusion net emits a d*d block; strictly-lower entries pass through,
     the diagonal goes through softplus so L has positive diagonal and L L^T
     is a valid covariance factor.
+
+    The forward makes the numpy calls of the concat/mlp/reshape/mul/softplus/
+    matmul/add chain it fuses and writes each state into one array.  The
+    backward walks the steps in reverse, giving each parameter one
+    accumulation per step and summing a state's gradient as the chain does
+    (its output gradient plus the next step's, then the nets' input
+    gradient), so values and gradients are bit-identical to the chain.  A
+    non-finite pre-activation or state raises `NumericOverflowError`.
     """
+    drift, diff = nets["drift"], nets["diff"]
     n, steps, dim = z.shape
-    strict = Tensor(np.tril(np.ones((dim, dim)), k=-1))
-    eye = Tensor(np.eye(dim))
-    x = Tensor(x0)
-    slices = [x]
+    strict = np.tril(np.ones((dim, dim)), k=-1)
+    eye = np.eye(dim)
+    root = math.sqrt(dt)
+    parents = drift.params + diff.params
+    record, saved = _recording(parents), []
+    x = np.asarray(x0, dtype=np.float64)
+    data = np.empty((n, steps + 1, dim))
+    data[:, 0, :] = x
     for t in range(steps):
-        inp = concat([Tensor(np.full((n, 1), t / float(steps))), x], axis=1)
-        b = nets["drift"](inp)
-        raw = nets["diff"](inp).reshape((n, dim, dim))
-        factor = raw * strict + raw.softplus() * eye
-        shock = (factor @ Tensor(z[:, t, :]).reshape((n, dim, 1))).reshape((n, dim))
-        x = x + b * dt + shock * math.sqrt(dt)
-        slices.append(x)
-    return concat([s.reshape((n, 1, dim)) for s in slices], axis=1)
+        inp = np.concatenate([np.full((n, 1), t / float(steps)), x], axis=1)
+        tapes = ([], []) if record else (None, None)
+        b = drift.forward(inp, tapes[0], "euler_scan")
+        raw = diff.forward(inp, tapes[1], "euler_scan").reshape((n, dim, dim))
+        zt = z[:, t, :].reshape((n, dim, 1))
+        shock = np.matmul(raw * strict + _softplus(raw) * eye, zt).reshape((n, dim))
+        x = x + b * dt + shock * root
+        _check_finite(x, "euler_scan")
+        data[:, t + 1, :] = x
+        if record:
+            saved.append((tapes, raw, zt))
+
+    def backward(g):
+        gx = g[:, steps, :]            # the last state's gradient
+        for t in reversed(range(steps)):
+            (tape_b, tape_raw), raw, zt = saved[t]
+            g_factor = np.matmul((gx * root).reshape((n, dim, 1)), np.swapaxes(zt, -1, -2))
+            g_raw = g_factor * strict + g_factor * eye * _sigmoid(raw)
+            gin_b = drift.backward(tape_b, gx * dt, t > 0)
+            gin_raw = diff.backward(tape_raw, g_raw.reshape((n, dim * dim)), t > 0)
+            if t:
+                gx = (g[:, t, :] + gx) + (gin_b + gin_raw)[:, 1:]
+
+    return Tensor._result(data, parents, backward, "euler_scan")
 
 
 def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
@@ -661,32 +693,42 @@ def save_checkpoint(model: GeneratorModel, path) -> None:
 
 def load_checkpoint(path) -> GeneratorModel:
     return store.read_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                "generator checkpoint", lambda raw: _decode_model(raw, path))
+                                "generator checkpoint", _decode_model)
 
 
-def fill_params(path, params: ParamSet, state: dict, kind: str, dim: int) -> None:
+def fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
     """Load a checkpoint's parameter blocks `state` into `params`, in which
     the nets of a `kind` of the stored cfg and `dim` have just registered.
 
-    Refuses, naming the file, a name they register that `state` lacks, a
+    Refuses with a DataError a name they register that `state` lacks, a
     name they do not register and a block of another shape; nothing is
     loaded unless every name and shape matches.
     """
     arrays = {name: store.block_array(block) for name, block in state.items()}
     for name in sorted(set(params.names()) | set(arrays)):
         if name not in arrays:
-            raise DataError(f"{path}: {kind} checkpoint lacks parameter '{name}'")
+            raise DataError(f"{kind} checkpoint lacks parameter '{name}'")
         if name not in params:
-            raise DataError(f"{path}: parameter '{name}' is not registered by a {kind} "
+            raise DataError(f"parameter '{name}' is not registered by a {kind} "
                             f"of this cfg")
         if arrays[name].shape != params[name].data.shape:
-            raise DataError(f"{path}: parameter '{name}' has shape {arrays[name].shape}, "
+            raise DataError(f"parameter '{name}' has shape {arrays[name].shape}, "
                             f"but a {kind} of this cfg and dim {dim} registers "
                             f"{params[name].data.shape}")
     params.load_state(arrays)
 
 
-def _check_fit(path, model: GeneratorModel) -> None:
+def check_cfg_hash(raw: dict, cfg: TrainConfig) -> None:
+    """Refuse a container whose `cfg` no longer hashes to its stored
+    `cfg_hash`: its cfg was edited after the container was written.  The
+    decoders check it last, so an edit that changes the nets' shapes is
+    named by the parameter it breaks."""
+    if raw["cfg_hash"] != cfg.content_hash():
+        raise DataError(f"cfg does not match the stored cfg_hash "
+                        f"(edited after the checkpoint was written)")
+
+
+def _check_fit(model: GeneratorModel) -> None:
     """Refuse a loaded model whose own block disagrees with its kind, `cfg`
     and `dim` (its parameters are checked by `fill_params`)."""
     kind, cfg, dim = model.kind, model.cfg, model.dim
@@ -699,18 +741,18 @@ def _check_fit(path, model: GeneratorModel) -> None:
                       and pool.shape[1:] == (cfg.past_len, dim))}
     if kind in own and not own[kind][2]:
         key, what, _ = own[kind]
-        raise DataError(f"{path}: {kind} checkpoint needs a '{key}' block {what}")
+        raise DataError(f"{kind} checkpoint needs a '{key}' block {what}")
 
 
-def _decode_model(raw: dict, path) -> GeneratorModel:
+def _decode_model(raw: dict) -> GeneratorModel:
     kind = raw["kind"]
     if kind not in KINDS:
-        raise DataError(f"{path}: checkpoint kind '{kind}' is not a generator kind "
+        raise DataError(f"checkpoint kind '{kind}' is not a generator kind "
                         f"({', '.join(KINDS)})")
     cfg = TrainConfig.from_dict(raw["cfg"])
     dim = int(raw["dim"])
     params, nets = _build_nets(kind, dim, cfg)
-    fill_params(path, params, raw["params"] or {}, kind, dim)
+    fill_params(params, raw["params"] or {}, kind, dim)
 
     def block(key):
         return None if raw[key] is None else store.block_array(raw[key])
@@ -725,5 +767,6 @@ def _decode_model(raw: dict, path) -> GeneratorModel:
         sig_pool=block("sig_pool"), cegen_scale=block("cegen_scale"),
         trained_iterations=raw["trained_iterations"],
     )
-    _check_fit(path, model)
+    _check_fit(model)
+    check_cfg_hash(raw, cfg)
     return model

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Optimizer, ParamSet, Tensor, no_grad
 from .dataio import DataError, PathBatch
-from .generators import LossCurve, TrainConfig, backprop, fill_params
+from .generators import LossCurve, TrainConfig, backprop, check_cfg_hash, fill_params
 from .nets import Mlp
 from .rng import rng_for
 from .stochastic import bs_delta, bs_price
@@ -336,17 +336,18 @@ def save_hedger(policy: HedgerPolicy, spec: HedgingSpec, cfg: TrainConfig,
 def load_hedger(path):
     """Returns (policy, spec, cfg) from a hedger container."""
     return store.read_container(path, store.CHECKPOINT_FORMAT, store.CHECKPOINT_VERSION,
-                                "hedger checkpoint", lambda raw: _decode_hedger(raw, path))
+                                "hedger checkpoint", _decode_hedger)
 
 
-def _decode_hedger(raw: dict, path):
+def _decode_hedger(raw: dict):
     if raw["kind"] != HEDGER_KIND:
-        raise DataError(f"{path}: checkpoint kind '{raw['kind']}' is not '{HEDGER_KIND}'")
+        raise DataError(f"checkpoint kind '{raw['kind']}' is not '{HEDGER_KIND}'")
     cfg = TrainConfig.from_dict(raw["cfg"])
     spec = HedgingSpec.from_dict(raw["spec"])
     params = ParamSet(cfg.seed)
     policy = HedgerPolicy(params, len(spec.tradable),
                           store.block_array(raw["s0_tradable"]),
                           hidden=cfg.hidden, layers=cfg.layers)
-    fill_params(path, params, raw["params"], HEDGER_KIND, len(spec.tradable))
+    fill_params(params, raw["params"], HEDGER_KIND, len(spec.tradable))
+    check_cfg_hash(raw, cfg)
     return policy, spec, cfg

@@ -4,14 +4,19 @@ A block registers its weights in a shared `ParamSet` under a caller-chosen
 prefix and keeps the tensors registration returns, so it is built once per
 parameter set: checkpointing operates on the flat named set and an optimiser
 group is a set of name prefixes (`"gen."` takes every block registered under
-`gen`).  Each dense layer is one `affine` op and each run of a recurrent
-cell over a whole sequence one `gated_scan` op, so a cell records one graph
-node however long the sequence.
+`gen`).  Each call of an `Mlp` is one `mlp` op and each run of a recurrent
+cell over a whole sequence one `gated_scan` op, so a block records one graph
+node per call however deep the net or long the sequence.  An `Mlp`'s numpy
+kernel (`forward`/`backward`) also serves ops that run the net inside a
+larger fused op, such as CEGEN's `euler_scan`.
 """
 
 from __future__ import annotations
 
-from .autodiff import ParamSet, Tensor, affine, gated_scan
+import numpy as np
+
+from .autodiff import (ParamSet, Tensor, _accumulate, _check_finite, _recording,
+                       _unbroadcast, gated_scan)
 
 
 class Mlp:
@@ -29,12 +34,53 @@ class Mlp:
         self.layers = [(params.add_xavier(f"{prefix}.w{i}", a, b),
                         params.add_zeros(f"{prefix}.b{i}", (b,)))
                        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:]))]
+        self.params = tuple(t for layer in self.layers for t in layer)
+
+    def forward(self, x: np.ndarray, tape: list | None, op: str) -> np.ndarray:
+        """The net on rows x (n, in_dim) in numpy: each layer is x @ w + b,
+        tanh on all but the last.  A non-finite pre-activation raises
+        `NumericOverflowError` naming `op` (tanh would saturate it).  With a
+        `tape` list, each layer's input and weight are appended to it for
+        `backward`."""
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            if tape is not None:
+                tape.append((x, w.data))
+            x = np.add(np.matmul(x, w.data), b.data)
+            _check_finite(x, op)
+            if i < last:
+                x = np.tanh(x)
+        return x
+
+    def backward(self, tape: list, g: np.ndarray, want_input: bool) -> np.ndarray | None:
+        """Route the output gradient g back through a `forward` recorded on
+        `tape`: the layers in reverse, one accumulation per weight and bias.
+        Returns the input gradient when `want_input`, else None."""
+        for i in reversed(range(len(self.layers))):
+            (w, b), (x, wd) = self.layers[i], tape[i]
+            gx = np.matmul(g, wd.T) if i or want_input else None
+            _accumulate(w, np.matmul(x.T, g))
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+            if i:
+                g = gx * (1.0 - x * x)      # through the tanh whose output x is
+        return gx
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = x
-        for w, b in self.layers[:-1]:
-            h = affine(h, w, b).tanh()
-        return affine(h, *self.layers[-1])
+        """The net on rows x (n, in_dim) as one `mlp` op."""
+        x = Tensor._lift(x)
+        in_dim = self.layers[0][0].data.shape[0]
+        if x.ndim != 2 or x.shape[1] != in_dim:
+            raise ValueError(f"mlp needs an (n, {in_dim}) input, got shape {x.shape}")
+        parents = (x,) + self.params
+        tape = [] if _recording(parents) else None
+        data = self.forward(x.data, tape, "mlp")
+
+        def backward(g):
+            gx = self.backward(tape, g, x.requires_grad)
+            if gx is not None:
+                _accumulate(x, gx)
+
+        return Tensor._result(data, parents, backward, "mlp")
 
 
 class RecurrentCell:

@@ -94,7 +94,8 @@ def read_container(path, fmt: str, version: int, what: str, decode):
 
     `what` names the container in messages.  Unreadable JSON, a wrong format
     tag or version, and any missing key or ill-typed value met while
-    decoding all raise DataError.
+    decoding all raise DataError naming the file, as does a DataError that
+    `decode` raises itself.
     """
     try:
         raw = read_json(path)
@@ -107,8 +108,8 @@ def read_container(path, fmt: str, version: int, what: str, decode):
                         f"expected {version}")
     try:
         return decode(raw)
-    except DataError:
-        raise
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path}: {what} lacks key {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError) as exc:

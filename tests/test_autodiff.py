@@ -1,13 +1,19 @@
-"""Gradient checks for the reverse-mode engine against central finite differences."""
+"""Gradient checks for the reverse-mode engine and the fused ops built on it,
+against central finite differences and against the chains of small ops they
+fuse."""
 
+import math
 import operator
 
 import numpy as np
 import pytest
 
 from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
-                                adam_step, affine, clip_by_global_norm, concat,
-                                gated_scan, no_grad)
+                                adam_step, clip_by_global_norm, concat, gated_scan,
+                                no_grad)
+from commodgen import generators as G
+from commodgen.generators import TrainConfig
+from commodgen.losses import transition_moment_loss
 from commodgen.nets import Mlp, RecurrentCell
 
 
@@ -67,7 +73,7 @@ class TestOpGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "exp", "log",
                                     "sqrt", "tanh", "sigmoid", "softplus", "pow",
                                     "sum", "mean", "slice", "reshape", "transpose",
-                                    "concat", "gated_scan"])
+                                    "concat", "gated_scan", "mlp"])
     def test_each_op_matches_finite_differences(self, op):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 5))
@@ -75,6 +81,7 @@ class TestOpGradients:
         mat = rng.standard_normal((5, 3))
         cell = [Tensor(rng.standard_normal(shape))
                 for shape in ((5, 5), (5, 5), (5,), (5, 5), (5, 5), (5,))]
+        net = Mlp(ParamSet(seed=7), "f", 5, 4, 3, layers=2)
         builds = {
             "add": lambda t: (t + Tensor(other)).sum(),
             "sub": lambda t: (t - Tensor(other) * 0.5).sum(),
@@ -97,51 +104,69 @@ class TestOpGradients:
             # the input as two steps: the first also reaches the second through the state
             "gated_scan": lambda t: (gated_scan(t.reshape((2, 2, 5)), *cell)
                                      * Tensor(other.reshape((2, 2, 5)))).sum(),
+            "mlp": lambda t: (net(t) * Tensor(mat[:4])).sum(),
         }
         check_grad(builds[op], x)
 
-    @pytest.mark.parametrize("x_shape", [(6, 4), (3, 6, 4)])
-    def test_affine_matches_matmul_add_chain(self, x_shape):
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_mlp_matches_affine_tanh_chain(self, layers, x_grad):
+        """An `Mlp` call against the chain oracle: value, input gradient
+        and every parameter gradient bit-identical, with the net called
+        twice in one graph, as the hedger calls it once per date."""
         rng = np.random.default_rng(21)
-        values = [rng.standard_normal(x_shape), rng.standard_normal((4, 5)),
-                  rng.standard_normal(5)]
-        weights = rng.standard_normal(x_shape[:-1] + (5,))
+        x = rng.standard_normal((6, 4))
+        weights = [rng.standard_normal((6, 3)) for _ in range(2)]
+        state = None
         results = []
-        for fn in (affine, lambda x, w, b: x @ w + b):
-            leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
-            out = fn(*leaves)
-            (out * Tensor(weights)).sum().backward()
-            results.append([out.data] + [t.grad for t in leaves])
+        for fn in (Mlp.__call__, reference_mlp):
+            params = ParamSet(seed=3)
+            net = Mlp(params, "f", 4, 5, 3, layers)
+            state = state or {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            params.load_state(state)
+            xt = Tensor(x.copy(), requires_grad=x_grad)
+            out = fn(net, xt)
+            loss = ((out * Tensor(weights[0])).sum()
+                    + (fn(net, xt * 0.5) * Tensor(weights[1])).sum())
+            loss.backward()
+            results.append([out.data, xt.grad] + list(params.take_grads().values()))
+        assert (results[0][1] is not None) == x_grad
         for fused, chain in zip(*results):
-            assert fused.shape == chain.shape
-            assert np.array_equal(fused, chain)
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
 
-    @pytest.mark.parametrize("operand", [0, 1, 2])
-    def test_affine_matches_finite_differences(self, operand):
+    @pytest.mark.parametrize("name", ["f.w0", "f.b0", "f.w1", "f.b1", "f.w2", "f.b2"])
+    def test_mlp_matches_finite_differences(self, name):
+        """Each parameter's gradient (the input's is checked with the other
+        ops above)."""
         rng = np.random.default_rng(22)
-        values = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3)),
-                  rng.standard_normal(3)]
+        params = ParamSet(seed=4)
+        net = Mlp(params, "f", 4, 5, 3, layers=2)
+        params.load_state({name: rng.standard_normal(p.shape) for name, p in params.items()})
+        x = rng.standard_normal((6, 4))
         weights = rng.standard_normal((6, 3))
+        p = params[name]
 
-        def build(t):
-            args = [Tensor(v) for v in values]
-            args[operand] = t
-            return (affine(*args).tanh() * Tensor(weights)).sum()
+        def loss(arr):
+            p.data = arr
+            return (net(Tensor(x)) * Tensor(weights)).sum()
 
-        check_grad(build, values[operand])
+        loss(p.data.copy()).backward()
+        num = numeric_grad(lambda a: loss(a).item(), p.data.copy())
+        np.testing.assert_allclose(params.take_grads()[name], num, atol=1e-5, rtol=0)
 
-    def test_affine_shape_errors_and_no_graph(self):
-        x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in ((3, 4), (4, 2), (2,)))
-        with pytest.raises(ValueError, match=r"matmul needs 2d\+ operands"):
-            affine(Tensor(np.ones(4)), w, b)
-        with pytest.raises(ValueError, match="matmul inner dimensions differ"):
-            affine(x, Tensor(np.ones((3, 2))), b)
-        with pytest.raises(ValueError, match="add: incompatible shapes"):
-            affine(x, w, Tensor(np.ones(3)))
+    def test_mlp_shape_errors_and_no_graph(self):
+        params = ParamSet(seed=5)
+        net = Mlp(params, "f", 3, 4, 2, layers=1)
+        with pytest.raises(ValueError, match=r"mlp needs an \(n, 3\) input, got shape \(3,\)"):
+            net(Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match=r"mlp needs an \(n, 3\) input, got shape \(6, 4\)"):
+            net(Tensor(np.ones((6, 4))))
+        x = Tensor(np.random.default_rng(5).standard_normal((6, 3)), requires_grad=True)
         with no_grad():
-            out = affine(x, w, b)
+            out = net(x)
         assert not out.requires_grad and out._parents == ()
-        assert np.array_equal(out.data, np.full((3, 2), 5.0))
+        assert np.array_equal(out.data, reference_mlp(net, x).data)
 
     @pytest.mark.parametrize("x_grad,twice", [(True, True), (False, True), (False, False),
                                               (True, False)])
@@ -280,6 +305,15 @@ class TestOpGradients:
             assert np.max(np.abs(grads[name] - num) / scale) < 1e-5, name
 
 
+def reference_mlp(net, x):
+    """An `Mlp` call as the chain of small ops it fuses: the oracle for the
+    fused op's value and gradients."""
+    for w, b in net.layers[:-1]:
+        x = (x @ w + b).tanh()
+    w, b = net.layers[-1]
+    return x @ w + b
+
+
 def gated_scan_values(rng):
     """An input sequence xs (6, 5, 2) and the cell's six parameters (input
     2, state 3), in `gated_scan`'s argument order."""
@@ -306,6 +340,97 @@ def reference_scan(xs, *cell):
         state = reference_gated_step(xs[:, t, :], state, *cell)
         states.append(state.reshape((n, 1, state.shape[1])))
     return concat(states, axis=1)
+
+
+def reference_cegen_rollout(nets, x0, z, dt):
+    """`_cegen_rollout` as the chain of small ops it fuses: the oracle for
+    the `euler_scan` op's value and gradients."""
+    n, steps, dim = z.shape
+    strict = Tensor(np.tril(np.ones((dim, dim)), k=-1))
+    eye = Tensor(np.eye(dim))
+    x = Tensor(x0)
+    slices = [x]
+    for t in range(steps):
+        inp = concat([Tensor(np.full((n, 1), t / float(steps))), x], axis=1)
+        b = reference_mlp(nets["drift"], inp)
+        raw = reference_mlp(nets["diff"], inp).reshape((n, dim, dim))
+        factor = raw * strict + raw.softplus() * eye
+        shock = (factor @ Tensor(z[:, t, :]).reshape((n, dim, 1))).reshape((n, dim))
+        x = x + b * dt + shock * math.sqrt(dt)
+        slices.append(x)
+    return concat([s.reshape((n, 1, dim)) for s in slices], axis=1)
+
+
+def cegen_case(dim, n=48, steps=9, layers=2, seed=0):
+    """CEGEN nets with random parameters, start levels and shocks."""
+    rng = np.random.default_rng(seed)
+    params, nets = G._build_nets("CEGEN", dim, TrainConfig(hidden=6, layers=layers))
+    params.load_state({name: 0.5 * rng.standard_normal(p.shape) for name, p in params.items()})
+    real = np.cumsum(rng.standard_normal((n, steps + 1, dim)), axis=1)
+    return params, nets, real, rng.standard_normal((n, steps, dim))
+
+
+class TestEulerScan:
+    """CEGEN's rollout, one `euler_scan` op over two `Mlp` kernels."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_op_chain(self, dim):
+        """The rollout against the chain oracle: paths and all twelve
+        parameter gradients bit-identical, under a random seed gradient and
+        through the transition loss, at the training batch."""
+        params, nets, real, z = cegen_case(dim, n=256, steps=29)
+        seed = np.random.default_rng(1).standard_normal((256, 30, dim))
+        results = []
+        for fn in (G._cegen_rollout, reference_cegen_rollout):
+            paths = fn(nets, real[:, 0, :], z, 1 / 252)
+            paths.backward(seed)
+            by_seed = params.take_grads()
+            fake = fn(nets, real[:, 0, :], z, 1 / 252)
+            transition_moment_loss(real, fake, 5).value.backward()
+            results.append([paths.data, *by_seed.values(), *params.take_grads().values()])
+        assert len(results[0]) == 25
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
+
+    @pytest.mark.parametrize("name", ["drift.w0", "drift.b0", "drift.w1", "drift.b1",
+                                      "diff.w0", "diff.b0", "diff.w1", "diff.b1"])
+    def test_matches_finite_differences(self, name):
+        """Gradients of the transition loss through the rollout, per parameter."""
+        params, nets, real, z = cegen_case(2, layers=1, seed=3)
+
+        def loss():
+            fake = G._cegen_rollout(nets, real[:, 0, :], z, 0.1)
+            return transition_moment_loss(real, fake, 2).value
+
+        loss().backward()
+        grad = params.take_grads()[name]
+        p = params[name]
+        base = p.data.copy()
+
+        def f(arr):
+            p.data = arr
+            val = loss().item()
+            p.data = base
+            return val
+
+        np.testing.assert_allclose(grad, numeric_grad(f, base.copy()), atol=1e-6, rtol=1e-5)
+
+    def test_overflow_raises_with_op_name(self):
+        """tanh would saturate an infinite hidden pre-activation of the drift
+        net into a finite drift; the op checks every layer at every step."""
+        params, nets, real, z = cegen_case(1, layers=1)
+        params["drift.w0"].data = np.full_like(params["drift.w0"].data, 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="'euler_scan'"):
+                G._cegen_rollout(nets, real[:, 0, :] + 1e10, z, 1 / 252)
+
+    def test_under_no_grad_records_no_graph(self):
+        params, nets, real, z = cegen_case(2)
+        with no_grad():
+            paths = G._cegen_rollout(nets, real[:, 0, :], z, 1 / 252)
+        assert not paths.requires_grad and paths._parents == ()
+        assert np.array_equal(paths.data, reference_cegen_rollout(nets, real[:, 0, :], z,
+                                                                  1 / 252).data)
 
 
 class TestGraphDiscipline:
@@ -390,6 +515,16 @@ class TestGraphDiscipline:
         with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
             with pytest.raises(NumericOverflowError, match="'gated_scan'"):
                 gated_scan(*(Tensor(v, requires_grad=True) for v in values))
+
+    def test_mlp_overflow_raises_with_op_name(self):
+        """tanh would saturate an infinite hidden pre-activation into a
+        finite output; the op checks every layer's pre-activation."""
+        net = Mlp(ParamSet(seed=6), "f", 2, 3, 1, layers=1)
+        net.layers[0][0].data = np.full((2, 3), 1e300)
+        x = Tensor(np.full((4, 2), 1e10), requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+            with pytest.raises(NumericOverflowError, match="'mlp'"):
+                net(x)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):

@@ -193,16 +193,15 @@ def test_cegen_trained_beats_untrained_on_qvar():
 
 def test_cegen_step_records_few_graph_nodes(monkeypatch):
     """One CEGEN training step (rollout plus transition loss, batch 32, 30
-    steps) records about 700 graph nodes: the loss is a single op and every
-    dense layer one `affine`.  A loss built bucket by bucket from small ops
-    records twice as many."""
+    steps) records two graph nodes: the Euler rollout is one `euler_scan`
+    and the loss one op.  With one op per dense layer the step recorded
+    699; built from small ops throughout, twice as many."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
                         staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
     train_generator("CEGEN", gbm_batch(n=64, seq_len=30), TrainConfig(iterations=1, batch_size=32))
-    assert ops.count("transition_moment_loss") == 1
-    assert len(ops) <= 800
+    assert ops == ["euler_scan", "transition_moment_loss"]
 
 
 def test_cegen_sample_transition_loss_tracks_real():
@@ -220,11 +219,11 @@ def test_cegen_sample_transition_loss_tracks_real():
 
 def test_cotgan_step_records_few_graph_nodes(monkeypatch):
     """One COTGAN training step (batch 64, 30 steps, 30 Sinkhorn
-    iterations) records about 100 graph nodes: each run of a recurrent cell
-    over the sequence is one op (the generator and four critic runs), each
-    head reads the stacked states once, and each Sinkhorn sweep is one op
-    (six per divergence).  With one op per recurrent step the step records
-    742; built from small ops, 4516."""
+    iterations) records 97 graph nodes: each run of a recurrent cell over
+    the sequence is one op (the generator and four critic runs), each head
+    reads the stacked states once as one `mlp` op, and each Sinkhorn sweep
+    is one op (six per divergence).  With one op per recurrent step the
+    step recorded 742; built from small ops, 4516."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
@@ -237,11 +236,11 @@ def test_cotgan_step_records_few_graph_nodes(monkeypatch):
 
 
 def test_tsgan_step_records_few_graph_nodes(monkeypatch):
-    """One TSGAN joint step (batch 64, 30 steps, no pretraining) records
-    about 80 graph nodes: each of its twelve recurrent-cell runs (the
-    generator's, supervisor's, embedder's and discriminator's, over the
-    generator, embedding and discriminator phases) is one op.  With one op
-    per recurrent step the step records 1156."""
+    """One TSGAN joint step (batch 64, 30 steps, no pretraining) records 76
+    graph nodes: each of its twelve recurrent-cell runs (the generator's,
+    supervisor's, embedder's and discriminator's, over the generator,
+    embedding and discriminator phases) is one op, and each head call one
+    `mlp`.  With one op per recurrent step the step recorded 1156."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
@@ -254,8 +253,9 @@ def test_tsgan_step_records_few_graph_nodes(monkeypatch):
 
 def test_siggan_step_records_few_graph_nodes(monkeypatch):
     """One SIGGAN training step (batch 128, two Monte Carlo futures) records
-    40 graph nodes: the signature of the fake futures is one op.  Built from
-    slice, reshape, mul, div and add ops the step records 160."""
+    32 graph nodes: the signature of the fake futures is one op and each
+    call of the generator net one `mlp`.  With the signature built from
+    slice, reshape, mul, div and add ops the step recorded 160."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
@@ -461,6 +461,18 @@ def test_checkpoint_rejects_contents_another_cfg_would_have(tmp_path, kind, edit
     edit(raw)
     store.write_json(path, raw)
     with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_edited_cfg(tmp_path):
+    model, _ = train_generator("CEGEN", gbm_batch(32), tiny_cfg(iterations=1))
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    raw = store.read_json(path)
+    raw["cfg"]["lr"] = 0.5          # loads without it, as if trained at lr 0.5
+    store.write_json(path, raw)
+    with pytest.raises(DataError, match=re.escape(f"{path}: cfg does not match the stored "
+                                                  f"cfg_hash")):
         load_checkpoint(path)
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from commodgen.autodiff import ParamSet, no_grad
+from commodgen.autodiff import ParamSet, Tensor, no_grad
 from commodgen.dataio import DataError, PathBatch
 from commodgen.generators import TrainConfig, save_checkpoint, train_generator
 from commodgen.hedging import (HEDGE_EXPORT_HEADER, HedgerPolicy, HedgingSpec,
@@ -207,6 +207,23 @@ def test_train_and_test_losses_agree_on_matching_law():
     assert test_curve.gen_loss[-1] < test_curve.gen_loss[0]
 
 
+def test_hedger_step_records_few_graph_nodes(monkeypatch):
+    """One hedger training step over 29 hedge dates records about 120 graph
+    nodes: each date's control-net call is one `mlp` op, plus that date's
+    position-times-increment product, sum and running total.  With one op
+    per dense layer and activation the step recorded 236."""
+    params = GbmParams(sigma=np.array([0.3]), corr=np.eye(1))
+    sampler, _ = train_generator("GBM", simulate_gbm(params, 64, 30, np.array([1.0]), seed=4),
+                                 TrainConfig(iterations=1))
+    ops = []
+    result = Tensor._result
+    monkeypatch.setattr(Tensor, "_result",
+                        staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
+    train_hedger(sampler, call_spec(strike=1.0), TrainConfig(iterations=1, batch_size=64))
+    assert ops.count("mlp") == 29
+    assert len(ops) <= 125
+
+
 # ---------------------------------------------------------------------------
 # evaluation identities
 
@@ -385,6 +402,22 @@ def test_hedger_checkpoint_refuses_parameters_its_cfg_does_not_register(tmp_path
     store.write_json(path, raw)
     with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
         load_hedger(path)
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda raw: raw["cfg"].update(lr=0.5),
+     "cfg does not match the stored cfg_hash (edited after the checkpoint was written)"),
+    (lambda raw: raw.update(s0_tradable={"shape": [1], "data": [-1.0]}),
+     "start levels must be positive, one per tradable dim"),
+], ids=["cfg-lr", "s0"])
+def test_hedger_checkpoint_errors_name_the_file(tmp_path, edit, needle):
+    path = saved_hedger(tmp_path)[3]
+    raw = store.read_json(path)
+    edit(raw)
+    store.write_json(path, raw)
+    with pytest.raises(DataError) as info:
+        load_hedger(path)
+    assert str(info.value) == f"{path}: {needle}"
 
 
 def test_train_hedger_refuses_sampled_starts_at_or_below_zero():
