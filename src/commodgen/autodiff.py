@@ -12,7 +12,8 @@ a hot path.  That is enough for every network and loss in this package, and
 keeping it small keeps the gradient of every op individually testable.
 Other modules record fused ops of their own over the private helpers
 (`Tensor._result`, `_recording`, `_accumulate`, `_check_finite`): `mlp` (a
-whole `nets.Mlp`), `euler_scan` (CEGEN's Euler scheme) and the loss kernels.
+whole `nets.Mlp`), `euler_scan` (CEGEN's Euler scheme), `replicate` (a
+hedger's terminal portfolio value) and the loss kernels.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails

@@ -44,13 +44,14 @@ only where the default is null.  A bad value exits 2 naming its key.  All keys:
                         claim on every window; false evaluates at raw levels
   hedge.train.*         TrainConfig fields for the hedger fit
 
-Every artifact is deterministic given the config; a rerun reproduces
-byte-identical files (the manifest's timestamp aside).  Each command first
-removes from its output directory the files it writes itself (`OUTPUTS`)
-together with any `manifest.json` and `diagnostic.json`, and writes
-`manifest.json` last, listing the sha256 of every file it produced; what
-another command wrote there (the `generator.json` that `eval-gen` and `hedge`
-may read, say) stays.
+Every artifact is deterministic given the config; a rerun at the same BLAS
+thread count reproduces byte-identical files (the manifest's timestamp
+aside; its `versions.blas` records the BLAS and its thread settings).  Each
+command first removes from its output directory the files it writes itself
+(`OUTPUTS`) together with any `manifest.json` and `diagnostic.json`, and
+writes `manifest.json` last, listing the sha256 of every file it produced;
+what another command wrote there (the `generator.json` that `eval-gen` and
+`hedge` may read, say) stays.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
+import os
 import pathlib
 import sys
 
@@ -210,10 +212,21 @@ def write_manifest(out_dir: pathlib.Path, command: str, cfg_hash: str,
         "config_hash": cfg_hash,
         "command": command,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "versions": {"commodgen": __version__, "numpy": np.__version__},
+        "versions": {"commodgen": __version__, "numpy": np.__version__, "blas": _blas()},
         "files": {name: store.file_sha256(out_dir / name) for name in names},
         "meta": meta or {},
     })
+
+
+def _blas() -> dict:
+    """The BLAS numpy calls and the thread settings it ran under: a fit's
+    last bits can depend on the thread count."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": info.get("name"), "version": info.get("version"),
+            "threads_env": {k: os.environ.get(k) for k in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_affinity": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                             else os.cpu_count())}
 
 
 def _out_dir(path, command: str) -> pathlib.Path:

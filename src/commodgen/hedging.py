@@ -7,9 +7,11 @@ scalar premium it is trained to minimize E[(X_T - g(S_T))^2] where
     X_T = premium + sum_j sum_i position^i_{t_j} (S^i_{t_{j+1}} - S^i_{t_j})
 
 is the terminal value of the self-financing portfolio at zero interest.
-Payoffs cover vanilla calls, proxy hedging (payoff dimension not tradable)
-and spread calls.  A closed-form Black-Scholes delta strategy serves as the
-classical baseline for the vanilla case.
+The whole sum over hedge dates is one `replicate` autodiff op, which runs
+the control network's numpy kernel once per date.  Payoffs cover vanilla
+calls, proxy hedging (payoff dimension not tradable) and spread calls.  A
+closed-form Black-Scholes delta strategy serves as the classical baseline
+for the vanilla case.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Optimizer, ParamSet, Tensor, no_grad
+from .autodiff import (Optimizer, ParamSet, Tensor, _accumulate, _recording, _unbroadcast,
+                       no_grad)
 from .dataio import DataError, PathBatch
 from .generators import LossCurve, TrainConfig, backprop, check_cfg_hash, fill_params
 from .nets import Mlp
@@ -150,27 +153,56 @@ class HedgerPolicy:
 
     def controls(self, t_frac: float, prices: np.ndarray) -> Tensor:
         """Positions (n, n_tradable) at one hedge date."""
+        return self.net(Tensor(self._net_input(t_frac, prices)))
+
+    def _net_input(self, t_frac: float, prices: np.ndarray) -> np.ndarray:
+        """The net's rows (t_frac, prices / start levels) at one hedge date."""
         prices = np.asarray(prices, dtype=np.float64)
-        n = prices.shape[0]
-        t_col = np.full((n, 1), float(t_frac))
-        inp = np.concatenate([t_col, prices / self.s0_tradable], axis=1)
-        return self.net(Tensor(inp))
+        t_col = np.full((prices.shape[0], 1), float(t_frac))
+        return np.concatenate([t_col, prices / self.s0_tradable], axis=1)
 
 
 def replicate_terminal(policy: HedgerPolicy, prices: PathBatch,
                        spec: HedgingSpec) -> Tensor:
-    """Terminal portfolio values X_T, differentiable in the policy parameters."""
+    """Terminal portfolio values X_T (n,), one `replicate` op over the
+    premium and the control net's parameters.
+
+    At each date the net's numpy kernel gives the positions `controls`
+    would, and the forward makes the numpy calls of the chain it fuses:
+    positions times increments, summed over the tradables into a running
+    total.  The backward walks the dates first to last, the order in which
+    the engine reached the chain's per-date `mlp` nodes, and gives each
+    date's positions the chain's gradient (g broadcast over the tradables,
+    times the increment), so values and gradients are bit-identical to the
+    chain.  A non-finite pre-activation of the net raises
+    `NumericOverflowError` naming `mlp`; a non-finite product, row sum or
+    total reaches the output, which names `replicate`.
+    """
     spec.check_batch(prices)
     v = prices.values
     idx = list(spec.tradable)
     n_steps = prices.seq_len - 1
+    net, premium = policy.net, policy.premium()
+    parents = (premium,) + net.params
+    record, saved = _recording(parents), []
     total = None
     for j in range(n_steps):
-        positions = policy.controls(j / n_steps, v[:, j, idx])
-        inc = Tensor(v[:, j + 1, idx] - v[:, j, idx])
-        step = (positions * inc).sum(axis=1)
-        total = step if total is None else total + step
-    return policy.premium() + total
+        tape = [] if record else None
+        positions = net.forward(policy._net_input(j / n_steps, v[:, j, idx]), tape, "mlp")
+        inc = v[:, j + 1, idx] - v[:, j, idx]
+        step = np.multiply(positions, inc).sum(axis=1)
+        total = step if total is None else np.add(total, step)
+        if record:
+            saved.append((tape, inc))
+    data = np.add(premium.data, total)
+
+    def backward(g):
+        _accumulate(premium, _unbroadcast(g, ()))
+        for tape, inc in saved:
+            g_pos = np.broadcast_to(g[:, None], inc.shape).astype(np.float64, copy=True) * inc
+            net.backward(tape, g_pos, want_input=False)
+
+    return Tensor._result(data, parents, backward, "replicate")
 
 
 def rebase_batch(batch: PathBatch, s0) -> PathBatch:

@@ -8,15 +8,14 @@ group is a set of name prefixes (`"gen."` takes every block registered under
 cell over a whole sequence one `gated_scan` op, so a block records one graph
 node per call however deep the net or long the sequence.  An `Mlp`'s numpy
 kernel (`forward`/`backward`) also serves ops that run the net inside a
-larger fused op, such as CEGEN's `euler_scan`.
+larger fused op: CEGEN's `euler_scan` and the hedger's `replicate`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ParamSet, Tensor, _accumulate, _check_finite, _recording,
-                       _unbroadcast, gated_scan)
+from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _recording, gated_scan
 
 
 class Mlp:
@@ -60,9 +59,11 @@ class Mlp:
             (w, b), (x, wd) = self.layers[i], tape[i]
             gx = np.matmul(g, wd.T) if i or want_input else None
             _accumulate(w, np.matmul(x.T, g))
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-            if i:
-                g = gx * (1.0 - x * x)      # through the tanh whose output x is
+            _accumulate(b, g.sum(axis=0))
+            if i:                           # through the tanh whose output x is
+                t = x * x
+                np.subtract(1.0, t, out=t)
+                g = np.multiply(gx, t, out=gx)
         return gx
 
     def __call__(self, x: Tensor) -> Tensor:

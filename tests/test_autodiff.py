@@ -113,7 +113,7 @@ class TestOpGradients:
     def test_mlp_matches_affine_tanh_chain(self, layers, x_grad):
         """An `Mlp` call against the chain oracle: value, input gradient
         and every parameter gradient bit-identical, with the net called
-        twice in one graph, as the hedger calls it once per date."""
+        twice in one graph, so each parameter accumulates two gradients."""
         rng = np.random.default_rng(21)
         x = rng.standard_normal((6, 4))
         weights = [rng.standard_normal((6, 3)) for _ in range(2)]

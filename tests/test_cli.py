@@ -410,6 +410,22 @@ def test_commands_share_an_output_directory(tmp_path, dataset):
                                                "manifest.json", *cli.OUTPUTS["hedge"]}
 
 
+def test_manifests_record_blas_and_thread_settings(tmp_path, dataset, monkeypatch):
+    ds, _ = dataset
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       hedge={"underlying": "c0", "train": {"iterations": 2, "batch_size": 8}})
+    for command in ("train-gen", "hedge"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        blas = manifest(out)["versions"]["blas"]
+        assert set(blas) == {"name", "version", "threads_env", "cpu_affinity"}
+        assert set(blas["threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        assert blas["threads_env"]["OMP_NUM_THREADS"] == "1"
+        assert blas["cpu_affinity"] >= 1
+
+
 def test_successful_rerun_clears_stale_diagnostic(tmp_path, dataset):
     ds, _ = dataset
     out = tmp_path / "run"

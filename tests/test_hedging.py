@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from commodgen.autodiff import ParamSet, Tensor, no_grad
+from commodgen.autodiff import NumericOverflowError, ParamSet, Tensor, no_grad
 from commodgen.dataio import DataError, PathBatch
 from commodgen.generators import TrainConfig, save_checkpoint, train_generator
 from commodgen.hedging import (HEDGE_EXPORT_HEADER, HedgerPolicy, HedgingSpec,
@@ -44,20 +44,30 @@ class TwoStateSampler:
 
 
 def positions(policy, prices, spec):
-    """Every position `replicate_terminal` takes, as an (n, N, n_tradable) array."""
-    taken, controls = [], policy.controls
+    """The position `policy.controls` takes at every hedge date, as an
+    (n, N, n_tradable) array (`test_replicate_matches_op_chain` ties
+    `controls` to `replicate_terminal`)."""
+    v = prices.values[:, :, list(spec.tradable)]
+    n_steps = prices.seq_len - 1
+    with no_grad():
+        return np.stack([policy.controls(j / n_steps, v[:, j, :]).data
+                         for j in range(n_steps)], axis=1)
 
-    def record(t_frac, v):
-        taken.append(controls(t_frac, v))
-        return taken[-1]
 
-    policy.controls = record
-    try:
-        with no_grad():
-            replicate_terminal(policy, prices, spec)
-    finally:
-        del policy.controls
-    return np.stack([p.data for p in taken], axis=1)
+def reference_replicate_terminal(policy, prices, spec):
+    """`replicate_terminal` as the chain of small ops it fuses: the oracle
+    for the `replicate` op's value and gradients."""
+    spec.check_batch(prices)
+    v = prices.values
+    idx = list(spec.tradable)
+    n_steps = prices.seq_len - 1
+    total = None
+    for j in range(n_steps):
+        positions = policy.controls(j / n_steps, v[:, j, idx])
+        inc = Tensor(v[:, j + 1, idx] - v[:, j, idx])
+        step = (positions * inc).sum(axis=1)
+        total = step if total is None else total + step
+    return policy.premium() + total
 
 
 def call_spec(strike=1.0, **over):
@@ -208,10 +218,11 @@ def test_train_and_test_losses_agree_on_matching_law():
 
 
 def test_hedger_step_records_few_graph_nodes(monkeypatch):
-    """One hedger training step over 29 hedge dates records about 120 graph
-    nodes: each date's control-net call is one `mlp` op, plus that date's
-    position-times-increment product, sum and running total.  With one op
-    per dense layer and activation the step recorded 236."""
+    """One hedger training step over 29 hedge dates records five graph
+    nodes: the whole replication is one `replicate` op, then the squared
+    gap's mean.  With one `mlp` op per date and that date's product, sum
+    and running total the step recorded 120; with one op per dense layer
+    and activation, 236."""
     params = GbmParams(sigma=np.array([0.3]), corr=np.eye(1))
     sampler, _ = train_generator("GBM", simulate_gbm(params, 64, 30, np.array([1.0]), seed=4),
                                  TrainConfig(iterations=1))
@@ -220,8 +231,98 @@ def test_hedger_step_records_few_graph_nodes(monkeypatch):
     monkeypatch.setattr(Tensor, "_result",
                         staticmethod(lambda *args: ops.append(args[-1]) or result(*args)))
     train_hedger(sampler, call_spec(strike=1.0), TrainConfig(iterations=1, batch_size=64))
-    assert ops.count("mlp") == 29
-    assert len(ops) <= 125
+    assert ops == ["replicate", "sub", "mul", "sum", "div"]
+
+
+# ---------------------------------------------------------------------------
+# the replication op
+
+
+REPLICATE_SPECS = {
+    "call": call_spec(),
+    "spread": HedgingSpec(payoff=Payoff(kind="spread_call", strike=0.05, dims=(0, 1)),
+                          tradable=(0, 1), maturity=1.0),
+    "proxy": HedgingSpec(payoff=Payoff(kind="call", strike=1.0, dims=(0,)),
+                         tradable=(1,), maturity=1.0),
+}
+
+
+def replicate_case(case, n=256, seq_len=30, layers=2, seed=0):
+    """A hedger with random parameters, a price batch and the spec of one
+    `REPLICATE_SPECS` case (call on one asset, spread over two tradables,
+    proxy trading an asset the payoff is not written on)."""
+    spec = REPLICATE_SPECS[case]
+    d = 1 + max((*spec.tradable, *spec.payoff.dims))
+    batch = price_batch(n=n, seq_len=seq_len, d=d, seed=seed)
+    policy = fresh_policy(n_tradable=len(spec.tradable), hidden=8, layers=layers)
+    rng = np.random.default_rng(seed)
+    policy.params.load_state({name: 0.5 * rng.standard_normal(p.shape)
+                              for name, p in policy.params.items()})
+    return policy, batch, spec
+
+
+@pytest.mark.parametrize("case", sorted(REPLICATE_SPECS))
+def test_replicate_matches_op_chain(case):
+    """The op against the chain oracle: value, premium and every net
+    gradient bit-identical, under a random seed gradient and through the
+    replication loss, at the training batch over 29 dates."""
+    policy, batch, spec = replicate_case(case)
+    seed = np.random.default_rng(1).standard_normal(batch.n_samples)
+    g = Tensor(spec.payoff.value(batch.values[:, -1, :]))
+    results = []
+    for fn in (replicate_terminal, reference_replicate_terminal):
+        out = fn(policy, batch, spec)
+        out.backward(seed)
+        by_seed = policy.params.take_grads()
+        gap = fn(policy, batch, spec) - g
+        (gap * gap).mean().backward()
+        results.append([out.data, *by_seed.values(), *policy.params.take_grads().values()])
+    assert len(results[0]) == 15
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+@pytest.mark.parametrize("name", ["hedge.premium", "hedge.net.w0", "hedge.net.b0",
+                                  "hedge.net.w1", "hedge.net.b1"])
+def test_replicate_matches_finite_differences(name):
+    policy, batch, spec = replicate_case("spread", n=16, seq_len=6, layers=1, seed=2)
+    weights = Tensor(np.random.default_rng(3).standard_normal(16))
+    p = policy.params[name]
+    base = p.data.copy()
+
+    def loss(arr):
+        p.data = arr
+        return (replicate_terminal(policy, batch, spec) * weights).sum()
+
+    loss(base.copy()).backward()
+    grad = policy.params.take_grads()[name]
+    num = np.zeros_like(base)
+    h = 1e-6
+    for i in np.ndindex(base.shape):
+        up, down = base.copy(), base.copy()
+        up[i] += h
+        down[i] -= h
+        num[i] = (loss(up).item() - loss(down).item()) / (2.0 * h)
+    p.data = base
+    np.testing.assert_allclose(grad, num, atol=1e-6, rtol=1e-6)
+
+
+def test_replicate_under_no_grad_records_no_graph():
+    policy, batch, spec = replicate_case("spread", n=32, seq_len=8)
+    with no_grad():
+        out = replicate_terminal(policy, batch, spec)
+    assert not out.requires_grad and out._parents == ()
+    assert np.array_equal(out.data, reference_replicate_terminal(policy, batch, spec).data)
+
+
+def test_replicate_overflow_names_the_op():
+    """An affine net's positions grow with the prices, so each date's
+    product overflows; the chain named `mul` here."""
+    policy, batch, spec = replicate_case("call", n=16, seq_len=6, layers=0)
+    huge = PathBatch(values=batch.values * 1e200, labels=batch.labels, dt=batch.dt)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+        with pytest.raises(NumericOverflowError, match="'replicate'"):
+            replicate_terminal(policy, huge, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +388,11 @@ def test_proxy_policy_never_sees_untradable_dim():
     assert controls.shape == (12, 5, 1)
     bumped = batch.values.copy()
     bumped[:, :, 0] *= 3.0  # perturb the non-tradable dimension everywhere
-    again = positions(policy, PathBatch(values=bumped, labels=batch.labels,
-                                        dt=batch.dt), spec)
-    assert np.array_equal(controls, again)
+    bumped = PathBatch(values=bumped, labels=batch.labels, dt=batch.dt)
+    assert np.array_equal(controls, positions(policy, bumped, spec))
+    with no_grad():   # nor does the portfolio value
+        assert np.array_equal(replicate_terminal(policy, batch, spec).data,
+                              replicate_terminal(policy, bumped, spec).data)
 
 
 # ---------------------------------------------------------------------------
