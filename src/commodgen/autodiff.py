@@ -126,10 +126,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, shape is {self.shape}")
@@ -204,17 +200,6 @@ class Tensor:
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._lift(other) / self
-
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        e = float(exponent)
-        data = _apply("pow", np.power, self.data, e)
-
-        def backward(g):
-            _accumulate(self, g * e * _apply("pow", np.power, self.data, e - 1.0))
-
-        return Tensor._result(data, (self,), backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
@@ -550,9 +535,6 @@ class ParamSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

@@ -339,7 +339,8 @@ def cmd_eval_gen(cfg: dict) -> int:
     report = metric_report(real_v, fake_v, model=model.kind)
     emit_report(report, out / "report.csv")
     write_manifest(out, "eval-gen", config_hash(cfg),
-                   meta={"kind": model.kind, "n_samples": cfg["eval"]["n_samples"]})
+                   meta={"kind": model.kind, "n_samples": cfg["eval"]["n_samples"],
+                         "low_confidence": report.low_confidence})
     print(f"avg marginal metric {report.avg.mean():.3e}, corr {report.corr:.3e} "
           f"-> {out / 'report.csv'}")
     return 0

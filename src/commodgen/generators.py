@@ -587,20 +587,21 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         mb = minibatch()
         z = noise_rng.standard_normal((min(cfg.batch_size, n), seq_len, _noise_dim(cfg, d)))
 
+        # one embedding serves (a) as a constant and (b) with its graph:
+        # (a) updates only the generator and supervisor
+        h = nets["emb"](Tensor(mb))
+
         # (a) generator + supervisor
         sup_fake = _tsgan_rollout(nets, z)
         fake = _tsgan_recover(nets, sup_fake)
         adv = score(sup_fake)
         adv_loss = (-adv).softplus().mean()
-        with no_grad():
-            h_real = nets["emb"](Tensor(mb))
-        sup_loss = _tsgan_supervised_loss(nets, h_real)
+        sup_loss = _tsgan_supervised_loss(nets, Tensor(h.data))
         moment_loss = _tsgan_moment_gap(fake, mb)
         gen_loss = adv_loss + sup_loss + moment_loss
         opt_gen.step(backprop(gen_loss, params, it, "generator loss"))
 
         # (b) embedder + recovery
-        h = nets["emb"](Tensor(mb))
         recon = _tsgan_recover(nets, h) - Tensor(mb)
         recon_loss = (recon * recon).mean() * 10.0
         emb_loss = recon_loss + _tsgan_supervised_loss(nets, h) * 0.1
@@ -610,8 +611,8 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         with no_grad():
             h_real_const = nets["emb"](Tensor(mb))
             sup_fake_const = _tsgan_rollout(nets, z)
-        d_real = score(Tensor(h_real_const.data))
-        d_fake = score(Tensor(sup_fake_const.data))
+        d_real = score(h_real_const)
+        d_fake = score(sup_fake_const)
         disc_loss = (-d_real).softplus().mean() + d_fake.softplus().mean()
         opt_disc.step(backprop(disc_loss, params, it, "discriminator loss"))
 

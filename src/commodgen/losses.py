@@ -426,13 +426,9 @@ def transition_moment_loss(real, fake, bins: int = 5) -> TransitionLossValue:
     skipped = 0
     for t in range(seq_len - 1):
         key_real = rv[:, t, 0]
-        if bins > 1:
-            edges = np.quantile(key_real, np.arange(1, bins) / bins)
-            real_bucket = np.digitize(key_real, edges)
-            fake_bucket = np.digitize(fv[:, t, 0], edges)
-        else:
-            real_bucket = np.zeros(rv.shape[0], dtype=int)
-            fake_bucket = np.zeros(fv.shape[0], dtype=int)
+        edges = np.quantile(key_real, np.arange(1, bins) / bins)
+        real_bucket = np.digitize(key_real, edges)
+        fake_bucket = np.digitize(fv[:, t, 0], edges)
         real_inc = rv[:, t + 1, :] - rv[:, t, :]
         for b in range(bins):
             r_idx = np.nonzero(real_bucket == b)[0]

@@ -6,7 +6,8 @@ Three families, all "lower is better":
   then average the squared gaps over time (per dimension);
 * quadratic variation: squared gap of batch-mean path QVars (per dimension);
 * cross-sectional dependence: mean squared gap of per-step covariance
-  matrices (scalar; a Pearson-correlation variant is reported alongside).
+  matrices (scalar; `MetricReport` also carries a Pearson-correlation
+  variant, which `report.csv` leaves out).
 
 Every metric is symmetric in its two arguments, invariant under permuting
 samples, and exactly zero when comparing a batch with itself.
@@ -24,7 +25,8 @@ from .dataio import DataError, PathBatch
 REPORT_HEADER = "model,dim,p05,avg,p95,qvar,corr"
 
 # below this many samples the 5%/95% quantiles sit on extreme order
-# statistics and the report is flagged
+# statistics and the report is flagged (`eval-gen` records the flag in its
+# manifest)
 LOW_CONFIDENCE_N = 20
 
 

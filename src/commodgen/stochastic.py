@@ -7,14 +7,13 @@ and exact lognormal stepping, so even a single-step simulation has the right
 marginal law.
 
 All option formulas assume zero interest rate; prices, deltas and hedging
-P&L live on the same undiscounted scale.  They import scipy's `ndtr` (the
-standard normal CDF) on first call, so a process that prices nothing never
-loads scipy.
+P&L live on the same undiscounted scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import erfc, sqrt
 
 import numpy as np
 
@@ -175,6 +174,14 @@ def simulate_gbm(params: GbmParams, n_paths: int, n_points: int, s0,
 # zero-rate Black-Scholes
 
 
+_erfc = np.frompyfunc(erfc, 1, 1)
+
+
+def _ndtr(x):
+    """Standard normal CDF, 0.5 * erfc(-x / sqrt(2)), elementwise."""
+    return np.asarray(0.5 * _erfc(-x / sqrt(2.0)), dtype=np.float64)
+
+
 def _d1(s, strike, vol, ttm):
     return (np.log(s / strike) + 0.5 * vol * vol * ttm) / (vol * np.sqrt(ttm))
 
@@ -189,11 +196,10 @@ def bs_price(s0, strike: float, vol: float, maturity: float):
     if vol == 0 or maturity == 0:
         out = np.maximum(s0 - strike, 0.0)
         return out if out.ndim else float(out)
-    from scipy.special import ndtr
     with np.errstate(divide="ignore"):
         d1 = _d1(s0, strike, vol, maturity)
     d2 = d1 - vol * np.sqrt(maturity)
-    out = np.where(s0 > 0, s0 * ndtr(d1) - strike * ndtr(d2), 0.0)
+    out = np.where(s0 > 0, s0 * _ndtr(d1) - strike * _ndtr(d2), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -208,7 +214,6 @@ def bs_delta(s, strike: float, vol: float, ttm: float):
     if vol == 0 or ttm == 0:
         out = np.where(s > strike, 1.0, np.where(s < strike, 0.0, 0.5))
         return out if out.ndim else float(out)
-    from scipy.special import ndtr
     with np.errstate(divide="ignore"):
-        out = np.where(s > 0, ndtr(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
+        out = np.where(s > 0, _ndtr(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
     return out if out.ndim else float(out)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -53,12 +54,23 @@ def dataset(tmp_path):
     return out / "dataset.json", csv
 
 
-def test_cli_import_loads_no_scipy():
-    """No command prices an option, so `import commodgen.cli` loads no scipy
-    module: importing `scipy.stats` takes about a second of every process."""
+def test_runtime_imports_only_numpy_and_stdlib():
+    """numpy is the only runtime dependency: importing every `commodgen`
+    module and pricing one option loads no other third-party module.  The
+    snapshot leaves out what the interpreter loaded at start-up."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = ("import commodgen.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        before = set(sys.modules)
+        import commodgen
+        for info in pkgutil.iter_modules(commodgen.__path__):
+            importlib.import_module("commodgen." + info.name)
+        from commodgen.stochastic import bs_delta, bs_price
+        bs_price(10.0, 10.0, 0.5, 0.1)
+        bs_delta(10.0, 10.0, 0.5, 0.1)
+        allowed = set(sys.stdlib_module_names) | {"numpy", "commodgen"}
+        print(sorted({m.split(".")[0] for m in set(sys.modules) - before} - allowed))
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "[]"
@@ -247,6 +259,15 @@ def test_train_eval_roundtrip_gbm(tmp_path, dataset):
     assert header == REPORT_HEADER.split(",")
     assert [r[0] for r in rows] == ["GBM", "GBM"]
     assert sorted(int(r[1]) for r in rows) == [0, 1]
+    assert manifest(eval_out)["meta"] == {"kind": "GBM", "n_samples": 64,
+                                          "low_confidence": False}
+    # fewer than LOW_CONFIDENCE_N paths put the 5%/95% quantiles on extreme
+    # order statistics: the manifest flags the report
+    cfg3 = write_config(tmp_path / "e10.json", data={"dataset": str(ds)},
+                        generator={"checkpoint": str(train_out / "generator.json")},
+                        eval={"n_samples": 10})
+    assert cli.main(["eval-gen", "--config", str(cfg3), "--out", str(eval_out)]) == 0
+    assert manifest(eval_out)["meta"]["low_confidence"] is True
 
 
 def test_train_gen_writes_loss_curve(tmp_path, dataset):

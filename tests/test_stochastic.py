@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from commodgen.dataio import DataError, PathBatch
-from commodgen.stochastic import (GbmParams, _d1, bs_delta, bs_price,
-                                  calibrate_gbm, cholesky_factor,
-                                  nearest_correlation, simulate_gbm)
+from commodgen.stochastic import (GbmParams, bs_delta, bs_price, calibrate_gbm,
+                                  cholesky_factor, nearest_correlation, simulate_gbm)
 
 
 def mp_call(s0, k, vol, tau):
@@ -55,45 +54,6 @@ class TestBlackScholes:
         price = bs_price(spot, strike, 0.5, 30 / 252)
         assert max(spot - strike, 0.0) <= price <= spot
         assert 0.0 <= bs_delta(spot, strike, 0.5, 30 / 252) <= 1.0
-
-    def test_same_bits_as_scipy_stats_norm(self):
-        """`ndtr` in place of `scipy.stats.norm.cdf` changes no bit: random
-        spots (zero, so d1 = -inf, and deep in and out of the money included),
-        strikes, vols and maturities, as arrays and as scalars."""
-        from scipy.stats import norm
-
-        def old_price(s0, strike, vol, maturity):
-            s0 = np.asarray(s0, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                d1 = _d1(s0, strike, vol, maturity)
-            d2 = d1 - vol * np.sqrt(maturity)
-            out = np.where(s0 > 0, s0 * norm.cdf(d1) - strike * norm.cdf(d2), 0.0)
-            return out if out.ndim else float(out)
-
-        def old_delta(s, strike, vol, ttm):
-            s = np.asarray(s, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                out = np.where(s > 0, norm.cdf(_d1(np.where(s > 0, s, 1.0), strike, vol, ttm)), 0.0)
-            return out if out.ndim else float(out)
-
-        rng = np.random.default_rng(2024)
-        deep = 0
-        for _ in range(50):
-            strike = float(rng.uniform(0.5, 150.0))
-            vol = float(rng.uniform(0.01, 1.5))
-            ttm = float(rng.uniform(1 / 252, 3.0))
-            spots = strike * np.exp(rng.uniform(-4.0, 4.0, size=80))
-            spots[0] = 0.0
-            with np.errstate(divide="ignore"):
-                deep += int(np.sum(np.abs(_d1(spots, strike, vol, ttm)) > 8.0))
-            assert np.array_equal(bs_price(spots, strike, vol, ttm),
-                                  old_price(spots, strike, vol, ttm))
-            assert np.array_equal(bs_delta(spots, strike, vol, ttm),
-                                  old_delta(spots, strike, vol, ttm))
-            for spot in (0.0, float(spots[1])):
-                assert bs_price(spot, strike, vol, ttm) == old_price(spot, strike, vol, ttm)
-                assert bs_delta(spot, strike, vol, ttm) == old_delta(spot, strike, vol, ttm)
-        assert deep > 100
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
