@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,9 +168,6 @@ class Tensor:
 
         return Tensor._result(data, (self, other), backward, "sub")
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) - self
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         data = _apply("mul", np.multiply, self.data, other.data)
@@ -197,9 +193,6 @@ class Tensor:
                 _accumulate(other, _unbroadcast(-g * data / other.data, other.data.shape))
 
         return Tensor._result(data, (self, other), backward, "div")
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
@@ -293,12 +286,11 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward, "reshape")
 
-    def transpose(self, axes=None) -> "Tensor":
-        data = np.transpose(self.data, axes)
-        inverse = None if axes is None else tuple(np.argsort(axes))
+    def transpose(self) -> "Tensor":
+        data = np.transpose(self.data)
 
         def backward(g):
-            _accumulate(self, np.transpose(g, inverse))
+            _accumulate(self, np.transpose(g))
 
         return Tensor._result(data, (self,), backward, "transpose")
 
@@ -566,73 +558,44 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators for Adam with bias correction."""
-
-    lr: float = 1e-3
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
-
-
-def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState):
-    """One Adam update on the named subset in `grads`; returns (params, state)."""
-    state.step += 1
-    t = state.step
-    for name in sorted(grads):
-        g = np.asarray(grads[name], dtype=np.float64)
-        p = params[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter '{name}' shape {p.data.shape}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        m = (1.0 - ADAM_BETA1) * g if m is None else ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = (1.0 - ADAM_BETA2) * g * g if v is None else ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params, state
-
-
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float = 10.0):
-    """Scale all gradients down so the joint l2 norm is at most `max_norm`."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        grads = {k: g * factor for k, g in grads.items()}
-    return grads, total
-
-
 class Optimizer:
     """Clipped Adam over the parameters whose names start with one of
     `prefixes` (the default "" takes them all).
 
     `step(grads)` takes the full gradient dict of `ParamSet.take_grads()`,
     keeps this group's entries, negates them when the group ascends (a
-    critic maximising the loss the generator minimises), clips them to
-    `clip_norm` jointly and applies one Adam update; it returns the pre-clip
-    gradient norm.  Two optimisers may share one `state` (step counter and
-    moments) by assignment.
+    critic maximising the loss the generator minimises), scales them down
+    so their joint l2 norm is at most `clip_norm` and applies one Adam
+    update with bias correction; it returns the pre-clip gradient norm.
+    The step count `t` and the moments `m` and `v` (dicts by parameter
+    name) are plain attributes, so one optimiser can continue another's by
+    assigning them.
     """
 
     def __init__(self, params: ParamSet, lr: float, clip_norm: float,
                  prefixes: tuple = ("",)):
         self.params = params
-        self.state = AdamState(lr=lr)
+        self.lr = lr
         self.clip_norm = clip_norm
         self.prefixes = prefixes
+        self.t, self.m, self.v = 0, {}, {}
 
     def step(self, grads: dict[str, np.ndarray], ascend: bool = False) -> float:
         group = {k: -g if ascend else g for k, g in grads.items() if k.startswith(self.prefixes)}
-        group, norm = clip_by_global_norm(group, self.clip_norm)
-        adam_step(self.params, group, self.state)
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in group.values()))
+        if norm > self.clip_norm and norm > 0.0:
+            factor = self.clip_norm / norm
+            group = {k: g * factor for k, g in group.items()}
+        self.t += 1
+        for name in sorted(group):
+            g, p = group[name], self.params[name]
+            if name in self.m:
+                m = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
+            else:
+                m, v = (1.0 - ADAM_BETA1) * g, (1.0 - ADAM_BETA2) * g * g
+            self.m[name], self.v[name] = m, v
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return norm

@@ -413,8 +413,7 @@ def cmd_hedge(cfg: dict) -> int:
         _write_diagnostic(out, cfg_hash, exc)
         raise
     ev = eval_hedger(policy, data, spec)
-    save_hedger(policy, spec, tc, out / "hedger.json",
-                trained_iterations=tc.iterations)
+    save_hedger(policy, spec, tc, out / "hedger.json")
     write_hedge_export(ev, out / "hedge_export.csv")
     store.write_csv(out / "hedge_report.csv", HEDGE_REPORT_HEADER.split(","),
                     [[model.kind, cfg["hedge"]["case"],

@@ -171,9 +171,6 @@ class LossCurve:
         self.gen_loss.append(float(gen))
         self.disc_loss.append(None if disc is None else float(disc))
 
-    def __len__(self) -> int:
-        return len(self.iterations)
-
     def write_csv(self, path) -> None:
         store.write_csv(path, LOSS_CURVE_HEADER.split(","),
                         [[str(it), repr(g), "" if d is None else repr(d)]
@@ -521,12 +518,13 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
         mb = data.values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len, _noise_dim(cfg, d)))
         fake = _cotgan_rollout(nets, z)
-        gen_loss, critic_loss, _ = causal_transport_losses(mb, fake, nets["critic"], sink)
-        # one backward serves both sides: the critic ascends the same loss
+        gen_loss, _ = causal_transport_losses(mb, fake, nets["critic"], sink)
+        # one backward serves both sides: the critic ascends the same loss,
+        # so its loss is the exact negation
         grads = backprop(gen_loss, params, it, "transport loss")
         opt_gen.step(grads)
         opt_critic.step(grads, ascend=True)
-        curve.append(it, gen_loss.item(), critic_loss.item())
+        curve.append(it, gen_loss.item(), -gen_loss.item())
     model = GeneratorModel(**_model_base("COTGAN", data, cfg), params=params, nets=nets,
                            trained_iterations=cfg.iterations)
     return model, curve
@@ -548,8 +546,6 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     opt_emb = Optimizer(params, cfg.lr, cfg.clip_norm, ("emb.", "rec."))
     opt_sup = Optimizer(params, cfg.lr, cfg.clip_norm, ("sup.",))
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.", "sup."))
-    # the joint phase continues the supervisor's pretraining moments and step
-    opt_gen.state = opt_sup.state
     opt_disc = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
                          cfg.clip_norm, ("disc.",))
     batch_rng = rng_for(cfg.seed, "tsgan", "batch")
@@ -581,6 +577,8 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
             h = nets["emb"](Tensor(mb))
         loss = _tsgan_supervised_loss(nets, h)
         opt_sup.step(backprop(loss, params, it, "supervised loss"))
+    # the joint phase continues the supervisor's pretraining moments and step
+    opt_gen.t, opt_gen.m, opt_gen.v = opt_sup.t, opt_sup.m, opt_sup.v
 
     # phase 3: joint adversarial training
     for it in range(cfg.iterations):
@@ -637,9 +635,9 @@ def _siggan_pairs(data: PathBatch, p: int, q: int):
 
 
 def _train_siggan(data: PathBatch, cfg: TrainConfig):
-    params, nets = _build_nets("SIGGAN", data.dim, cfg)
     p, q = cfg.past_len, cfg.future_len
     pasts, futures = _siggan_pairs(data, p, q)
+    params, nets = _build_nets("SIGGAN", data.dim, cfg)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)
     predicted = metric.fitted
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
@@ -697,7 +695,7 @@ def load_checkpoint(path) -> GeneratorModel:
                                 "generator checkpoint", _decode_model)
 
 
-def fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
+def _fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
     """Load a checkpoint's parameter blocks `state` into `params`, in which
     the nets of a `kind` of the stored cfg and `dim` have just registered.
 
@@ -719,19 +717,9 @@ def fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
     params.load_state(arrays)
 
 
-def check_cfg_hash(raw: dict, cfg: TrainConfig) -> None:
-    """Refuse a container whose `cfg` no longer hashes to its stored
-    `cfg_hash`: its cfg was edited after the container was written.  The
-    decoders check it last, so an edit that changes the nets' shapes is
-    named by the parameter it breaks."""
-    if raw["cfg_hash"] != cfg.content_hash():
-        raise DataError(f"cfg does not match the stored cfg_hash "
-                        f"(edited after the checkpoint was written)")
-
-
 def _check_fit(model: GeneratorModel) -> None:
     """Refuse a loaded model whose own block disagrees with its kind, `cfg`
-    and `dim` (its parameters are checked by `fill_params`)."""
+    and `dim` (its parameters are checked by `_fill_params`)."""
     kind, cfg, dim = model.kind, model.cfg, model.dim
     gbm, pool, scale = model.gbm, model.sig_pool, model.cegen_scale
     own = {"GBM": ("gbm", f"of {dim} dimensions", gbm is not None and gbm.dim == dim),
@@ -753,7 +741,7 @@ def _decode_model(raw: dict) -> GeneratorModel:
     cfg = TrainConfig.from_dict(raw["cfg"])
     dim = int(raw["dim"])
     params, nets = _build_nets(kind, dim, cfg)
-    fill_params(params, raw["params"] or {}, kind, dim)
+    _fill_params(params, raw["params"] or {}, kind, dim)
 
     def block(key):
         return None if raw[key] is None else store.block_array(raw[key])
@@ -769,5 +757,9 @@ def _decode_model(raw: dict) -> GeneratorModel:
         trained_iterations=raw["trained_iterations"],
     )
     _check_fit(model)
-    check_cfg_hash(raw, cfg)
+    # checked last, so an edit of `cfg` that changes the nets' shapes is
+    # named by the parameter it breaks
+    if raw["cfg_hash"] != cfg.content_hash():
+        raise DataError("cfg does not match the stored cfg_hash "
+                        "(edited after the checkpoint was written)")
     return model

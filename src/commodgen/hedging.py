@@ -23,13 +23,11 @@ import numpy as np
 from .autodiff import (Optimizer, ParamSet, Tensor, _accumulate, _recording, _unbroadcast,
                        no_grad)
 from .dataio import DataError, PathBatch
-from .generators import LossCurve, TrainConfig, backprop, check_cfg_hash, fill_params
+from .generators import LossCurve, TrainConfig, backprop
 from .nets import Mlp
 from .rng import rng_for
 from .stochastic import bs_delta, bs_price
 from . import store
-
-HEDGER_KIND = "hedger"
 
 HEDGE_EXPORT_HEADER = "path_id,S_T,payoff,portfolio_T"
 
@@ -79,10 +77,6 @@ class Payoff:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "strike": self.strike, "dims": list(self.dims)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Payoff":
-        return cls(kind=d["kind"], strike=float(d["strike"]), dims=tuple(d["dims"]))
-
 
 @dataclass
 class HedgingSpec:
@@ -118,12 +112,6 @@ class HedgingSpec:
         return {"payoff": self.payoff.to_dict(), "tradable": list(self.tradable),
                 "maturity": self.maturity,
                 "s0": None if self.s0 is None else self.s0.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HedgingSpec":
-        return cls(payoff=Payoff.from_dict(d["payoff"]), tradable=tuple(d["tradable"]),
-                   maturity=float(d["maturity"]),
-                   s0=None if d["s0"] is None else np.asarray(d["s0"]))
 
 
 class HedgerPolicy:
@@ -352,34 +340,15 @@ def bs_delta_strategy(prices: PathBatch, spec: HedgingSpec,
 # checkpoints (same container family as the generators)
 
 
-def save_hedger(policy: HedgerPolicy, spec: HedgingSpec, cfg: TrainConfig,
-                path, trained_iterations: int = 0) -> None:
+def save_hedger(policy: HedgerPolicy, spec: HedgingSpec, cfg: TrainConfig, path) -> None:
+    """Write the trained policy, its spec and cfg as a checkpoint container
+    (no command reads it back)."""
     store.write_container(path, store.CHECKPOINT_FORMAT, store.CHECKPOINT_VERSION, {
-        "kind": HEDGER_KIND,
+        "kind": "hedger",
         "cfg": cfg.to_dict(),
         "cfg_hash": cfg.content_hash(),
         "spec": spec.to_dict(),
         "s0_tradable": store.array_block(policy.s0_tradable),
         "params": {name: store.array_block(t.data) for name, t in policy.params.items()},
-        "trained_iterations": trained_iterations,
+        "trained_iterations": cfg.iterations,
     })
-
-
-def load_hedger(path):
-    """Returns (policy, spec, cfg) from a hedger container."""
-    return store.read_container(path, store.CHECKPOINT_FORMAT, store.CHECKPOINT_VERSION,
-                                "hedger checkpoint", _decode_hedger)
-
-
-def _decode_hedger(raw: dict):
-    if raw["kind"] != HEDGER_KIND:
-        raise DataError(f"checkpoint kind '{raw['kind']}' is not '{HEDGER_KIND}'")
-    cfg = TrainConfig.from_dict(raw["cfg"])
-    spec = HedgingSpec.from_dict(raw["spec"])
-    params = ParamSet(cfg.seed)
-    policy = HedgerPolicy(params, len(spec.tradable),
-                          store.block_array(raw["s0_tradable"]),
-                          hidden=cfg.hidden, layers=cfg.layers)
-    fill_params(params, raw["params"], HEDGER_KIND, len(spec.tradable))
-    check_cfg_hash(raw, cfg)
-    return policy, spec, cfg

@@ -34,7 +34,8 @@ import numpy as np
 from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
 from .dataio import DataError
 from .nets import Mlp, RecurrentCell, per_step
-from .signature import level_sizes, sig_length, signature_levels, signature_levels_backward
+from .signature import (_check_budget, level_sizes, sig_length, signature_levels,
+                        signature_levels_backward)
 
 MARGINAL_TOL = 1e-6
 
@@ -238,12 +239,13 @@ def martingale_defect(h: Tensor, m: Tensor) -> Tensor:
 
 def causal_transport_losses(real, fake, critic: CausalCritic,
                             cfg: SinkhornConfig | None = None):
-    """(generator loss, critic loss, SinkhornValue) for adversarial training.
+    """(generator loss, SinkhornValue) for adversarial training.
 
     The transport cost runs on the critic's adapted h features and the
     generator additionally pays `causal_weight` times the martingale-defect
-    difference.  The critic loss is the exact negation; both come from one
-    shared graph, so run a single backward and negate the critic gradients.
+    difference.  The critic's loss is the exact negation, so one backward
+    serves both sides: the critic ascends the gradients the generator
+    descends.
     """
     cfg = cfg or SinkhornConfig()
     h_real, m_real = critic.features(Tensor._lift(real))
@@ -251,7 +253,7 @@ def causal_transport_losses(real, fake, critic: CausalCritic,
     sv = sinkhorn_divergence(h_real, h_fake, cfg)
     penalty = martingale_defect(h_fake, m_fake) - martingale_defect(h_real, m_real)
     gen_loss = sv.value + cfg.causal_weight * penalty
-    return gen_loss, -gen_loss, sv
+    return gen_loss, sv
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,7 @@ class ConditionalSigMetric:
         futures = np.asarray(futures, dtype=np.float64)
         if pasts.ndim != 3 or futures.ndim != 3 or pasts.shape[0] != futures.shape[0]:
             raise DataError("fit expects matching (n, p, d) pasts and (n, q, d) futures")
+        _check_budget(max(pasts.shape[2], futures.shape[2]) + 1, self.depth)
         n = pasts.shape[0]
         design = np.empty((n, sig_length(pasts.shape[2] + 1, self.depth) + 1))
         design[:, -1] = 1.0   # intercept

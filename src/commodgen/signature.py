@@ -39,9 +39,13 @@ def _check_budget(dim: int, depth: int) -> None:
         raise DataError(f"signature depth must be >= 1, got {depth}")
     if dim < 1:
         raise DataError(f"path dimension must be >= 1, got {dim}")
-    if sig_length(dim, depth) > MAX_COEFFS:
-        raise DataError(f"signature of dimension {dim} at depth {depth} has "
-                        f"{sig_length(dim, depth)} coefficients; refusing (> {MAX_COEFFS})")
+    total, size = 0, 1
+    for _ in range(depth):      # stops at the first level past the budget
+        size *= dim
+        total += size
+        if total > MAX_COEFFS:
+            raise DataError(f"signature of dimension {dim} at depth {depth} has more "
+                            f"than {MAX_COEFFS} coefficients; refusing")
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ lists with an explicit shape.
 Datasets, generator checkpoints and hedger checkpoints share one container
 codepath: `write_container` tags the payload with a format name and version,
 and `read_container` checks both and decodes the body, so a truncated file, a
-wrong tag or a missing key surfaces as one DataError naming the file.
+wrong tag or a missing key surfaces as one DataError naming the file.  Only
+datasets and generator checkpoints are read back; no command reads a hedger
+checkpoint.
 
 Tables (loss curves, reports, exports) are CSV and share one codepath too:
 `write_csv` takes already-formatted cells, so each module keeps its own

@@ -8,9 +8,8 @@ import operator
 import numpy as np
 import pytest
 
-from commodgen.autodiff import (AdamState, NumericOverflowError, ParamSet, Tensor,
-                                adam_step, clip_by_global_norm, concat, gated_scan,
-                                no_grad)
+from commodgen.autodiff import (NumericOverflowError, Optimizer, ParamSet, Tensor, concat,
+                                gated_scan, no_grad)
 from commodgen import generators as G
 from commodgen.generators import TrainConfig
 from commodgen.losses import transition_moment_loss
@@ -325,7 +324,7 @@ def reference_gated_step(x, s, wz, uz, bz, wc, uc, bc):
     op's value and gradients."""
     z = (x @ wz + s @ uz + bz).sigmoid()
     c = (x @ wc + s @ uc + bc).tanh()
-    return z * s + (1.0 - z) * c
+    return z * s + (Tensor(1.0) - z) * c
 
 
 def reference_scan(xs, *cell):
@@ -539,47 +538,78 @@ class TestGraphDiscipline:
         assert w.grad is None
 
 
+def one_param(value, name="w"):
+    params = ParamSet(seed=0)
+    params.add(name, np.array(value))
+    return params
+
+
 class TestOptimiser:
     def test_zero_grad_is_identity(self):
-        params = ParamSet(seed=0)
-        params.add("w", np.array([1.0, -2.0]))
-        state = AdamState(lr=0.1)
-        adam_step(params, {"w": np.zeros(2)}, state)
+        params = one_param([1.0, -2.0])
+        Optimizer(params, lr=0.1, clip_norm=10.0).step({"w": np.zeros(2)})
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_first_step_moves_by_lr_against_gradient_sign(self):
-        params = ParamSet(seed=0)
-        params.add("w", np.array([0.0, 0.0]))
-        state = AdamState(lr=0.05)
-        adam_step(params, {"w": np.array([3.0, -0.5])}, state)
+        params = one_param([0.0, 0.0])
+        Optimizer(params, lr=0.05, clip_norm=10.0).step({"w": np.array([3.0, -0.5])})
         # bias-corrected first step is lr * g / (|g| + eps) ~= lr * sign(g)
         np.testing.assert_allclose(params["w"].data, [-0.05, 0.05], rtol=1e-6)
 
     def test_lr_zero_changes_nothing(self):
-        params = ParamSet(seed=0)
-        params.add("w", np.array([2.0]))
-        state = AdamState(lr=0.0)
-        adam_step(params, {"w": np.array([10.0])}, state)
+        params = one_param([2.0])
+        Optimizer(params, lr=0.0, clip_norm=10.0).step({"w": np.array([10.0])})
         assert params["w"].data[0] == 2.0
 
     def test_adam_converges_on_quadratic(self):
         params = ParamSet(seed=0)
         w = params.add("w", np.array([5.0, -3.0]))
-        state = AdamState(lr=0.2)
+        opt = Optimizer(params, lr=0.2, clip_norm=10.0)
         for _ in range(400):
             loss = (w * w).sum()
             loss.backward()
-            adam_step(params, params.take_grads(), state)
+            opt.step(params.take_grads())
         assert float((w.data ** 2).sum()) < 1e-6
 
-    def test_clip_by_global_norm(self):
+    def test_clips_to_the_global_norm(self):
+        """The step clips the group's gradients to a joint l2 norm of
+        `clip_norm` and returns the norm before clipping: the second
+        moment's first update records the clipped gradient."""
         grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
-        clipped, norm = clip_by_global_norm(grads, max_norm=1.0)
-        assert norm == 5.0
-        np.testing.assert_allclose(clipped["a"], [0.6, 0.8])
-        same, norm2 = clip_by_global_norm(grads, max_norm=10.0)
-        np.testing.assert_array_equal(same["a"], [3.0, 4.0])
-        assert norm2 == 5.0
+        params = ParamSet(seed=0)
+        params.add("a", np.zeros(2))
+        params.add("b", np.zeros(1))
+        clipped = Optimizer(params, lr=0.1, clip_norm=1.0)
+        assert clipped.step(grads) == 5.0
+        np.testing.assert_allclose(clipped.m["a"], 0.1 * np.array([0.6, 0.8]))
+        same = Optimizer(params, lr=0.1, clip_norm=10.0)
+        assert same.step(grads) == 5.0
+        np.testing.assert_allclose(same.m["a"], 0.1 * np.array([3.0, 4.0]))
+
+    def test_ascend_negates_the_gradients(self):
+        up, down = one_param([1.0]), one_param([1.0])
+        Optimizer(up, lr=0.1, clip_norm=10.0).step({"w": np.array([2.0])}, ascend=True)
+        Optimizer(down, lr=0.1, clip_norm=10.0).step({"w": np.array([-2.0])})
+        assert up["w"].data[0] == down["w"].data[0] > 1.0
+
+    def test_prefix_groups_step_only_their_parameters(self):
+        """Each group keeps its names' gradients, clips them jointly and counts
+        its own steps; continuing another group's moments and step count is
+        one assignment."""
+        params = ParamSet(seed=0)
+        for name in ("gen.w", "sup.w", "critic.w"):
+            params.add(name, np.zeros(1))
+        grads = {name: np.array([3.0]) for name in params.names()}
+        grads["critic.w"] = np.array([4.0])
+        sup = Optimizer(params, lr=0.1, clip_norm=10.0, prefixes=("sup.",))
+        both = Optimizer(params, lr=0.1, clip_norm=10.0, prefixes=("gen.", "sup."))
+        assert sup.step(grads) == 3.0
+        assert params["gen.w"].data[0] == params["critic.w"].data[0] == 0.0
+        assert params["sup.w"].data[0] < 0.0
+        both.t, both.m, both.v = sup.t, sup.m, sup.v
+        assert both.step(grads) == math.sqrt(18.0)
+        assert both.t == 2 and set(both.m) == {"gen.w", "sup.w"}
+        assert params["critic.w"].data[0] == 0.0
 
 
 class TestParamSet:

@@ -15,7 +15,6 @@ from commodgen.cli import (ConfigError, DEFAULT_CONFIG, build_train_config,
                            config_hash, consolidate, merge_config)
 from commodgen.dataio import load_csv, read_dataset, windowize
 from commodgen.generators import KINDS, TrainConfig, load_checkpoint
-from commodgen.hedging import load_hedger
 from commodgen.metrics import REPORT_HEADER
 from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
@@ -300,6 +299,29 @@ def test_cegen_without_usable_bucket_exits_4_with_one_line(tmp_path, dataset, ca
     assert "batch_size" in err[0] and "bins" in err[0]
     assert json.loads((out / "diagnostic.json").read_text())["error"] == "TrainingError"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("train,needle", [
+    ({"sig_depth": 30}, "more than 2000000 coefficients; refusing"),
+    ({"sig_depth": 10**6}, "more than 2000000 coefficients; refusing"),
+    ({"past_len": 10**19}, f"cannot provide past {10**19} + future 3 pairs"),
+], ids=["sig-depth-30", "sig-depth-1e6", "past-len-1e19"])
+def test_oversized_siggan_exits_3_within_seconds(tmp_path, dataset, train, needle):
+    """A signature too long to fit or a past longer than the windows exits 3
+    with one line before anything of that size is allocated or summed.  The
+    command runs in a subprocess so that a regression times out instead of
+    hanging the suite."""
+    ds, _ = dataset
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       generator={"kind": "SIGGAN", "train": {"iterations": 1, **train}})
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "commodgen.cli", "train-gen", "--config",
+                          str(cfg), "--out", str(tmp_path / "run")], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert needle in out.stderr
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_eval_requires_checkpoint(tmp_path, dataset, capsys):
@@ -616,8 +638,8 @@ def test_hedge_gbm_on_the_fly(tmp_path, dataset):
     model, case, init_risk, repl = lines[1].split(",")
     assert model == "GBM" and case == "call"
     assert float(init_risk) > 0 and float(repl) >= 0
-    policy, spec, _ = load_hedger(out / "hedger.json")
-    assert spec.payoff.kind == "call" and spec.tradable == (0,)
+    spec = store.read_json(out / "hedger.json")["spec"]
+    assert spec["payoff"]["kind"] == "call" and spec["tradable"] == [0]
     m = manifest(out)
     expected = {"hedger.json", "hedge_report.csv", "hedge_export.csv",
                 "hedge_losses.csv", "hedge_test_losses.csv"}
@@ -637,10 +659,9 @@ def test_hedge_spread_uses_checkpoint(tmp_path, dataset):
                                "strike": 0.5,
                                "train": {"iterations": 10, "batch_size": 16}})
     assert cli.main(["hedge", "--config", str(cfg2), "--out", str(out)]) == 0
-    _, spec, _ = load_hedger(out / "hedger.json")
-    assert spec.payoff.kind == "spread_call"
-    assert spec.payoff.strike == 0.5 and spec.payoff.dims == (1, 0)
-    assert spec.tradable == (1, 0)
+    spec = store.read_json(out / "hedger.json")["spec"]
+    assert spec["payoff"] == {"kind": "spread_call", "strike": 0.5, "dims": [1, 0]}
+    assert spec["tradable"] == [1, 0]
     row = (out / "hedge_report.csv").read_text().strip().split("\n")[1]
     assert row.startswith("GBM,spread,")
 

@@ -1,14 +1,11 @@
-import re
-
 import numpy as np
 import pytest
 
 from commodgen.autodiff import NumericOverflowError, ParamSet, Tensor, no_grad
 from commodgen.dataio import DataError, PathBatch
-from commodgen.generators import TrainConfig, save_checkpoint, train_generator
+from commodgen.generators import TrainConfig, train_generator
 from commodgen.hedging import (HEDGE_EXPORT_HEADER, HedgerPolicy, HedgingSpec,
-                               Payoff, bs_delta_strategy, eval_hedger,
-                               load_hedger, rebase_batch,
+                               Payoff, bs_delta_strategy, eval_hedger, rebase_batch,
                                replicate_terminal, save_hedger, train_hedger,
                                write_hedge_export)
 from commodgen import store
@@ -113,15 +110,6 @@ def test_spec_validation():
         spec.check_batch(price_batch(d=1, seq_len=1))
 
 
-def test_spec_dict_roundtrip():
-    spec = HedgingSpec(payoff=Payoff(kind="spread_call", strike=42.41, dims=(3, 1)),
-                       tradable=(1, 3), maturity=30 / 252, s0=np.array([1.0, 2.0]))
-    back = HedgingSpec.from_dict(spec.to_dict())
-    assert back.payoff == spec.payoff
-    assert back.tradable == spec.tradable and back.maturity == spec.maturity
-    assert np.array_equal(back.s0, spec.s0)
-
-
 # ---------------------------------------------------------------------------
 # terminal replication identities
 
@@ -191,7 +179,7 @@ def test_binomial_toy_recovers_exact_replication():
     assert abs(premium - 1.0 / 3.0) < 1e-2
     ev = eval_hedger(policy, TwoStateSampler().sample(4096, seed=123), spec)
     assert ev.repl_loss < 1e-4
-    assert len(train_curve) == 300
+    assert len(train_curve.iterations) == 300
 
 
 def test_worthless_payoff_trains_to_zero_premium():
@@ -210,7 +198,7 @@ def test_train_and_test_losses_agree_on_matching_law():
     spec = call_spec(strike=1.0, maturity=9 / 252, s0=np.array([1.0]))
     cfg = TrainConfig(iterations=150, batch_size=128, lr=1e-2, hidden=16, seed=1)
     policy, train_curve, test_curve = train_hedger(sampler, spec, cfg, test_data=test)
-    assert len(test_curve) >= 6
+    assert len(test_curve.iterations) >= 6
     # same law on both sides: no meaningful generalization gap
     train_tail = np.mean(train_curve.gen_loss[-20:])
     assert test_curve.gen_loss[-1] < 2.0 * train_tail
@@ -444,85 +432,6 @@ def test_bs_strategy_rejects_proxy_and_spread():
         bs_delta_strategy(price_batch(), call_spec(), sigma=0.0)
 
 
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def saved_hedger(tmp_path):
-    """A briefly trained one-asset hedger (hidden 8, one hidden layer) and
-    its checkpoint path."""
-    spec = call_spec(strike=1.0)
-    cfg = TrainConfig(iterations=30, batch_size=64, lr=1e-2, hidden=8, layers=1)
-    policy, _, _ = train_hedger(TwoStateSampler(), spec, cfg)
-    path = tmp_path / "hedger.json"
-    save_hedger(policy, spec, cfg, path, trained_iterations=30)
-    return policy, spec, cfg, path
-
-
-def test_hedger_checkpoint_roundtrip(tmp_path):
-    policy, spec, cfg, path = saved_hedger(tmp_path)
-    loaded, spec2, cfg2 = load_hedger(path)
-    assert spec2.payoff == spec.payoff and cfg2 == cfg
-    batch = TwoStateSampler().sample(50, seed=77)
-    assert np.array_equal(positions(policy, batch, spec),
-                          positions(loaded, batch, spec2))
-    assert float(loaded.premium().data) == float(policy.premium().data)
-    again = tmp_path / "again.json"
-    save_hedger(loaded, spec2, cfg2, again, trained_iterations=30)
-    assert again.read_bytes() == path.read_bytes()
-
-
-def _edit_hedger(params=None, **cfg):
-    """Drop (None) or replace named parameters, or set `cfg` fields."""
-    def apply(raw):
-        for name, value in (params or {}).items():
-            if value is None:
-                del raw["params"][name]
-            else:
-                raw["params"][name] = value
-        raw["cfg"].update(cfg)
-    return apply
-
-
-@pytest.mark.parametrize("edit,needle", [
-    (_edit_hedger({"hedge.net.b0": None}), "hedger checkpoint lacks parameter 'hedge.net.b0'"),
-    (_edit_hedger({"hedge.premium": None}),
-     "hedger checkpoint lacks parameter 'hedge.premium'"),
-    (_edit_hedger({"hedge.net.w0": {"shape": [3, 8], "data": [0.0] * 24}}),
-     "parameter 'hedge.net.w0' has shape (3, 8), but a hedger of this cfg and dim 1 "
-     "registers (2, 8)"),
-    (_edit_hedger({"hedge.extra": {"shape": [], "data": [0.0]}}),
-     "parameter 'hedge.extra' is not registered by a hedger of this cfg"),
-    (_edit_hedger(hidden=4),
-     "parameter 'hedge.net.b0' has shape (8,), but a hedger of this cfg and dim 1 "
-     "registers (4,)"),
-], ids=["no-bias", "no-premium", "weight-shape", "extra", "cfg-hidden"])
-def test_hedger_checkpoint_refuses_parameters_its_cfg_does_not_register(tmp_path, edit,
-                                                                       needle):
-    path = saved_hedger(tmp_path)[3]
-    raw = store.read_json(path)
-    edit(raw)
-    store.write_json(path, raw)
-    with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
-        load_hedger(path)
-
-
-@pytest.mark.parametrize("edit,needle", [
-    (lambda raw: raw["cfg"].update(lr=0.5),
-     "cfg does not match the stored cfg_hash (edited after the checkpoint was written)"),
-    (lambda raw: raw.update(s0_tradable={"shape": [1], "data": [-1.0]}),
-     "start levels must be positive, one per tradable dim"),
-], ids=["cfg-lr", "s0"])
-def test_hedger_checkpoint_errors_name_the_file(tmp_path, edit, needle):
-    path = saved_hedger(tmp_path)[3]
-    raw = store.read_json(path)
-    edit(raw)
-    store.write_json(path, raw)
-    with pytest.raises(DataError) as info:
-        load_hedger(path)
-    assert str(info.value) == f"{path}: {needle}"
-
-
 def test_train_hedger_refuses_sampled_starts_at_or_below_zero():
     class SignFlipped:
         def sample(self, n, seed):
@@ -534,11 +443,20 @@ def test_train_hedger_refuses_sampled_starts_at_or_below_zero():
         train_hedger(SignFlipped(), spec, TrainConfig(iterations=2, batch_size=8))
 
 
-def test_load_hedger_rejects_generator_checkpoints(tmp_path):
-    params = GbmParams(sigma=np.array([0.3]), corr=np.eye(1))
-    data = simulate_gbm(params, 50, 8, np.array([1.0]), seed=1)
-    model, _ = train_generator("GBM", data, TrainConfig(iterations=1))
-    path = tmp_path / "gen.json"
-    save_checkpoint(model, path)
-    with pytest.raises(DataError, match="kind"):
-        load_hedger(path)
+
+def test_hedger_container_holds_the_trained_policy(tmp_path):
+    """`hedger.json` holds the trained policy's parameter arrays, its spec
+    and start levels, and the hash of the cfg it was trained with."""
+    spec = call_spec(strike=1.0)
+    cfg = TrainConfig(iterations=30, batch_size=64, lr=1e-2, hidden=8, layers=1)
+    policy, _, _ = train_hedger(TwoStateSampler(), spec, cfg)
+    path = tmp_path / "hedger.json"
+    save_hedger(policy, spec, cfg, path)
+    raw = store.read_json(path)
+    assert raw["kind"] == "hedger" and raw["trained_iterations"] == 30
+    assert raw["spec"] == spec.to_dict()
+    assert raw["cfg"] == cfg.to_dict() and raw["cfg_hash"] == cfg.content_hash()
+    assert np.array_equal(store.block_array(raw["s0_tradable"]), policy.s0_tradable)
+    assert sorted(raw["params"]) == policy.params.names()
+    for name, t in policy.params.items():
+        assert np.array_equal(store.block_array(raw["params"][name]), t.data)

@@ -5,7 +5,7 @@ from commodgen import losses
 from commodgen.autodiff import NumericOverflowError, ParamSet, Tensor
 from commodgen.dataio import DataError
 from commodgen.losses import (CausalCritic, ConditionalSigMetric, SinkhornConfig,
-                              causal_transport_losses, martingale_defect,
+                              SinkhornValue, causal_transport_losses, martingale_defect,
                               sinkhorn_divergence, transition_moment_loss)
 from commodgen.stochastic import GbmParams, simulate_gbm
 
@@ -161,18 +161,25 @@ class TestCausalTransport:
     def test_identical_batches_zero_loss(self):
         real, _ = self.make_batches()
         critic = CausalCritic(ParamSet(seed=3), dim=2, feature_dim=4, hidden=8)
-        gen, _, _ = causal_transport_losses(real, real.copy(), critic,
-                                            cfg=SinkhornConfig(causal_weight=0.0))
+        gen, _ = causal_transport_losses(real, real.copy(), critic,
+                                         cfg=SinkhornConfig(causal_weight=0.0))
         assert abs(gen.item()) <= 1e-8
 
     def test_critic_losses_are_negations(self):
+        """The critic's loss is the generator loss negated, so the gradients
+        of one backward, negated, are exactly those of the critic's loss."""
         real, fake = self.make_batches()
         params = ParamSet(seed=3)
         critic = CausalCritic(params, dim=2, feature_dim=4, hidden=8)
-        gen, critic_loss, sv = causal_transport_losses(real, fake, critic,
-                                                       SinkhornConfig(iterations=20))
-        assert critic_loss.item() == -gen.item()
-        assert np.isfinite(gen.item())
+        cfg = SinkhornConfig(iterations=20)
+        gen, sv = causal_transport_losses(real, fake, critic, cfg)
+        assert np.isfinite(gen.item()) and isinstance(sv, SinkhornValue)
+        gen.backward()
+        descend = params.take_grads()
+        (-causal_transport_losses(real, fake, critic, cfg)[0]).backward()
+        ascend = params.take_grads()
+        for name, g in descend.items():
+            assert np.array_equal(-g, ascend[name]), name
 
     def test_critic_gradient_matches_finite_differences(self):
         """The whole loss, over every critic parameter (both cells and both
