@@ -5,15 +5,15 @@ output gradient back to its parents.  Each op builds the routing closure at
 forward time; `backward()` topologically sorts the reachable graph and runs
 the closures once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
-sum/mean reductions, slicing, reshape/transpose and concatenation, plus the
-fused op `gated_scan` (a single-gate recurrent cell run over a whole
-sequence, with a backward through time), which cuts the per-op overhead of
-a hot path.  That is enough for every network and loss in this package, and
-keeping it small keeps the gradient of every op individually testable.
-Other modules record fused ops of their own over the private helpers
-(`Tensor._result`, `_recording`, `_accumulate`, `_check_finite`): `mlp` (a
-whole `nets.Mlp`), `euler_scan` (CEGEN's Euler scheme), `replicate` (a
-hedger's terminal portfolio value) and the loss kernels.
+sum/mean reductions, slicing, reshape/transpose and concatenation.  That
+is enough for every network and loss in this package, and keeping it small
+keeps the gradient of every op individually testable.  Hot paths are fused
+ops that other modules record over the private helpers (`Tensor._result`,
+`_recording`, `_accumulate`, `_check_finite`), which cuts the per-op
+overhead: `mlp` and `gated_scan` (a whole `nets.Mlp` call and a whole
+`nets.RecurrentCell` run), `euler_scan` (CEGEN's Euler scheme), `replicate`
+(a hedger's terminal portfolio value) and the loss kernels.  Ops call numpy
+directly, so a shape mismatch raises numpy's own `ValueError`.
 
 Ops never mutate their inputs.  Non-finite values in any op result raise
 `NumericOverflowError` naming the op, so a diverging training loop fails
@@ -138,7 +138,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = _apply("add", np.add, self.data, other.data)
+        data = np.add(self.data, other.data)
 
         def backward(g):
             if self.requires_grad:
@@ -158,7 +158,7 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = _apply("sub", np.subtract, self.data, other.data)
+        data = np.subtract(self.data, other.data)
 
         def backward(g):
             if self.requires_grad:
@@ -170,7 +170,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = _apply("mul", np.multiply, self.data, other.data)
+        data = np.multiply(self.data, other.data)
 
         def backward(g):
             if self.requires_grad:
@@ -184,7 +184,7 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = _apply("div", np.divide, self.data, other.data)
+        data = np.divide(self.data, other.data)
 
         def backward(g):
             if self.requires_grad:
@@ -197,7 +197,9 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self.data, other.data
-        data = _matmul(a, b)
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError(f"matmul needs 2d+ operands, got {a.shape} @ {b.shape}")
+        data = np.matmul(a, b)
 
         def backward(g):
             if self.requires_grad:
@@ -373,22 +375,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _apply(op: str, fn, *arrays):
-    try:
-        return fn(*arrays)
-    except ValueError as exc:
-        shapes = " vs ".join(str(np.shape(a)) for a in arrays)
-        raise ValueError(f"{op}: incompatible shapes {shapes}") from exc
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs 2d+ operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return _apply("matmul", np.matmul, a, b)
-
-
 def _axis_count(shape: tuple, axis) -> int:
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     n = 1
@@ -400,9 +386,7 @@ def _axis_count(shape: tuple, axis) -> int:
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis."""
     tensors = [Tensor._lift(t) for t in tensors]
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    data = _apply("concat", lambda *arrs: np.concatenate(arrs, axis=axis), *[t.data for t in tensors])
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -420,75 +404,6 @@ def _check_finite(data: np.ndarray, op: str) -> None:
     """Raise `NumericOverflowError` naming `op` unless every entry is finite."""
     if not np.isfinite(data).all():
         raise NumericOverflowError(f"non-finite result in op '{op}'")
-
-
-def gated_scan(xs: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
-               wc: Tensor, uc: Tensor, bc: Tensor) -> Tensor:
-    """A single-gate recurrent cell run over a sequence as one op:
-
-        z = sigmoid(x_t wz + s uz + bz),  c = tanh(x_t wc + s uc + bc),
-        s_t = z * s + (1 - z) * c,
-
-    from a zero state s over the steps of xs (n, T, in); returns the states
-    (n, T, k).  Each step makes the numpy calls of the matmul/add/sigmoid/
-    tanh/mul/sub chain it fuses.  The backward walks the steps in reverse,
-    summing a state's gradient as the chain does (its output gradient, then
-    the next step's terms through `z * s`, `s @ uz`, `s @ uc`) and giving
-    each parameter one accumulation per step, so values and gradients are
-    bit-identical to the chain stepped by hand.  Each step's input gradient
-    goes into its slice of one array.  Non-finite pre-activations raise:
-    sigmoid and tanh would saturate them to a finite state.
-    """
-    xs = Tensor._lift(xs)
-    if xs.ndim != 3:
-        raise ValueError(f"gated_scan needs an (n, T, in) sequence, got shape {xs.shape}")
-    parents = (xs, wz, uz, bz, wc, uc, bc)
-    cell = [(w, w.data, u, u.data, b) for w, u, b in ((wz, uz, bz), (wc, uc, bc))]
-    xt = np.ascontiguousarray(np.swapaxes(xs.data, 0, 1))    # each step's input contiguous
-    state = np.zeros((xs.shape[0], uz.data.shape[0]))
-    data = np.empty(xs.shape[:2] + state.shape[1:])
-    record, saved = _recording(parents), []     # no backward operands kept unless recorded
-    for t, x in enumerate(xt):
-        pre = [_apply("add", np.add, _apply("add", np.add, _matmul(x, wd), _matmul(state, ud)),
-                      b.data) for _, wd, _, ud, b in cell]
-        for p in pre:
-            _check_finite(p, "gated_scan")
-        z, c = _sigmoid(pre[0]), np.tanh(pre[1])
-        keep = np.subtract(1.0, z)
-        if record:
-            saved.append((state, z, c, keep))
-        state = np.add(np.multiply(z, state), np.multiply(keep, c))
-        data[:, t, :] = state
-
-    def backward(g):
-        gx = np.empty_like(xs.data) if xs.requires_grad else None
-        into_state = []          # step t+1's three contributions to state t's gradient
-        for t in reversed(range(len(saved))):
-            sd, z, c, keep = saved[t]
-            gs = g[:, t, :]
-            for part in into_state:
-                gs = gs + part
-            gz = gs * sd + -(gs * c)
-            g_pre = (gz * z * (1.0 - z), gs * keep * (1.0 - c * c))
-            into_state = [gs * z] if t else []
-            gxt = []
-            for gp, (w, wd, u, ud, b) in zip(g_pre, cell):
-                if b.requires_grad:
-                    _accumulate(b, _unbroadcast(gp, b.data.shape))
-                if gx is not None:
-                    gxt.append(np.matmul(gp, wd.T))
-                if w.requires_grad:
-                    _accumulate(w, np.matmul(xt[t].T, gp))
-                if t:
-                    into_state.append(np.matmul(gp, ud.T))
-                if u.requires_grad:
-                    _accumulate(u, np.matmul(sd.T, gp))
-            if gx is not None:
-                gx[:, t, :] = gxt[0] + gxt[1]
-        if gx is not None:
-            _accumulate(xs, gx)
-
-    return Tensor._result(data, parents, backward, "gated_scan")
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +483,7 @@ class Optimizer:
     so their joint l2 norm is at most `clip_norm` and applies one Adam
     update with bias correction; it returns the pre-clip gradient norm.
     The step count `t` and the moments `m` and `v` (dicts by parameter
-    name) are plain attributes, so one optimiser can continue another's by
-    assigning them.
+    name) are plain attributes.
     """
 
     def __init__(self, params: ParamSet, lr: float, clip_norm: float,

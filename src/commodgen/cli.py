@@ -10,8 +10,8 @@ hedge        checkpoint (or on-the-fly GBM) + dataset -> hedger checkpoint,
 report       run dirs -> consolidated comparison tables with per-group minima marked
 
 Global flags: --config FILE, --seed N, --out DIR, --no-filter.  Exit codes:
-0 success, 2 config error, 3 data error, 4 numeric/training failure or out of
-memory; every failure prints one `error:` line.
+0 success, 2 config error, 3 data error, 4 numeric/training failure, out of
+memory or an array too big to exist; every failure prints one `error:` line.
 
 Configuration is a JSON object deep-merged over the defaults below; unknown
 keys are rejected.  Each value must have its key's type (`CONFIG_SCHEMA`,
@@ -82,6 +82,11 @@ SPREAD_DEFAULT_STRIKE = 42.41
 
 # each report kind a run directory may hold -> the comparison `report` joins it into
 REPORT_KINDS = {"report.csv": "comparison.csv", "hedge_report.csv": "hedge_comparison.csv"}
+
+# how numpy's ValueError starts when a requested array's byte size overflows
+# its index type: a request no memory can meet, so it ends as a MemoryError does
+ARRAY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
+                 "Maximum allowed size exceeded")
 
 # the files each command may write into its output directory
 OUTPUTS = {
@@ -547,6 +552,11 @@ def main(argv=None) -> int:
         return 3
     except (TrainingError, NumericOverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        if not str(exc).startswith(ARRAY_TOO_BIG):
+            raise
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return 4
 
 

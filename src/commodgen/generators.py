@@ -37,7 +37,7 @@ from .autodiff import (Optimizer, ParamSet, Tensor, _check_finite, _recording, _
 from .dataio import Normalizer, PathBatch
 from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornConfig,
                      causal_transport_losses, transition_moment_loss)
-from .nets import Mlp, RecurrentCell, per_step
+from .nets import Mlp, RecurrentCell
 from .rng import rng_for
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
 from . import store
@@ -272,7 +272,7 @@ class GeneratorModel:
                 block = COTGAN_SAMPLE_PATHS
                 return np.concatenate([_cotgan_rollout(nets, z[i : i + block]).data
                                        for i in range(0, n, block)])
-            return _tsgan_recover(nets, _tsgan_rollout(nets, z)).data
+            return nets["rec"](_tsgan_rollout(nets, z)).data
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +353,13 @@ def _cotgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
 
 def _cotgan_rollout(nets: dict, z: np.ndarray) -> Tensor:
     """Noise (n, T, noise_dim) -> paths (n, T, d)."""
-    return per_step(nets["head"], nets["cell"](Tensor(z)))
+    return nets["head"](nets["cell"](Tensor(z)))
 
 
 def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
     return {
         "emb": RecurrentCell(params, "emb", dim, cfg.latent_dim),
-        "rec": Mlp(params, "rec", cfg.latent_dim, cfg.hidden, dim, layers=1),
+        "rec": Mlp(params, "rec", cfg.latent_dim, cfg.hidden, dim, layers=1),    # latent -> path
         "gen": RecurrentCell(params, "gen", _noise_dim(cfg, dim), cfg.latent_dim),
         "sup": RecurrentCell(params, "sup", cfg.latent_dim, cfg.latent_dim),
         "disc": RecurrentCell(params, "disc", cfg.latent_dim, cfg.hidden),
@@ -370,11 +370,6 @@ def _tsgan_nets(params: ParamSet, dim: int, cfg: TrainConfig) -> dict:
 def _tsgan_rollout(nets: dict, z: np.ndarray) -> Tensor:
     """Noise (n, T, noise_dim) -> supervised latent sequence (n, T, latent)."""
     return nets["sup"](nets["gen"](Tensor(z)))
-
-
-def _tsgan_recover(nets: dict, h: Tensor) -> Tensor:
-    """Latent sequence (b, T, latent) -> paths (b, T, d)."""
-    return per_step(nets["rec"], h)
 
 
 def _tsgan_supervised_loss(nets: dict, h: Tensor) -> Tensor:
@@ -544,7 +539,6 @@ def _tsgan_moment_gap(fake: Tensor, mb: np.ndarray) -> Tensor:
 def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     params, nets = _build_nets("TSGAN", data.dim, cfg)
     opt_emb = Optimizer(params, cfg.lr, cfg.clip_norm, ("emb.", "rec."))
-    opt_sup = Optimizer(params, cfg.lr, cfg.clip_norm, ("sup.",))
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.", "sup."))
     opt_disc = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
                          cfg.clip_norm, ("disc.",))
@@ -554,7 +548,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     curve = LossCurve()
 
     def score(h: Tensor) -> Tensor:
-        return per_step(nets["disc_out"], nets["disc"](h))
+        return nets["disc_out"](nets["disc"](h))
 
     def minibatch() -> np.ndarray:
         idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
@@ -566,7 +560,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
     # phase 1: autoencoding
     for it in range(pretrain):
         mb = minibatch()
-        recon = _tsgan_recover(nets, nets["emb"](Tensor(mb))) - Tensor(mb)
+        recon = nets["rec"](nets["emb"](Tensor(mb))) - Tensor(mb)
         loss = (recon * recon).mean() * 10.0
         opt_emb.step(backprop(loss, params, it, "reconstruction loss"))
 
@@ -576,9 +570,8 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         with no_grad():
             h = nets["emb"](Tensor(mb))
         loss = _tsgan_supervised_loss(nets, h)
-        opt_sup.step(backprop(loss, params, it, "supervised loss"))
-    # the joint phase continues the supervisor's pretraining moments and step
-    opt_gen.t, opt_gen.m, opt_gen.v = opt_sup.t, opt_sup.m, opt_sup.v
+        # the generator's gradients are zero here, so only the supervisor moves
+        opt_gen.step(backprop(loss, params, it, "supervised loss"))
 
     # phase 3: joint adversarial training
     for it in range(cfg.iterations):
@@ -591,7 +584,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
 
         # (a) generator + supervisor
         sup_fake = _tsgan_rollout(nets, z)
-        fake = _tsgan_recover(nets, sup_fake)
+        fake = nets["rec"](sup_fake)
         adv = score(sup_fake)
         adv_loss = (-adv).softplus().mean()
         sup_loss = _tsgan_supervised_loss(nets, Tensor(h.data))
@@ -600,7 +593,7 @@ def _train_tsgan(data: PathBatch, cfg: TrainConfig):
         opt_gen.step(backprop(gen_loss, params, it, "generator loss"))
 
         # (b) embedder + recovery
-        recon = _tsgan_recover(nets, h) - Tensor(mb)
+        recon = nets["rec"](h) - Tensor(mb)
         recon_loss = (recon * recon).mean() * 10.0
         emb_loss = recon_loss + _tsgan_supervised_loss(nets, h) * 0.1
         opt_emb.step(backprop(emb_loss, params, it, "embedding loss"))

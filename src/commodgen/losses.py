@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
 from .dataio import DataError
-from .nets import Mlp, RecurrentCell, per_step
+from .nets import Mlp, RecurrentCell
 from .signature import (_check_budget, level_sizes, sig_length, signature_levels,
                         signature_levels_backward)
 
@@ -223,7 +223,7 @@ class CausalCritic:
 
     def features(self, paths: Tensor) -> tuple[Tensor, Tensor]:
         """(h, m) feature sequences, each (n, T, feature_dim)."""
-        return per_step(self.h_head, self.h_cell(paths)), per_step(self.m_head, self.m_cell(paths))
+        return self.h_head(self.h_cell(paths)), self.m_head(self.m_cell(paths))
 
 
 def martingale_defect(h: Tensor, m: Tensor) -> Tensor:

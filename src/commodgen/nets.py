@@ -4,18 +4,20 @@ A block registers its weights in a shared `ParamSet` under a caller-chosen
 prefix and keeps the tensors registration returns, so it is built once per
 parameter set: checkpointing operates on the flat named set and an optimiser
 group is a set of name prefixes (`"gen."` takes every block registered under
-`gen`).  Each call of an `Mlp` is one `mlp` op and each run of a recurrent
+`gen`).  Each block is its own fused op over a numpy kernel: a call of an
+`Mlp` on rows of any leading shape is one `mlp` op, and a run of a recurrent
 cell over a whole sequence one `gated_scan` op, so a block records one graph
-node per call however deep the net or long the sequence.  An `Mlp`'s numpy
-kernel (`forward`/`backward`) also serves ops that run the net inside a
-larger fused op: CEGEN's `euler_scan` and the hedger's `replicate`.
+node per call however deep the net, long the sequence or many the rows.  An
+`Mlp`'s kernel (`forward`/`backward`) also serves ops that run the net
+inside a larger fused op: CEGEN's `euler_scan` and the hedger's `replicate`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _recording, gated_scan
+from .autodiff import (ParamSet, Tensor, _accumulate, _check_finite, _recording, _sigmoid,
+                       _unbroadcast)
 
 
 class Mlp:
@@ -67,21 +69,23 @@ class Mlp:
         return gx
 
     def __call__(self, x: Tensor) -> Tensor:
-        """The net on rows x (n, in_dim) as one `mlp` op."""
+        """The net on the last axis of x (..., in_dim) as one `mlp` op;
+        returns (..., out_dim).  The kernel runs on x as rows."""
         x = Tensor._lift(x)
         in_dim = self.layers[0][0].data.shape[0]
-        if x.ndim != 2 or x.shape[1] != in_dim:
-            raise ValueError(f"mlp needs an (n, {in_dim}) input, got shape {x.shape}")
+        if x.ndim == 0 or x.shape[-1] != in_dim:
+            raise ValueError(f"mlp needs an (..., {in_dim}) input, got shape {x.shape}")
         parents = (x,) + self.params
         tape = [] if _recording(parents) else None
-        data = self.forward(x.data, tape, "mlp")
+        rows = self.forward(x.data.reshape((-1, in_dim)), tape, "mlp")
 
         def backward(g):
-            gx = self.backward(tape, g, x.requires_grad)
+            gx = self.backward(tape, g.reshape(rows.shape), x.requires_grad)
             if gx is not None:
-                _accumulate(x, gx)
+                _accumulate(x, gx.reshape(x.shape))
 
-        return Tensor._result(data, parents, backward, "mlp")
+        return Tensor._result(rows.reshape(x.shape[:-1] + rows.shape[1:]), parents, backward,
+                              "mlp")
 
 
 class RecurrentCell:
@@ -91,23 +95,80 @@ class RecurrentCell:
         c = tanh(x Wc + s Uc + bc)
         s' = z * s + (1 - z) * c
 
-    One gate is enough for the short sequences used here.  Calling the cell
-    on a sequence (n, T, in_dim) runs it from a zero state and returns its
-    states (n, T, state_dim), one `gated_scan` op in the graph.
+    One gate is enough for the short sequences used here.  `gates` holds
+    the (W, U, b) of z, then of c.
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, state_dim: int):
-        self.weights = [w for gate in ("z", "c") for w in (
-            params.add_xavier(f"{prefix}.w{gate}", in_dim, state_dim),
-            params.add_xavier(f"{prefix}.u{gate}", state_dim, state_dim),
-            params.add_zeros(f"{prefix}.b{gate}", (state_dim,)))]
+        self.gates = [(params.add_xavier(f"{prefix}.w{gate}", in_dim, state_dim),
+                       params.add_xavier(f"{prefix}.u{gate}", state_dim, state_dim),
+                       params.add_zeros(f"{prefix}.b{gate}", (state_dim,)))
+                      for gate in ("z", "c")]
+        self.params = tuple(t for gate in self.gates for t in gate)
 
     def __call__(self, xs: Tensor) -> Tensor:
-        return gated_scan(xs, *self.weights)
+        """The cell run over the steps of xs (n, T, in_dim) from a zero state
+        as one `gated_scan` op; returns the states (n, T, state_dim).
 
+        Each step makes the numpy calls of the matmul/add/sigmoid/tanh/mul/
+        sub chain it fuses.  The backward walks the steps in reverse,
+        summing a state's gradient as the chain does (its output gradient,
+        then the next step's terms through `z * s`, `s @ Uz`, `s @ Uc`) and
+        giving each parameter one accumulation per step, so values and
+        gradients are bit-identical to the chain stepped by hand.  Each
+        step's input gradient goes into its slice of one array.  Non-finite
+        pre-activations raise: sigmoid and tanh would saturate them to a
+        finite state.
+        """
+        xs = Tensor._lift(xs)
+        in_dim = self.gates[0][0].data.shape[0]
+        if xs.ndim != 3 or xs.shape[2] != in_dim:
+            raise ValueError(f"gated_scan needs an (n, T, {in_dim}) sequence, "
+                             f"got shape {xs.shape}")
+        parents = (xs,) + self.params
+        cell = [(w, w.data, u, u.data, b) for w, u, b in self.gates]
+        xt = np.ascontiguousarray(np.swapaxes(xs.data, 0, 1))    # each step's input contiguous
+        state = np.zeros((xs.shape[0], self.gates[0][1].data.shape[0]))
+        data = np.empty(xs.shape[:2] + state.shape[1:])
+        record, saved = _recording(parents), []     # no backward operands kept unless recorded
+        for t, x in enumerate(xt):
+            pre = [np.add(np.add(np.matmul(x, wd), np.matmul(state, ud)), b.data)
+                   for _, wd, _, ud, b in cell]
+            for p in pre:
+                _check_finite(p, "gated_scan")
+            z, c = _sigmoid(pre[0]), np.tanh(pre[1])
+            keep = np.subtract(1.0, z)
+            if record:
+                saved.append((state, z, c, keep))
+            state = np.add(np.multiply(z, state), np.multiply(keep, c))
+            data[:, t, :] = state
 
-def per_step(net: Mlp, seq: Tensor) -> Tensor:
-    """`net` applied to every step of seq (n, T, k) at once, as (n * T, k)
-    rows; returns (n, T, out_dim)."""
-    n, seq_len, k = seq.shape
-    return net(seq.reshape((n * seq_len, k))).reshape((n, seq_len, -1))
+        def backward(g):
+            gx = np.empty_like(xs.data) if xs.requires_grad else None
+            into_state = []          # step t+1's three contributions to state t's gradient
+            for t in reversed(range(len(saved))):
+                sd, z, c, keep = saved[t]
+                gs = g[:, t, :]
+                for part in into_state:
+                    gs = gs + part
+                gz = gs * sd + -(gs * c)
+                g_pre = (gz * z * (1.0 - z), gs * keep * (1.0 - c * c))
+                into_state = [gs * z] if t else []
+                gxt = []
+                for gp, (w, wd, u, ud, b) in zip(g_pre, cell):
+                    if b.requires_grad:
+                        _accumulate(b, _unbroadcast(gp, b.data.shape))
+                    if gx is not None:
+                        gxt.append(np.matmul(gp, wd.T))
+                    if w.requires_grad:
+                        _accumulate(w, np.matmul(xt[t].T, gp))
+                    if t:
+                        into_state.append(np.matmul(gp, ud.T))
+                    if u.requires_grad:
+                        _accumulate(u, np.matmul(sd.T, gp))
+                if gx is not None:
+                    gx[:, t, :] = gxt[0] + gxt[1]
+            if gx is not None:
+                _accumulate(xs, gx)
+
+        return Tensor._result(data, parents, backward, "gated_scan")

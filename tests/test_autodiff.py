@@ -4,12 +4,13 @@ fuse."""
 
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from commodgen.autodiff import (NumericOverflowError, Optimizer, ParamSet, Tensor, concat,
-                                gated_scan, no_grad)
+from commodgen.autodiff import NumericOverflowError, Optimizer, ParamSet, Tensor, concat, no_grad
 from commodgen import generators as G
 from commodgen.generators import TrainConfig
 from commodgen.losses import transition_moment_loss
@@ -78,8 +79,8 @@ class TestOpGradients:
         x = rng.standard_normal((4, 5))
         other = rng.standard_normal((4, 5))
         mat = rng.standard_normal((5, 3))
-        cell = [Tensor(rng.standard_normal(shape))
-                for shape in ((5, 5), (5, 5), (5,), (5, 5), (5, 5), (5,))]
+        cell = recurrent_cell([rng.standard_normal(shape)
+                               for shape in ((5, 5), (5, 5), (5,), (5, 5), (5, 5), (5,))])
         net = Mlp(ParamSet(seed=7), "f", 5, 4, 3, layers=2)
         builds = {
             "add": lambda t: (t + Tensor(other)).sum(),
@@ -100,7 +101,7 @@ class TestOpGradients:
             "transpose": lambda t: (t.transpose() @ Tensor(other)).sum(),
             "concat": lambda t: concat([t, t * 2.0], axis=1).sum(),
             # the input as two steps: the first also reaches the second through the state
-            "gated_scan": lambda t: (gated_scan(t.reshape((2, 2, 5)), *cell)
+            "gated_scan": lambda t: (cell(t.reshape((2, 2, 5)))
                                      * Tensor(other.reshape((2, 2, 5)))).sum(),
             "mlp": lambda t: (net(t) * Tensor(mat[:4])).sum(),
         }
@@ -156,10 +157,10 @@ class TestOpGradients:
     def test_mlp_shape_errors_and_no_graph(self):
         params = ParamSet(seed=5)
         net = Mlp(params, "f", 3, 4, 2, layers=1)
-        with pytest.raises(ValueError, match=r"mlp needs an \(n, 3\) input, got shape \(3,\)"):
-            net(Tensor(np.ones(3)))
-        with pytest.raises(ValueError, match=r"mlp needs an \(n, 3\) input, got shape \(6, 4\)"):
-            net(Tensor(np.ones((6, 4))))
+        for shape in ((), (6, 4), (2, 6, 4)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"mlp needs an (..., 3) input, got shape {shape}")):
+                net(Tensor(np.ones(shape)))
         x = Tensor(np.random.default_rng(5).standard_normal((6, 3)), requires_grad=True)
         with no_grad():
             out = net(x)
@@ -169,7 +170,7 @@ class TestOpGradients:
     @pytest.mark.parametrize("x_grad,twice", [(True, True), (False, True), (False, False),
                                               (True, False)])
     def test_gated_step_matches_op_chain(self, x_grad, twice):
-        """`gated_scan` against the chain oracle stepped by hand: value and
+        """A `RecurrentCell` run against the chain oracle stepped by hand: value and
         every gradient bit-identical, with and without an input gradient,
         and with one cell run twice in one graph, as `CausalCritic` runs on
         real and fake paths."""
@@ -177,15 +178,15 @@ class TestOpGradients:
         values = gated_scan_values(rng)
         weights = [rng.standard_normal((6, 5, 3)) for _ in range(2)]
         results = []
-        for fn in (gated_scan, reference_scan):
+        for fn in (RecurrentCell.__call__, reference_scan):
             xs = Tensor(values[0].copy(), requires_grad=x_grad)
-            cell = [Tensor(v.copy(), requires_grad=True) for v in values[1:]]
-            out = fn(xs, *cell)
+            cell = recurrent_cell(values[1:])
+            out = fn(cell, xs)
             loss = (out * Tensor(weights[0])).sum()
             if twice:
-                loss = loss + (fn(xs * 0.5, *cell) * Tensor(weights[1])).sum()
+                loss = loss + (fn(cell, xs * 0.5) * Tensor(weights[1])).sum()
             loss.backward()
-            results.append([out.data, xs.grad] + [t.grad for t in cell])
+            results.append([out.data, xs.grad] + [t.grad for t in cell.params])
         assert (results[0][1] is not None) == x_grad
         for fused, chain in zip(*results):
             assert (fused is None) == (chain is None)
@@ -199,38 +200,43 @@ class TestOpGradients:
         values = [rng.standard_normal((6, 10, 2))] + gated_scan_values(rng)[1:]
         head = rng.standard_normal((3, 2))
         results = []
-        for fn in (gated_scan, reference_scan):
-            xs, *cell = (Tensor(v.copy(), requires_grad=True) for v in values)
-            seq = fn(xs, *cell)
+        for fn in (RecurrentCell.__call__, reference_scan):
+            xs, cell = Tensor(values[0].copy(), requires_grad=True), recurrent_cell(values[1:])
+            seq = fn(cell, xs)
             out = (seq.reshape((60, 3)) @ Tensor(head)).tanh()
             (out * out).mean().backward()
-            results.append([seq.data, xs.grad] + [t.grad for t in cell])
+            results.append([seq.data, xs.grad] + [t.grad for t in cell.params])
         for fused, chain in zip(*results):
             assert np.array_equal(fused, chain)
 
     @pytest.mark.parametrize("operand", range(7))
     def test_gated_step_matches_finite_differences(self, operand):
+        """The input sequence's gradient (operand 0) and each parameter's,
+        in gate order."""
         values = gated_scan_values(np.random.default_rng(26))
         weights = np.random.default_rng(27).standard_normal((6, 5, 3))
+        cell = recurrent_cell(values[1:])
+        leaf = (Tensor(values[0], requires_grad=True),) + cell.params
 
-        def build(t):
-            args = [Tensor(v) for v in values]
-            args[operand] = t
-            return (gated_scan(*args) * Tensor(weights)).sum()
+        def loss(arr):
+            leaf[operand].data = arr
+            return (cell(leaf[0]) * Tensor(weights)).sum()
 
-        check_grad(build, values[operand])
+        loss(values[operand].copy()).backward()
+        num = numeric_grad(lambda a: loss(a).item(), values[operand].copy())
+        np.testing.assert_allclose(leaf[operand].grad, num, atol=1e-5, rtol=0)
 
     def test_gated_step_shape_errors_and_no_graph(self):
         values = gated_scan_values(np.random.default_rng(28))
-        leaves = [Tensor(v, requires_grad=True) for v in values]
-        with pytest.raises(ValueError, match="matmul inner dimensions differ"):
-            gated_scan(Tensor(np.ones((6, 5, 3))), *leaves[1:])
-        with pytest.raises(ValueError, match=r"gated_scan needs an \(n, T, in\) sequence"):
-            gated_scan(Tensor(np.ones((6, 2))), *leaves[1:])
+        xs, cell = Tensor(values[0], requires_grad=True), recurrent_cell(values[1:])
+        for shape in ((6, 5, 3), (6, 2)):
+            with pytest.raises(ValueError, match=r"gated_scan needs an \(n, T, 2\) sequence, "
+                                                 rf"got shape \({shape[0]}, {shape[1]}"):
+                cell(Tensor(np.ones(shape)))
         with no_grad():
-            out = gated_scan(*leaves)
+            out = cell(xs)
         assert not out.requires_grad and out._parents == ()
-        assert np.array_equal(out.data, reference_scan(*leaves).data)
+        assert np.array_equal(out.data, reference_scan(cell, xs).data)
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(3)
@@ -314,9 +320,18 @@ def reference_mlp(net, x):
 
 def gated_scan_values(rng):
     """An input sequence xs (6, 5, 2) and the cell's six parameters (input
-    2, state 3), in `gated_scan`'s argument order."""
+    2, state 3) in gate order: wz, uz, bz, wc, uc, bc."""
     shapes = ((6, 5, 2), (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,))
     return [rng.standard_normal(shape) for shape in shapes]
+
+
+def recurrent_cell(weights):
+    """A `RecurrentCell` holding `weights`, its six parameters in gate order."""
+    params = ParamSet()
+    cell = RecurrentCell(params, "c", *weights[0].shape)
+    names = [f"c.{kind}{gate}" for gate in "zc" for kind in "wub"]
+    params.load_state(dict(zip(names, weights)))
+    return cell
 
 
 def reference_gated_step(x, s, wz, uz, bz, wc, uc, bc):
@@ -327,17 +342,83 @@ def reference_gated_step(x, s, wz, uz, bz, wc, uc, bc):
     return z * s + (Tensor(1.0) - z) * c
 
 
-def reference_scan(xs, *cell):
-    """`gated_scan` as the chain it fuses: each step's input sliced from xs,
-    stepped through `reference_gated_step` from a zero state, and the
-    states concatenated along time."""
+def reference_scan(cell, xs):
+    """A `RecurrentCell` run as the chain it fuses: each step's input sliced
+    from xs, stepped through `reference_gated_step` from a zero state, and
+    the states concatenated along time."""
     n, seq_len, _ = xs.shape
-    state = Tensor(np.zeros((n, cell[1].shape[0])))
+    state = Tensor(np.zeros((n, cell.params[1].shape[0])))
     states = []
     for t in range(seq_len):
-        state = reference_gated_step(xs[:, t, :], state, *cell)
+        state = reference_gated_step(xs[:, t, :], state, *cell.params)
         states.append(state.reshape((n, 1, state.shape[1])))
     return concat(states, axis=1)
+
+
+def mlp_on_rows(net, x):
+    """An `Mlp` on a sequence x (n, T, k) as the reshape -> `mlp` -> reshape
+    chain over (n * T, k) rows: the oracle for a call on the sequence."""
+    n, seq_len, k = x.shape
+    return net(x.reshape((n * seq_len, k))).reshape((n, seq_len, -1))
+
+
+# a fixed set of drawn cases, the same on every run, with nothing stored
+RANDOM_SHAPES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+BATCH, STEPS, WIDTH = st.integers(1, 300), st.integers(1, 30), st.integers(1, 16)
+
+
+class TestKernelsOnRandomShapes:
+    """Both net kernels against their oracles on drawn shapes: value under
+    `no_grad`, then value and every gradient under a random seed gradient,
+    all bit-identical."""
+
+    @RANDOM_SHAPES
+    @given(n=BATCH, steps=STEPS, in_dim=WIDTH, state_dim=WIDTH, x_grad=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, steps=1, in_dim=1, state_dim=1, x_grad=True, seed=0)
+    def test_recurrent_cell_matches_op_chain(self, n, steps, in_dim, state_dim, x_grad, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(in_dim, state_dim), (state_dim, state_dim), (state_dim,)] * 2
+        weights = [rng.standard_normal(shape) for shape in shapes]
+        xs = rng.standard_normal((n, steps, in_dim))
+        seed_grad = rng.standard_normal((n, steps, state_dim))
+        results = []
+        for fn in (RecurrentCell.__call__, reference_scan):
+            cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
+            with no_grad():
+                still = fn(cell, x).data
+            out = fn(cell, x)
+            out.backward(seed_grad)
+            results.append([still, out.data, x.grad] + [p.grad for p in cell.params])
+        for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
+
+    @RANDOM_SHAPES
+    @given(n=BATCH, steps=STEPS, in_dim=WIDTH, hidden=WIDTH, out_dim=WIDTH,
+           layers=st.integers(0, 3), x_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, steps=1, in_dim=1, hidden=1, out_dim=1, layers=0, x_grad=True, seed=0)
+    def test_mlp_on_sequence_matches_rows_chain(self, n, steps, in_dim, hidden, out_dim,
+                                                layers, x_grad, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, steps, in_dim))
+        seed_grad = rng.standard_normal((n, steps, out_dim))
+        state = None
+        results = []
+        for fn in (Mlp.__call__, mlp_on_rows):
+            params = ParamSet()
+            net = Mlp(params, "f", in_dim, hidden, out_dim, layers)
+            state = state or {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            params.load_state(state)
+            x = Tensor(xs, requires_grad=x_grad)
+            with no_grad():
+                still = fn(net, x).data
+            out = fn(net, x)
+            out.backward(seed_grad)
+            results.append([still, out.data, x.grad] + list(params.take_grads().values()))
+        for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
 
 
 def reference_cegen_rollout(nets, x0, z, dt):
@@ -512,7 +593,7 @@ class TestGraphDiscipline:
         values[1] = np.full_like(values[1], 1e300)      # x @ wz
         with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
             with pytest.raises(NumericOverflowError, match="'gated_scan'"):
-                gated_scan(*(Tensor(v, requires_grad=True) for v in values))
+                recurrent_cell(values[1:])(Tensor(values[0], requires_grad=True))
 
     def test_mlp_overflow_raises_with_op_name(self):
         """tanh would saturate an infinite hidden pre-activation into a
@@ -594,8 +675,7 @@ class TestOptimiser:
 
     def test_prefix_groups_step_only_their_parameters(self):
         """Each group keeps its names' gradients, clips them jointly and counts
-        its own steps; continuing another group's moments and step count is
-        one assignment."""
+        its own steps."""
         params = ParamSet(seed=0)
         for name in ("gen.w", "sup.w", "critic.w"):
             params.add(name, np.zeros(1))
@@ -606,9 +686,8 @@ class TestOptimiser:
         assert sup.step(grads) == 3.0
         assert params["gen.w"].data[0] == params["critic.w"].data[0] == 0.0
         assert params["sup.w"].data[0] < 0.0
-        both.t, both.m, both.v = sup.t, sup.m, sup.v
         assert both.step(grads) == math.sqrt(18.0)
-        assert both.t == 2 and set(both.m) == {"gen.w", "sup.w"}
+        assert sup.t == both.t == 1 and set(both.m) == {"gen.w", "sup.w"}
         assert params["critic.w"].data[0] == 0.0
 
 

@@ -706,6 +706,41 @@ def test_hedge_out_of_memory_exits_4(tmp_path, dataset, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command,sections", [
+    pytest.param("eval-gen", {"eval": {"n_samples": 2**62}}, id="eval.n_samples"),
+    pytest.param("hedge", {"hedge": {"underlying": "c0", "train": {"batch_size": 2**62}}},
+                 id="hedge.train.batch_size"),
+    pytest.param("hedge", {"hedge": {"underlying": "c0", "train": {"iterations": 10**19}}},
+                 id="hedge.train.iterations"),
+    pytest.param("train-gen", {"generator": {"kind": "CEGEN", "train": {"bins": 10**19}}},
+                 id="CEGEN.bins"),
+    pytest.param("train-gen", {"generator": {"kind": "SIGGAN", "train": {"hidden": 10**19}}},
+                 id="SIGGAN.hidden"),
+    pytest.param("train-gen", {"generator": {"kind": "SIGGAN", "train": {"noise_dim": 2**62}}},
+                 id="SIGGAN.noise_dim"),
+])
+def test_unallocatable_size_exits_4(tmp_path, dataset, capsys, command, sections):
+    """A size whose array's byte count overflows numpy's index type cannot
+    be allocated at all: numpy raises ValueError before asking for memory,
+    and the command ends as out of memory does, with one line and no
+    manifest."""
+    ds, _ = dataset
+    cfg = {"data": {"dataset": str(ds)}, **sections}
+    if command == "eval-gen":
+        gbm = tmp_path / "gbm"
+        assert cli.main(["train-gen", "--config", str(write_config(tmp_path / "g.json",
+                                                                   data=cfg["data"])),
+                         "--out", str(gbm)]) == 0
+        cfg["generator"] = {"checkpoint": str(gbm / "generator.json")}
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(write_config(tmp_path / "c.json", **cfg)),
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1, err
+    assert not (out / "manifest.json").exists()
+
+
 def test_hedge_rebase_pins_export_starts(tmp_path, dataset):
     ds, _ = dataset
     out = tmp_path / "run"

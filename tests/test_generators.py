@@ -219,12 +219,13 @@ def test_cegen_sample_transition_loss_tracks_real():
 
 def test_cotgan_step_records_few_graph_nodes(monkeypatch):
     """One COTGAN training step (batch 64, 30 steps, 30 Sinkhorn
-    iterations) records 96 graph nodes: each run of a recurrent cell over
+    iterations) records 86 graph nodes: each run of a recurrent cell over
     the sequence is one op (the generator and four critic runs), each head
-    reads the stacked states once as one `mlp` op, and each Sinkhorn sweep
-    is one op (six per divergence).  The critic's loss is the generator
-    loss negated as a number, not a `neg` node.  With one op per recurrent
-    step the step recorded 742; built from small ops, 4516."""
+    reads the (n, T, k) states whole as one `mlp` op, with no reshape on
+    either side, and each Sinkhorn sweep is one op (six per divergence).
+    The critic's loss is the generator loss negated as a number, not a
+    `neg` node.  With a reshape around each head the step recorded 96;
+    with one op per recurrent step, 742; built from small ops, 4516."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
@@ -234,16 +235,18 @@ def test_cotgan_step_records_few_graph_nodes(monkeypatch):
     assert ops.count("gated_scan") == 5
     assert ops.count("sinkhorn_sweeps") == 6
     assert "neg" not in ops
-    assert len(ops) == 96
+    assert len(ops) == 86
 
 
 def test_tsgan_step_records_few_graph_nodes(monkeypatch):
-    """One TSGAN joint step (batch 64, 30 steps, no pretraining) records 75
+    """One TSGAN joint step (batch 64, 30 steps, no pretraining) records 65
     graph nodes: each of its eleven recurrent-cell runs (the generator's,
     supervisor's, embedder's and discriminator's, over the generator,
     embedding and discriminator phases, with one embedding of the minibatch
-    shared by the first two) is one op, and each head call one `mlp`.  With
-    one op per recurrent step the step recorded 1156."""
+    shared by the first two) is one op, and each head call one `mlp` on the
+    (n, T, k) states, with no reshape on either side.  With a reshape
+    around each head the step recorded 75; with one op per recurrent step,
+    1156."""
     ops = []
     result = Tensor._result
     monkeypatch.setattr(Tensor, "_result",
@@ -251,7 +254,8 @@ def test_tsgan_step_records_few_graph_nodes(monkeypatch):
     train_generator("TSGAN", gbm_batch(n=128, seq_len=30),
                     TrainConfig(iterations=1, batch_size=64, pretrain_iterations=0))
     assert ops.count("gated_scan") == 11
-    assert len(ops) <= 100
+    assert "reshape" not in ops
+    assert len(ops) == 65
 
 
 def test_siggan_step_records_few_graph_nodes(monkeypatch):
@@ -314,7 +318,7 @@ def training_rollout(model, n, seed):
     z = noise.standard_normal((n, seq_len, noise_dim))
     if model.kind == "COTGAN":
         return G._cotgan_rollout(nets, z).data
-    return G._tsgan_recover(nets, G._tsgan_rollout(nets, z)).data
+    return nets["rec"](G._tsgan_rollout(nets, z)).data
 
 
 @pytest.mark.parametrize("kind,seq_len", [(k, 12) for k in NEURAL_KINDS] +
