@@ -15,6 +15,7 @@ from commodgen import generators as G
 from commodgen.generators import TrainConfig
 from commodgen.losses import transition_moment_loss
 from commodgen.nets import Mlp, RecurrentCell
+from test_losses import reference_transition_loss
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -368,9 +369,10 @@ BATCH, STEPS, WIDTH = st.integers(1, 300), st.integers(1, 30), st.integers(1, 16
 
 
 class TestKernelsOnRandomShapes:
-    """Both net kernels against their oracles on drawn shapes: value under
-    `no_grad`, then value and every gradient under a random seed gradient,
-    all bit-identical."""
+    """The fused kernels against their oracles on drawn shapes: both net
+    kernels and both ops of a CEGEN step, the Euler rollout and the
+    transition loss.  Value without a graph, then value and every gradient
+    under a random seed gradient, all bit-identical."""
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=STEPS, in_dim=WIDTH, state_dim=WIDTH, x_grad=st.booleans(),
@@ -417,6 +419,63 @@ class TestKernelsOnRandomShapes:
             out.backward(seed_grad)
             results.append([still, out.data, x.grad] + list(params.take_grads().values()))
         for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
+
+    @RANDOM_SHAPES
+    @given(n=BATCH, steps=STEPS, dim=st.integers(1, 6), hidden=WIDTH, layers=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, steps=1, dim=1, hidden=1, layers=0, seed=0)
+    def test_euler_scan_matches_op_chain(self, n, steps, dim, hidden, layers, seed):
+        rng = np.random.default_rng(seed)
+        params, nets = G._build_nets("CEGEN", dim, TrainConfig(hidden=hidden, layers=layers))
+        params.load_state({name: 0.5 * rng.standard_normal(p.shape) for name, p in params.items()})
+        x0, z = rng.standard_normal((n, dim)), rng.standard_normal((n, steps, dim))
+        seed_grad = rng.standard_normal((n, steps + 1, dim))
+        results = []
+        for fn in (G._cegen_rollout, reference_cegen_rollout):
+            with no_grad():
+                still = fn(nets, x0, z, 1 / 252).data
+            out = fn(nets, x0, z, 1 / 252)
+            out.backward(seed_grad)
+            results.append([still, out.data, *params.take_grads().values()])
+        assert len(results[0]) == 2 + len(params.names())
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
+
+    @settings(RANDOM_SHAPES, max_examples=300)
+    @given(n_real=BATCH, n_fake=BATCH, steps=STEPS, dim=st.integers(1, 12),
+           bins=st.integers(1, 8), drift=st.sampled_from([0.0, 0.5, 1.5]),
+           tied_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n_real=1, n_fake=1, steps=1, dim=1, bins=1, drift=0.0, tied_start=False, seed=0)
+    @example(n_real=256, n_fake=256, steps=30, dim=4, bins=5, drift=0.0, tied_start=True,
+             seed=0)
+    def test_transition_loss_matches_op_chain(self, n_real, n_fake, steps, dim, bins, drift,
+                                              tied_start, seed):
+        """d * d runs past numpy's 128-entry pairwise-sum block at dim 12; the
+        drift empties low buckets of fake paths, and a tied start puts every
+        path in one bucket at t = 0, as CEGEN's normalised windows do."""
+        rng = np.random.default_rng(seed)
+        real = rng.standard_normal((n_real, steps, dim)).cumsum(axis=1)
+        fake = rng.standard_normal((n_fake, steps, dim)).cumsum(axis=1)
+        fake[:, 1:] += drift * np.arange(1, steps)[:, None]
+        if tied_start:
+            real[:, 0], fake[:, 0] = 1.0, 1.0
+        seed_grad = np.asarray(rng.standard_normal())
+        results = []
+        for fn in (transition_moment_loss, reference_transition_loss):
+            still = fn(real, fake, bins)
+            x = Tensor(fake, requires_grad=True)
+            out = fn(real, x, bins)
+            if out.value.requires_grad:
+                out.value.backward(seed_grad)
+            results.append([(out.used_buckets, out.skipped_buckets),
+                            (still.used_buckets, still.skipped_buckets),
+                            still.value.requires_grad, out.value.requires_grad,
+                            still.value.data, out.value.data, x.grad])
+        assert results[0][:4] == results[1][:4]
+        assert not results[0][2] and results[0][3] == (results[0][0][0] > 0)
+        for fused, chain in zip(results[0][4:], results[1][4:]):
             assert (fused is None) == (chain is None)
             assert fused is None or np.array_equal(fused, chain)
 
