@@ -98,11 +98,11 @@ def _plan_marginal_violation(f: np.ndarray, g: np.ndarray, cost: np.ndarray,
 def _logsumexp(a: np.ndarray, axis: int):
     """Shift-stabilised log(sum(exp(a))) along `axis`, keeping the axis.
 
-    Also returns exp(a - shift) and its sum: the softmax weights of the
-    gradient are their quotient.
+    The caller guarantees a finite `a`, so the shift (its maximum) is finite
+    too.  Also returns exp(a - shift) and its sum: the softmax weights of
+    the gradient are their quotient.
     """
     shift = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
     e = np.exp(np.subtract(a, shift))
     s = e.sum(axis=axis, keepdims=True)
     return np.add(np.log(s), shift), e, s
@@ -380,11 +380,49 @@ class ConditionalSigMetric:
 MIN_BUCKET = 2  # paths per bucket on each side; a covariance needs two
 
 
-def _increment_moments(inc: np.ndarray):
-    """Mean, centred rows and unbiased covariance of (k, d) increments."""
-    mean = inc.mean(axis=0)
-    centered = inc - mean
-    return mean, centered, centered.T @ centered / (inc.shape[0] - 1)
+def _step_buckets(levels: np.ndarray, edges: np.ndarray, bins: int) -> np.ndarray:
+    """Bucket id `t * bins + b` (n, T-1) of each path's level at each step t:
+    b places the level among the step's edges, one `np.digitize` per step."""
+    ids = np.empty(levels.shape, dtype=np.intp)
+    for t in range(levels.shape[1]):
+        ids[:, t] = np.digitize(levels[:, t], edges[:, t])
+    return ids + np.arange(levels.shape[1]) * bins
+
+
+def _bucket_sums(rows: np.ndarray, label: np.ndarray, bounds: list) -> np.ndarray:
+    """Column sums (B, d) of each bucket's block of rows, rounded as
+    `block.sum(axis=0)` rounds them.  numpy adds the rows of a block of two
+    or more columns one at a time, as `np.bincount` does in row order; a
+    single column it sums pairwise, so that case sums each block itself."""
+    dim = rows.shape[1]
+    if dim == 1:
+        return np.array([rows[a:b].sum(axis=0) for a, b in zip(bounds, bounds[1:])])
+    flat = (label[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=(len(bounds) - 1) * dim
+                       ).reshape(-1, dim)
+
+
+class _Buckets:
+    """One side's increments in the used buckets: the mean (B, d) and
+    unbiased covariance (B, d, d) of each bucket, and the centred rows of all
+    buckets stacked bucket by bucket, each block in path order."""
+
+    def __init__(self, paths: np.ndarray, group: np.ndarray, used: np.ndarray,
+                 sizes: np.ndarray):
+        dim = paths.shape[2]
+        rows = np.flatnonzero(used[group])
+        self.rows = rows[np.argsort(group[rows], kind="stable")]   # (path, step) flat index
+        self.sizes = sizes
+        self.label = np.repeat(np.arange(sizes.size), sizes)
+        self.bounds = [0] + np.cumsum(sizes).tolist()
+        inc = np.subtract(paths[:, 1:], paths[:, :-1]).reshape(-1, dim)[self.rows]
+        self.mean = _bucket_sums(inc, self.label, self.bounds) / sizes[:, None]
+        self.centered = inc - self.mean[self.label]
+        cov = np.empty((sizes.size, dim, dim))
+        for j, (a, b) in enumerate(zip(self.bounds, self.bounds[1:])):
+            block = self.centered[a:b]
+            cov[j] = block.T @ block
+        self.cov = cov / (sizes - 1)[:, None, None]
 
 
 @dataclass
@@ -404,14 +442,20 @@ def transition_moment_loss(real, fake, bins: int = 5) -> TransitionLossValue:
     Buckets with fewer than `MIN_BUCKET` members on either side are skipped
     and counted; with none used the value is a constant 0.
 
-    The value is one autodiff op over `fake`: the forward runs the bucket
-    arithmetic in numpy and a hand-written backward fills one gradient array
-    of fake's shape.  Both round the same floating-point operations, in the
-    same order, as a chain of slice, mean, covariance and square ops would,
-    so value and gradient are bit-identical to it (the tests keep that chain
-    as the reference).  Each fake entry receives at most two nonzero
-    contributions, from the steps before and after it, so the order of
-    accumulation across buckets cannot change a bit either.
+    The value is one autodiff op over `fake`, and it works on the whole
+    batch at once: one quantile call gives every step's edges, every
+    (path, step) row gets a bucket id, and the means, gaps, per-bucket terms
+    and their gradients are computed for all used buckets together.  Only
+    `np.digitize` (once per step) and the covariance products (one
+    `block.T @ block` per bucket side, and two products per bucket in the
+    backward) stay per piece.  Value and gradient are bit-identical to a
+    chain of slice, mean, covariance and square ops, one bucket at a time
+    (the tests keep that chain as the reference): the column sums round as
+    numpy's `sum(axis=0)` over the bucket does (path order from 0.0, or the
+    bucket's own sum for a single column), each covariance is the same BLAS
+    product of the same rows, and the total is the left fold of the terms
+    in (t, bucket) order.  Each fake entry receives at most two nonzero
+    contributions, from the steps before and after it, added in that order.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -423,48 +467,40 @@ def transition_moment_loss(real, fake, bins: int = 5) -> TransitionLossValue:
         raise DataError(f"real {rv.shape} and fake {tuple(fake_t.shape)} disagree "
                         f"on sequence length or dimension")
     fv = fake_t.data
-    seq_len, dim = rv.shape[1], rv.shape[2]
-    buckets = []  # (t, fake members, centred fake increments, mean gap, covariance gap)
-    total = None
-    skipped = 0
-    for t in range(seq_len - 1):
-        key_real = rv[:, t, 0]
-        edges = np.quantile(key_real, np.arange(1, bins) / bins)
-        real_bucket = np.digitize(key_real, edges)
-        fake_bucket = np.digitize(fv[:, t, 0], edges)
-        real_inc = rv[:, t + 1, :] - rv[:, t, :]
-        for b in range(bins):
-            r_idx = np.nonzero(real_bucket == b)[0]
-            f_idx = np.nonzero(fake_bucket == b)[0]
-            if r_idx.size < MIN_BUCKET or f_idx.size < MIN_BUCKET:
-                skipped += 1
-                continue
-            r_mean, _, r_cov = _increment_moments(real_inc[r_idx])
-            f_mean, f_centered, f_cov = _increment_moments(fv[f_idx, t + 1] - fv[f_idx, t])
-            d_mean = f_mean - r_mean
-            d_cov = f_cov - r_cov
-            term = (d_mean * d_mean).sum() + (d_cov * d_cov).sum()
-            total = term if total is None else total + term
-            buckets.append((t, f_idx, f_centered, d_mean, d_cov))
-    if total is None:
-        return TransitionLossValue(value=Tensor(0.0), used_buckets=0, skipped_buckets=skipped)
-    n_used = float(len(buckets))
+    edges = np.quantile(rv[:, :-1, 0], np.arange(1, bins) / bins, axis=0)   # (bins-1, T-1)
+    group = _step_buckets(np.concatenate([rv[:, :-1, 0], fv[:, :-1, 0]]), edges, bins)
+    real_group, fake_group = group[:rv.shape[0]].ravel(), group[rv.shape[0]:].ravel()
+    n_groups = (rv.shape[1] - 1) * bins
+    real_sizes = np.bincount(real_group, minlength=n_groups)
+    fake_sizes = np.bincount(fake_group, minlength=n_groups)
+    used = (real_sizes >= MIN_BUCKET) & (fake_sizes >= MIN_BUCKET)
+    n_used = int(used.sum())
+    if not n_used:
+        return TransitionLossValue(value=Tensor(0.0), used_buckets=0, skipped_buckets=n_groups)
+    r = _Buckets(rv, real_group, used, real_sizes[used])
+    f = _Buckets(fv, fake_group, used, fake_sizes[used])
+    d_mean = f.mean - r.mean
+    d_cov = f.cov - r.cov
+    terms = (d_mean * d_mean).sum(axis=1) + (d_cov * d_cov).sum(axis=(1, 2))
 
     def backward(g):
+        g_term = g / float(n_used)
+        g_mean = 2.0 * (g_term * d_mean)
+        g_cov = 2.0 * (g_term * d_cov) / (f.sizes - 1)[:, None, None]
+        # the centred block is both matmul operands, one through a transpose
+        g_centered = np.empty_like(f.centered)
+        for j, (a, b) in enumerate(zip(f.bounds, f.bounds[1:])):
+            block = f.centered[a:b]
+            g_centered[a:b] = block @ g_cov[j] + (g_cov[j] @ block.T).T
+        g_shift = (g_mean - _bucket_sums(g_centered, f.label, f.bounds)) / f.sizes[:, None]
+        g_inc = np.zeros((fv.shape[0], fv.shape[1] - 1, fv.shape[2]))   # per (path, step)
+        g_inc.reshape(-1, fv.shape[2])[f.rows] = g_centered + g_shift[f.label]
         grad = np.zeros(fv.shape)
-        g_term = g / n_used
-        for t, f_idx, f_centered, d_mean, d_cov in buckets:
-            k = f_idx.size
-            g_mean = 2.0 * (g_term * d_mean)
-            g_cov = 2.0 * (g_term * d_cov) / (k - 1)
-            # the centred block is both matmul operands, one through a transpose
-            g_centered = f_centered @ g_cov + (g_cov @ f_centered.T).T
-            g_inc = g_centered + (g_mean - g_centered.sum(axis=0)) / k
-            grad[f_idx, t + 1] += g_inc
-            grad[f_idx, t] -= g_inc
+        grad[:, 1:] += g_inc
+        grad[:, :-1] -= g_inc
         _accumulate(fake_t, grad)
 
-    value = Tensor._result(total / n_used, (fake_t,), backward,
+    value = Tensor._result(np.cumsum(terms)[-1] / float(n_used), (fake_t,), backward,
                            "transition_moment_loss")
-    return TransitionLossValue(value=value, used_buckets=len(buckets),
-                               skipped_buckets=skipped)
+    return TransitionLossValue(value=value, used_buckets=n_used,
+                               skipped_buckets=n_groups - n_used)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ParamSet, Tensor, _accumulate, _check_finite, _recording, _sigmoid,
-                       _unbroadcast)
+from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _recording, _sigmoid
 
 
 class Mlp:
@@ -157,7 +156,7 @@ class RecurrentCell:
                 gxt = []
                 for gp, (w, wd, u, ud, b) in zip(g_pre, cell):
                     if b.requires_grad:
-                        _accumulate(b, _unbroadcast(gp, b.data.shape))
+                        _accumulate(b, gp.sum(axis=0))
                     if gx is not None:
                         gxt.append(np.matmul(gp, wd.T))
                     if w.requires_grad:
