@@ -11,11 +11,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commodgen.autodiff import NumericOverflowError, Optimizer, ParamSet, Tensor, concat, no_grad
-from commodgen import generators as G
+from commodgen import generators as G, losses
 from commodgen.generators import TrainConfig
-from commodgen.losses import transition_moment_loss
+from commodgen.hedging import replicate_terminal
+from commodgen.losses import _signature_block, transition_moment_loss
 from commodgen.nets import Mlp, RecurrentCell
-from test_losses import reference_transition_loss
+from commodgen.signature import sig_length
+from test_hedging import REPLICATE_SPECS, reference_replicate_terminal, replicate_case
+from test_losses import reference_gs_sweeps, reference_transition_loss
+from test_signature import reference_signature_block
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -356,97 +360,148 @@ def reference_scan(cell, xs):
     return concat(states, axis=1)
 
 
-def mlp_on_rows(net, x):
-    """An `Mlp` on a sequence x (n, T, k) as the reshape -> `mlp` -> reshape
-    chain over (n * T, k) rows: the oracle for a call on the sequence."""
-    n, seq_len, k = x.shape
-    return net(x.reshape((n * seq_len, k))).reshape((n, seq_len, -1))
+def reference_mlp_on_rows(net, x):
+    """An `Mlp` on x (..., k) as the reshape -> `reference_mlp` -> reshape
+    chain over its rows: the oracle for a call on any leading shape."""
+    k = x.shape[-1]
+    rows = reference_mlp(net, x.reshape((-1, k)))
+    return rows.reshape(tuple(x.shape[:-1]) + (rows.shape[-1],))
+
+
+def assert_matches_oracle(fused, chain, seed_grad, grad_bound=None):
+    """A fused op against its chain oracle: each is run under `no_grad`,
+    where it must record no graph, then with a graph, from which
+    `seed_grad` is backpropagated.
+
+    `fused` and `chain` each build fresh leaves and return (run, leaves):
+    `run()` gives the output tensor, or a tuple of it and further results
+    to compare with ==.  Both runs' values must be bit-identical, and so
+    must every leaf's gradient; with `grad_bound`, a gradient may instead
+    differ from the chain's by that fraction of the chain's largest entry.
+    Returns the fused op's results from the run with a graph."""
+    results = []
+    for build in (fused, chain):
+        run, leaves = build()
+        with no_grad():
+            still = run()
+        out = run()
+        still, out = (r if isinstance(r, tuple) else (r,) for r in (still, out))
+        assert not still[0].requires_grad and still[0]._parents == ()
+        if out[0].requires_grad:
+            out[0].backward(seed_grad)
+        results.append((still, out, [leaf.grad for leaf in leaves]))
+    (f_still, f_out, f_grads), (c_still, c_out, c_grads) = results
+    for fused_run, chain_run in ((f_still, c_still), (f_out, c_out)):
+        assert np.array_equal(fused_run[0].data, chain_run[0].data)
+        assert fused_run[1:] == chain_run[1:]
+    assert f_out[0].requires_grad == c_out[0].requires_grad
+    assert len(f_grads) == len(c_grads)
+    for f, c in zip(f_grads, c_grads):
+        assert (f is None) == (c is None)
+        if f is not None and grad_bound is None:
+            assert np.array_equal(f, c)
+        elif f is not None:
+            assert np.max(np.abs(f - c)) <= grad_bound * np.max(np.abs(c))
+    return f_out
 
 
 # a fixed set of drawn cases, the same on every run, with nothing stored
 RANDOM_SHAPES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 BATCH, STEPS, WIDTH = st.integers(1, 300), st.integers(1, 30), st.integers(1, 16)
+SEED = st.integers(0, 2**32 - 1)
 
 
 class TestKernelsOnRandomShapes:
-    """The fused kernels against their oracles on drawn shapes: both net
-    kernels and both ops of a CEGEN step, the Euler rollout and the
-    transition loss.  Value without a graph, then value and every gradient
-    under a random seed gradient, all bit-identical."""
+    """Each of the seven fused ops against its chain oracle on drawn shapes,
+    through `assert_matches_oracle`: value without a graph, then value and
+    every gradient under a drawn seed gradient, all bit-identical (the
+    signature's gradient within 1e-12 of its largest entry).  Each test has
+    a batch-1 example and one at the shape a benchmark workload runs."""
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=STEPS, in_dim=WIDTH, state_dim=WIDTH, x_grad=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=1, steps=1, in_dim=1, state_dim=1, x_grad=True, seed=0)
-    def test_recurrent_cell_matches_op_chain(self, n, steps, in_dim, state_dim, x_grad, seed):
+           twice=st.booleans(), seed=SEED)
+    @example(n=1, steps=1, in_dim=1, state_dim=1, x_grad=True, twice=False, seed=0)
+    @example(n=64, steps=30, in_dim=4, state_dim=32, x_grad=False, twice=True, seed=0)
+    def test_recurrent_cell_matches_op_chain(self, n, steps, in_dim, state_dim, x_grad, twice,
+                                             seed):
+        """`twice` runs the cell on two inputs in one graph, so each
+        parameter gathers two gradients, as `CausalCritic` runs on real and
+        fake paths."""
         rng = np.random.default_rng(seed)
         shapes = [(in_dim, state_dim), (state_dim, state_dim), (state_dim,)] * 2
         weights = [rng.standard_normal(shape) for shape in shapes]
         xs = rng.standard_normal((n, steps, in_dim))
         seed_grad = rng.standard_normal((n, steps, state_dim))
-        results = []
-        for fn in (RecurrentCell.__call__, reference_scan):
-            cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
-            with no_grad():
-                still = fn(cell, x).data
-            out = fn(cell, x)
-            out.backward(seed_grad)
-            results.append([still, out.data, x.grad] + [p.grad for p in cell.params])
-        for fused, chain in zip(*results):
-            assert (fused is None) == (chain is None)
-            assert fused is None or np.array_equal(fused, chain)
+
+        def case(fn):
+            def build():
+                cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
+                run = ((lambda: fn(cell, x) + fn(cell, x * 0.5)) if twice
+                       else (lambda: fn(cell, x)))
+                return run, [x, *cell.params]
+            return build
+
+        assert_matches_oracle(case(RecurrentCell.__call__), case(reference_scan), seed_grad)
 
     @RANDOM_SHAPES
-    @given(n=BATCH, steps=STEPS, in_dim=WIDTH, hidden=WIDTH, out_dim=WIDTH,
-           layers=st.integers(0, 3), x_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @example(n=1, steps=1, in_dim=1, hidden=1, out_dim=1, layers=0, x_grad=True, seed=0)
+    @given(n=BATCH, steps=st.none() | STEPS, in_dim=WIDTH, hidden=WIDTH, out_dim=WIDTH,
+           layers=st.integers(0, 3), x_grad=st.booleans(), twice=st.booleans(), seed=SEED)
+    @example(n=1, steps=None, in_dim=1, hidden=1, out_dim=1, layers=0, x_grad=True,
+             twice=False, seed=0)
+    @example(n=64, steps=30, in_dim=32, hidden=32, out_dim=4, layers=1, x_grad=True,
+             twice=True, seed=0)
     def test_mlp_on_sequence_matches_rows_chain(self, n, steps, in_dim, hidden, out_dim,
-                                                layers, x_grad, seed):
+                                                layers, x_grad, twice, seed):
+        """On rows (`steps` None) or on sequences; `twice` as for the cell."""
         rng = np.random.default_rng(seed)
-        xs = rng.standard_normal((n, steps, in_dim))
-        seed_grad = rng.standard_normal((n, steps, out_dim))
-        state = None
-        results = []
-        for fn in (Mlp.__call__, mlp_on_rows):
+        lead = (n,) if steps is None else (n, steps)
+        xs = rng.standard_normal(lead + (in_dim,))
+        seed_grad = rng.standard_normal(lead + (out_dim,))
+
+        def new_net():
             params = ParamSet()
-            net = Mlp(params, "f", in_dim, hidden, out_dim, layers)
-            state = state or {name: rng.standard_normal(p.shape) for name, p in params.items()}
-            params.load_state(state)
-            x = Tensor(xs, requires_grad=x_grad)
-            with no_grad():
-                still = fn(net, x).data
-            out = fn(net, x)
-            out.backward(seed_grad)
-            results.append([still, out.data, x.grad] + list(params.take_grads().values()))
-        for fused, chain in zip(*results):
-            assert (fused is None) == (chain is None)
-            assert fused is None or np.array_equal(fused, chain)
+            return params, Mlp(params, "f", in_dim, hidden, out_dim, layers)
+        state = {name: rng.standard_normal(p.shape) for name, p in new_net()[0].items()}
+
+        def case(fn):
+            def build():
+                params, net = new_net()
+                params.load_state(state)
+                x = Tensor(xs, requires_grad=x_grad)
+                run = ((lambda: fn(net, x) + fn(net, x * 0.5)) if twice
+                       else (lambda: fn(net, x)))
+                return run, [x, *net.params]
+            return build
+
+        assert_matches_oracle(case(Mlp.__call__), case(reference_mlp_on_rows), seed_grad)
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=STEPS, dim=st.integers(1, 6), hidden=WIDTH, layers=st.integers(0, 3),
-           seed=st.integers(0, 2**32 - 1))
+           seed=SEED)
     @example(n=1, steps=1, dim=1, hidden=1, layers=0, seed=0)
+    @example(n=256, steps=29, dim=4, hidden=32, layers=2, seed=0)
     def test_euler_scan_matches_op_chain(self, n, steps, dim, hidden, layers, seed):
         rng = np.random.default_rng(seed)
-        params, nets = G._build_nets("CEGEN", dim, TrainConfig(hidden=hidden, layers=layers))
-        params.load_state({name: 0.5 * rng.standard_normal(p.shape) for name, p in params.items()})
+        cfg = TrainConfig(hidden=hidden, layers=layers)
+        state = {name: 0.5 * rng.standard_normal(p.shape)
+                 for name, p in G._build_nets("CEGEN", dim, cfg)[0].items()}
         x0, z = rng.standard_normal((n, dim)), rng.standard_normal((n, steps, dim))
         seed_grad = rng.standard_normal((n, steps + 1, dim))
-        results = []
-        for fn in (G._cegen_rollout, reference_cegen_rollout):
-            with no_grad():
-                still = fn(nets, x0, z, 1 / 252).data
-            out = fn(nets, x0, z, 1 / 252)
-            out.backward(seed_grad)
-            results.append([still, out.data, *params.take_grads().values()])
-        assert len(results[0]) == 2 + len(params.names())
-        for fused, chain in zip(*results):
-            assert np.array_equal(fused, chain)
+
+        def case(fn):
+            def build():
+                params, nets = G._build_nets("CEGEN", dim, cfg)
+                params.load_state(state)
+                return (lambda: fn(nets, x0, z, 1 / 252)), [p for _, p in params.items()]
+            return build
+
+        assert_matches_oracle(case(G._cegen_rollout), case(reference_cegen_rollout), seed_grad)
 
     @settings(RANDOM_SHAPES, max_examples=300)
     @given(n_real=BATCH, n_fake=BATCH, steps=STEPS, dim=st.integers(1, 12),
            bins=st.integers(1, 8), drift=st.sampled_from([0.0, 0.5, 1.5]),
-           tied_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           tied_start=st.booleans(), seed=SEED)
     @example(n_real=1, n_fake=1, steps=1, dim=1, bins=1, drift=0.0, tied_start=False, seed=0)
     @example(n_real=256, n_fake=256, steps=30, dim=4, bins=5, drift=0.0, tied_start=True,
              seed=0)
@@ -454,7 +509,8 @@ class TestKernelsOnRandomShapes:
                                               tied_start, seed):
         """d * d runs past numpy's 128-entry pairwise-sum block at dim 12; the
         drift empties low buckets of fake paths, and a tied start puts every
-        path in one bucket at t = 0, as CEGEN's normalised windows do."""
+        path in one bucket at t = 0, as CEGEN's normalised windows do.  The
+        value records a graph exactly when a bucket is used."""
         rng = np.random.default_rng(seed)
         real = rng.standard_normal((n_real, steps, dim)).cumsum(axis=1)
         fake = rng.standard_normal((n_fake, steps, dim)).cumsum(axis=1)
@@ -462,22 +518,114 @@ class TestKernelsOnRandomShapes:
         if tied_start:
             real[:, 0], fake[:, 0] = 1.0, 1.0
         seed_grad = np.asarray(rng.standard_normal())
-        results = []
-        for fn in (transition_moment_loss, reference_transition_loss):
-            still = fn(real, fake, bins)
-            x = Tensor(fake, requires_grad=True)
-            out = fn(real, x, bins)
-            if out.value.requires_grad:
-                out.value.backward(seed_grad)
-            results.append([(out.used_buckets, out.skipped_buckets),
-                            (still.used_buckets, still.skipped_buckets),
-                            still.value.requires_grad, out.value.requires_grad,
-                            still.value.data, out.value.data, x.grad])
-        assert results[0][:4] == results[1][:4]
-        assert not results[0][2] and results[0][3] == (results[0][0][0] > 0)
-        for fused, chain in zip(results[0][4:], results[1][4:]):
-            assert (fused is None) == (chain is None)
-            assert fused is None or np.array_equal(fused, chain)
+
+        def case(fn):
+            def build():
+                x = Tensor(fake, requires_grad=True)
+
+                def run():
+                    out = fn(real, x, bins)
+                    return out.value, out.used_buckets, out.skipped_buckets
+                return run, [x]
+            return build
+
+        value, used, _ = assert_matches_oracle(case(transition_moment_loss),
+                                               case(reference_transition_loss), seed_grad)
+        assert value.requires_grad == (used > 0)
+
+    @RANDOM_SHAPES
+    @given(case=st.sampled_from(sorted(REPLICATE_SPECS)), n=BATCH, seq_len=st.integers(2, 30),
+           hidden=WIDTH, layers=st.integers(0, 3), seed=SEED)
+    @example(case="call", n=1, seq_len=2, hidden=1, layers=0, seed=0)
+    @example(case="call", n=256, seq_len=30, hidden=32, layers=2, seed=0)
+    def test_replicate_matches_op_chain(self, case, n, seq_len, hidden, layers, seed):
+        """Under a seed gradient on the terminal wealth, then through the
+        replication loss, which also reaches the premium through its mean."""
+        seed_grad = np.random.default_rng(seed).standard_normal(n)
+        for loss in (False, True):
+            def oracle_case(fn):
+                def build():
+                    policy, batch, spec = replicate_case(case, n=n, seq_len=seq_len, hidden=hidden,
+                                                 layers=layers, seed=seed)
+                    claim = Tensor(spec.payoff.value(batch.values[:, -1, :]))
+
+                    def run():
+                        wealth = fn(policy, batch, spec)
+                        return ((wealth - claim) * (wealth - claim)).mean() if loss else wealth
+                    return run, [p for _, p in policy.params.items()]
+                return build
+
+            assert_matches_oracle(oracle_case(replicate_terminal),
+                                  oracle_case(reference_replicate_terminal),
+                                  np.asarray(1.0) if loss else seed_grad)
+
+    @RANDOM_SHAPES
+    @given(n=st.integers(1, 128), m=st.integers(1, 128), iterations=STEPS,
+           eps=st.sampled_from([0.05, 0.1, 0.3, 1.0]), row_first=st.booleans(),
+           shared=st.booleans(), spread=st.booleans(), seed=SEED)
+    @example(n=1, m=1, iterations=1, eps=0.1, row_first=True, shared=False, spread=False,
+             seed=0)
+    @example(n=64, m=64, iterations=30, eps=0.1, row_first=True, shared=True, spread=False,
+             seed=0)
+    def test_sinkhorn_sweeps_match_op_chain(self, n, m, iterations, eps, row_first, shared,
+                                            spread, seed):
+        """One sweep, or (`shared`) two sweeps of opposite order on one cost,
+        as `_ot_dual_value` runs them, so the cost gathers both sweeps'
+        contributions.  `spread` scales a row and a column by 40, so that
+        exponents spread over hundreds.  Value, marginal violation and cost
+        gradient bit-identical."""
+        rng = np.random.default_rng(seed)
+        cost0 = rng.random((n, m)) * 3.0
+        if spread:
+            cost0[rng.integers(n)] *= 40.0
+            cost0[:, rng.integers(m)] *= 40.0
+        seed_grad = np.asarray(rng.standard_normal())
+
+        def fused_run(cost):
+            value, violation = losses._gs_sweeps(cost, eps, iterations, row_first, True)
+            if shared:
+                second = losses._gs_sweeps(cost, eps, iterations, not row_first, False)[0]
+                value = (value + second) * 0.5
+            return value, violation
+
+        def chain_run(cost):
+            value, f, g = reference_gs_sweeps(cost, eps, iterations, row_first)
+            violation = losses._plan_marginal_violation(f.data, g.data, cost0, eps)
+            if shared:
+                value = (value + reference_gs_sweeps(cost, eps, iterations,
+                                                     not row_first)[0]) * 0.5
+            return value, violation
+
+        def case(run):
+            def build():
+                cost = Tensor(cost0, requires_grad=True)
+                return (lambda: run(cost)), [cost]
+            return build
+
+        assert_matches_oracle(case(fused_run), case(chain_run), seed_grad)
+
+    @RANDOM_SHAPES
+    @given(lead=st.just(()) | st.tuples(st.integers(1, 64))
+           | st.tuples(st.integers(1, 64), st.integers(1, 3)), points=st.integers(2, 5), dim=st.integers(1, 5), depth=st.integers(1, 4),
+           seed=SEED)
+    @example(lead=(1,), points=2, dim=1, depth=1, seed=0)
+    @example(lead=(128, 2), points=4, dim=4, depth=4, seed=0)
+    def test_signature_matches_op_chain(self, lead, points, dim, depth, seed):
+        """The op's value bit for bit, its gradient within the stated 1e-12
+        of the chain's largest entry (the backward contracts where the
+        chain multiplies and sums)."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(lead + (points, dim))
+        seed_grad = rng.standard_normal(lead + (sig_length(dim + 1, depth),))
+
+        def case(fn):
+            def build():
+                x = Tensor(values, requires_grad=True)
+                return (lambda: fn(x, depth)), [x]
+            return build
+
+        assert_matches_oracle(case(_signature_block), case(reference_signature_block),
+                              seed_grad, grad_bound=1e-12)
 
 
 def reference_cegen_rollout(nets, x0, z, dt):

@@ -235,14 +235,14 @@ REPLICATE_SPECS = {
 }
 
 
-def replicate_case(case, n=256, seq_len=30, layers=2, seed=0):
+def replicate_case(case, n=256, seq_len=30, hidden=8, layers=2, seed=0):
     """A hedger with random parameters, a price batch and the spec of one
     `REPLICATE_SPECS` case (call on one asset, spread over two tradables,
     proxy trading an asset the payoff is not written on)."""
     spec = REPLICATE_SPECS[case]
     d = 1 + max((*spec.tradable, *spec.payoff.dims))
     batch = price_batch(n=n, seq_len=seq_len, d=d, seed=seed)
-    policy = fresh_policy(n_tradable=len(spec.tradable), hidden=8, layers=layers)
+    policy = fresh_policy(n_tradable=len(spec.tradable), hidden=hidden, layers=layers)
     rng = np.random.default_rng(seed)
     policy.params.load_state({name: 0.5 * rng.standard_normal(p.shape)
                               for name, p in policy.params.items()})
