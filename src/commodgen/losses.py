@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, _unbroadcast, concat
+from .autodiff import ParamSet, Tensor, _accumulate, _check_finite, concat
 from .dataio import DataError
 from .nets import Mlp, RecurrentCell
 from .signature import (_check_budget, level_sizes, sig_length, signature_levels,
@@ -154,7 +154,7 @@ def _gs_sweeps(cost: Tensor, eps: float, iterations: int, row_first: bool,
             g_exponent = ((grads[axis] * neg_eps) / s) * e
             g_diff = g_exponent / eps_t
             if k:   # the partner is the previous half-step's potential
-                partner = _unbroadcast(g_diff, potential[1 - axis].shape)
+                partner = g_diff.sum(axis=1 - axis, keepdims=True)
                 # the last half-step's partner also feeds the objective's mean
                 grads[1 - axis] = grads[1 - axis] + partner if k == last else partner
             _accumulate(cost, -g_diff)
