@@ -25,6 +25,7 @@ counter-based stream, so reruns produce identical parameters.
 from __future__ import annotations
 
 import math
+import os
 import reprlib
 import sys
 import typing
@@ -465,13 +466,35 @@ def _train_gbm(data: PathBatch, cfg: TrainConfig):
     return model, LossCurve()
 
 
+def _memory_budget() -> float:
+    """Bytes this process may hold: the smaller of physical memory and the
+    soft address-space limit, each where the platform reports it."""
+    budget = math.inf
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            budget = min(budget, soft)
+    except (AttributeError, ImportError, OSError, ValueError):
+        pass
+    return budget
+
+
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
+    n, seq_len, d = data.values.shape
+    # a floor on the transition loss's bucket arrays, all live at once: the
+    # (bins - 1, T - 1) float edges and two (T - 1) * bins int64 counts
+    need, budget = 8 * (seq_len - 1) * (3 * cfg.bins - 1), _memory_budget()
+    if need > budget:
+        raise MemoryError(f"cannot allocate: generator.train.bins = {cfg.bins} needs at "
+                          f"least {need} bytes for the transition loss's buckets, more than "
+                          f"the {budget} bytes this process may hold")
     params, nets = _build_nets("CEGEN", data.dim, cfg)
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
     noise_rng = rng_for(cfg.seed, "cegen", "noise")
     curve = LossCurve()
-    n, seq_len, d = data.values.shape
     # standardize per-step increments: the squared-moment loss is scale
     # sensitive, and tiny increments make the finite-bucket noise of the
     # mean term overwhelm the covariance term (variance collapse)

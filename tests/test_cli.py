@@ -741,6 +741,25 @@ def test_unallocatable_size_exits_4(tmp_path, dataset, capsys, command, sections
     assert not (out / "manifest.json").exists()
 
 
+def test_cegen_bins_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys, monkeypatch):
+    """CEGEN refuses, before training, a `bins` whose transition-loss bucket
+    arrays alone would exceed the memory budget (here a soft address-space
+    limit of 1 MB; bins 10**5 over 11 steps needs about 26 MB): one line
+    naming the key and the bytes, exit 4, no manifest."""
+    import resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (10**6, resource.RLIM_INFINITY))
+    ds, _ = dataset
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                       generator={"kind": "CEGEN", "train": {"bins": 10**5, "iterations": 1}})
+    capsys.readouterr()
+    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot allocate: generator\.train\.bins = 100000 needs at "
+                        r"least 26399912 bytes .* 1000000 bytes .*\n", err), err
+    assert not (out / "manifest.json").exists()
+
+
 def test_hedge_rebase_pins_export_starts(tmp_path, dataset):
     ds, _ = dataset
     out = tmp_path / "run"
