@@ -470,15 +470,14 @@ def _memory_budget() -> float:
     """Bytes this process may hold: the smaller of physical memory and the
     soft address-space limit, each where the platform reports it."""
     budget = math.inf
-    try:
+    if hasattr(os, "sysconf"):
         budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
         import resource
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            budget = min(budget, soft)
-    except (AttributeError, ImportError, OSError, ValueError):
-        pass
-    return budget
+    except ImportError:     # no resource limits on this platform
+        return budget
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
