@@ -358,7 +358,8 @@ class TestKernelsOnRandomShapes:
                                              seed):
         """`twice` runs the cell on two inputs in one graph, so each
         parameter gathers two gradients, as `CausalCritic` runs on real and
-        fake paths."""
+        fake paths; the input's gradient from `x * 0.5` arrives before the
+        cell's own."""
         rng = np.random.default_rng(seed)
         shapes = [(in_dim, state_dim), (state_dim, state_dim), (state_dim,)] * 2
         weights = [rng.standard_normal(shape) for shape in shapes]
@@ -368,7 +369,7 @@ class TestKernelsOnRandomShapes:
         def case(fn):
             def build():
                 cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
-                run = ((lambda: fn(cell, x) + fn(cell, x * 0.5)) if twice
+                run = ((lambda: fn(cell, x * 0.5) + fn(cell, x)) if twice
                        else (lambda: fn(cell, x)))
                 return run, [x, *cell.params]
             return build
@@ -400,7 +401,7 @@ class TestKernelsOnRandomShapes:
                 params, net = new_net()
                 params.load_state(state)
                 x = Tensor(xs, requires_grad=x_grad)
-                run = ((lambda: fn(net, x) + fn(net, x * 0.5)) if twice
+                run = ((lambda: fn(net, x * 0.5) + fn(net, x)) if twice
                        else (lambda: fn(net, x)))
                 return run, [x, *net.params]
             return build
