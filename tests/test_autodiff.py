@@ -299,20 +299,21 @@ def reference_mlp_on_rows(net, x):
     return rows.reshape(tuple(x.shape[:-1]) + (rows.shape[-1],))
 
 
-def assert_matches_oracle(fused, chain, seed_grad, grad_bound=None):
+def assert_matches_oracle(build, fused, chain, seed_grad, grad_bound=None):
     """A fused op against its chain oracle: each is run under `no_grad`,
     where it must record no graph, then with a graph, from which
     `seed_grad` is backpropagated.
 
-    `fused` and `chain` each build fresh leaves and return (run, leaves):
-    `run()` gives the output tensor, or a tuple of it and further results
-    to compare with ==.  Both runs' values must be bit-identical, and so
-    must every leaf's gradient; with `grad_bound`, a gradient may instead
-    differ from the chain's by that fraction of the chain's largest entry.
-    Returns the fused op's results from the run with a graph."""
+    `build(fn)` makes fresh leaves for `fn`, the fused op or the chain, and
+    returns (run, leaves): `run()` gives the output tensor, or a tuple of it
+    and further results to compare with ==.  Both runs' values must be
+    bit-identical, and so must every leaf's gradient; with `grad_bound`, a
+    gradient may instead differ from the chain's by that fraction of the
+    chain's largest entry.  Returns the fused op's results from the run
+    with a graph."""
     results = []
-    for build in (fused, chain):
-        run, leaves = build()
+    for fn in (fused, chain):
+        run, leaves = build(fn)
         with no_grad():
             still = run()
         out = run()
@@ -366,15 +367,13 @@ class TestKernelsOnRandomShapes:
         xs = rng.standard_normal((n, steps, in_dim))
         seed_grad = rng.standard_normal((n, steps, state_dim))
 
-        def case(fn):
-            def build():
-                cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
-                run = ((lambda: fn(cell, x * 0.5) + fn(cell, x)) if twice
-                       else (lambda: fn(cell, x)))
-                return run, [x, *cell.params]
-            return build
+        def build(fn):
+            cell, x = recurrent_cell(weights), Tensor(xs, requires_grad=x_grad)
+            run = ((lambda: fn(cell, x * 0.5) + fn(cell, x)) if twice
+                   else (lambda: fn(cell, x)))
+            return run, [x, *cell.params]
 
-        assert_matches_oracle(case(RecurrentCell.__call__), case(reference_scan), seed_grad)
+        assert_matches_oracle(build, RecurrentCell.__call__, reference_scan, seed_grad)
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=st.none() | STEPS, in_dim=WIDTH, hidden=WIDTH, out_dim=WIDTH,
@@ -396,17 +395,15 @@ class TestKernelsOnRandomShapes:
             return params, Mlp(params, "f", in_dim, hidden, out_dim, layers)
         state = {name: rng.standard_normal(p.shape) for name, p in new_net()[0].items()}
 
-        def case(fn):
-            def build():
-                params, net = new_net()
-                params.load_state(state)
-                x = Tensor(xs, requires_grad=x_grad)
-                run = ((lambda: fn(net, x * 0.5) + fn(net, x)) if twice
-                       else (lambda: fn(net, x)))
-                return run, [x, *net.params]
-            return build
+        def build(fn):
+            params, net = new_net()
+            params.load_state(state)
+            x = Tensor(xs, requires_grad=x_grad)
+            run = ((lambda: fn(net, x * 0.5) + fn(net, x)) if twice
+                   else (lambda: fn(net, x)))
+            return run, [x, *net.params]
 
-        assert_matches_oracle(case(Mlp.__call__), case(reference_mlp_on_rows), seed_grad)
+        assert_matches_oracle(build, Mlp.__call__, reference_mlp_on_rows, seed_grad)
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=STEPS, dim=st.integers(1, 6), hidden=WIDTH, layers=st.integers(0, 3),
@@ -421,14 +418,12 @@ class TestKernelsOnRandomShapes:
         x0, z = rng.standard_normal((n, dim)), rng.standard_normal((n, steps, dim))
         seed_grad = rng.standard_normal((n, steps + 1, dim))
 
-        def case(fn):
-            def build():
-                params, nets = G._build_nets("CEGEN", dim, cfg)
-                params.load_state(state)
-                return (lambda: fn(nets, x0, z, 1 / 252)), [p for _, p in params.items()]
-            return build
+        def build(fn):
+            params, nets = G._build_nets("CEGEN", dim, cfg)
+            params.load_state(state)
+            return (lambda: fn(nets, x0, z, 1 / 252)), [p for _, p in params.items()]
 
-        assert_matches_oracle(case(G._cegen_rollout), case(reference_cegen_rollout), seed_grad)
+        assert_matches_oracle(build, G._cegen_rollout, reference_cegen_rollout, seed_grad)
 
     @settings(RANDOM_SHAPES, max_examples=300)
     @given(n_real=BATCH, n_fake=BATCH, steps=STEPS, dim=st.integers(1, 12),
@@ -451,18 +446,16 @@ class TestKernelsOnRandomShapes:
             real[:, 0], fake[:, 0] = 1.0, 1.0
         seed_grad = np.asarray(rng.standard_normal())
 
-        def case(fn):
-            def build():
-                x = Tensor(fake, requires_grad=True)
+        def build(fn):
+            x = Tensor(fake, requires_grad=True)
 
-                def run():
-                    out = fn(real, x, bins)
-                    return out.value, out.used_buckets, out.skipped_buckets
-                return run, [x]
-            return build
+            def run():
+                out = fn(real, x, bins)
+                return out.value, out.used_buckets, out.skipped_buckets
+            return run, [x]
 
-        value, used, _ = assert_matches_oracle(case(transition_moment_loss),
-                                               case(reference_transition_loss), seed_grad)
+        value, used, _ = assert_matches_oracle(build, transition_moment_loss,
+                                               reference_transition_loss, seed_grad)
         assert value.requires_grad == (used > 0)
 
     @RANDOM_SHAPES
@@ -475,20 +468,17 @@ class TestKernelsOnRandomShapes:
         replication loss, which also reaches the premium through its mean."""
         seed_grad = np.random.default_rng(seed).standard_normal(n)
         for loss in (False, True):
-            def oracle_case(fn):
-                def build():
-                    policy, batch, spec = replicate_case(case, n=n, seq_len=seq_len, hidden=hidden,
-                                                 layers=layers, seed=seed)
-                    claim = Tensor(spec.payoff.value(batch.values[:, -1, :]))
+            def build(fn):
+                policy, batch, spec = replicate_case(case, n=n, seq_len=seq_len, hidden=hidden,
+                                                     layers=layers, seed=seed)
+                claim = Tensor(spec.payoff.value(batch.values[:, -1, :]))
 
-                    def run():
-                        wealth = fn(policy, batch, spec)
-                        return ((wealth - claim) * (wealth - claim)).mean() if loss else wealth
-                    return run, [p for _, p in policy.params.items()]
-                return build
+                def run():
+                    wealth = fn(policy, batch, spec)
+                    return ((wealth - claim) * (wealth - claim)).mean() if loss else wealth
+                return run, [p for _, p in policy.params.items()]
 
-            assert_matches_oracle(oracle_case(replicate_terminal),
-                                  oracle_case(reference_replicate_terminal),
+            assert_matches_oracle(build, replicate_terminal, reference_replicate_terminal,
                                   np.asarray(1.0) if loss else seed_grad)
 
     @RANDOM_SHAPES
@@ -528,18 +518,16 @@ class TestKernelsOnRandomShapes:
                                                      not row_first)[0]) * 0.5
             return value, violation
 
-        def case(run):
-            def build():
-                cost = Tensor(cost0, requires_grad=True)
-                return (lambda: run(cost)), [cost]
-            return build
+        def build(run):
+            cost = Tensor(cost0, requires_grad=True)
+            return (lambda: run(cost)), [cost]
 
-        assert_matches_oracle(case(fused_run), case(chain_run), seed_grad)
+        assert_matches_oracle(build, fused_run, chain_run, seed_grad)
 
     @RANDOM_SHAPES
     @given(lead=st.just(()) | st.tuples(st.integers(1, 64))
-           | st.tuples(st.integers(1, 64), st.integers(1, 3)), points=st.integers(2, 5), dim=st.integers(1, 5), depth=st.integers(1, 4),
-           seed=SEED)
+           | st.tuples(st.integers(1, 64), st.integers(1, 3)),
+           points=st.integers(2, 5), dim=st.integers(1, 5), depth=st.integers(1, 4), seed=SEED)
     @example(lead=(1,), points=2, dim=1, depth=1, seed=0)
     @example(lead=(128, 2), points=4, dim=4, depth=4, seed=0)
     def test_signature_matches_op_chain(self, lead, points, dim, depth, seed):
@@ -550,14 +538,12 @@ class TestKernelsOnRandomShapes:
         values = rng.standard_normal(lead + (points, dim))
         seed_grad = rng.standard_normal(lead + (sig_length(dim + 1, depth),))
 
-        def case(fn):
-            def build():
-                x = Tensor(values, requires_grad=True)
-                return (lambda: fn(x, depth)), [x]
-            return build
+        def build(fn):
+            x = Tensor(values, requires_grad=True)
+            return (lambda: fn(x, depth)), [x]
 
-        assert_matches_oracle(case(_signature_block), case(reference_signature_block),
-                              seed_grad, grad_bound=1e-12)
+        assert_matches_oracle(build, _signature_block, reference_signature_block, seed_grad,
+                              grad_bound=1e-12)
 
 
 def reference_cegen_rollout(nets, x0, z, dt):
