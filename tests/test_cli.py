@@ -12,11 +12,10 @@ import pytest
 
 from commodgen import cli, store
 from commodgen.cli import (ConfigError, DEFAULT_CONFIG, build_train_config,
-                           config_hash, consolidate, merge_config)
+                           config_hash, merge_config)
 from commodgen.dataio import load_csv, read_dataset, windowize
 from commodgen.generators import KINDS, TrainConfig, load_checkpoint
 from commodgen.metrics import REPORT_HEADER
-from commodgen.rng import rng_for
 from commodgen.stochastic import GbmParams, simulate_gbm
 
 

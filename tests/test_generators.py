@@ -6,9 +6,8 @@ import pytest
 from commodgen import generators as G
 from commodgen.autodiff import ParamSet, Tensor, concat
 from commodgen.dataio import DataError, PathBatch, fit_normalizer
-from commodgen.generators import (GeneratorModel, LossCurve, TrainConfig,
-                                  TrainingError, check_loss, load_checkpoint,
-                                  save_checkpoint, train_generator)
+from commodgen.generators import (LossCurve, TrainConfig, TrainingError, check_loss,
+                                  load_checkpoint, save_checkpoint, train_generator)
 from commodgen.hedging import HedgingSpec, Payoff, rebase_batch, train_hedger
 from commodgen.losses import transition_moment_loss
 from commodgen.rng import rng_for
