@@ -112,6 +112,33 @@ class TestOpGradients:
         }
         check_grad(builds[op], x)
 
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_mlp_matches_affine_tanh_chain(self, layers, x_grad):
+        """An `Mlp` call against the chain oracle: value, input gradient
+        and every parameter gradient bit-identical, with the net called
+        twice in one graph, so each parameter accumulates two gradients."""
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((6, 4))
+        weights = [rng.standard_normal((6, 3)) for _ in range(2)]
+        state = None
+        results = []
+        for fn in (Mlp.__call__, reference_mlp):
+            params = ParamSet(seed=3)
+            net = Mlp(params, "f", 4, 5, 3, layers)
+            state = state or {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            params.load_state(state)
+            xt = Tensor(x.copy(), requires_grad=x_grad)
+            out = fn(net, xt)
+            loss = ((out * Tensor(weights[0])).sum()
+                    + (fn(net, xt * 0.5) * Tensor(weights[1])).sum())
+            loss.backward()
+            results.append([out.data, xt.grad] + list(params.take_grads().values()))
+        assert (results[0][1] is not None) == x_grad
+        for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
+
     @pytest.mark.parametrize("name", ["f.w0", "f.b0", "f.w1", "f.b1", "f.w2", "f.b2"])
     def test_mlp_matches_finite_differences(self, name):
         """Each parameter's gradient (the input's is checked with the other
@@ -144,6 +171,48 @@ class TestOpGradients:
             out = net(x)
         assert not out.requires_grad and out._parents == ()
         assert np.array_equal(out.data, reference_mlp(net, x).data)
+
+    @pytest.mark.parametrize("x_grad,twice", [(True, True), (False, True), (False, False),
+                                              (True, False)])
+    def test_gated_step_matches_op_chain(self, x_grad, twice):
+        """A `RecurrentCell` run against the chain oracle stepped by hand: value and
+        every gradient bit-identical, with and without an input gradient,
+        and with one cell run twice in one graph, as `CausalCritic` runs on
+        real and fake paths."""
+        rng = np.random.default_rng(23)
+        values = gated_scan_values(rng)
+        weights = [rng.standard_normal((6, 5, 3)) for _ in range(2)]
+        results = []
+        for fn in (RecurrentCell.__call__, reference_scan):
+            xs = Tensor(values[0].copy(), requires_grad=x_grad)
+            cell = recurrent_cell(values[1:])
+            out = fn(cell, xs)
+            loss = (out * Tensor(weights[0])).sum()
+            if twice:
+                loss = loss + (fn(cell, xs * 0.5) * Tensor(weights[1])).sum()
+            loss.backward()
+            results.append([out.data, xs.grad] + [t.grad for t in cell.params])
+        assert (results[0][1] is not None) == x_grad
+        for fused, chain in zip(*results):
+            assert (fused is None) == (chain is None)
+            assert fused is None or np.array_equal(fused, chain)
+
+    def test_gated_step_unroll_matches_op_chain(self):
+        """Ten steps into a head that reads every state: each parameter
+        gathers one contribution per step, each state one from the head and
+        three from the next step, and the input sequence one per step."""
+        rng = np.random.default_rng(25)
+        values = [rng.standard_normal((6, 10, 2))] + gated_scan_values(rng)[1:]
+        head = rng.standard_normal((3, 2))
+        results = []
+        for fn in (RecurrentCell.__call__, reference_scan):
+            xs, cell = Tensor(values[0].copy(), requires_grad=True), recurrent_cell(values[1:])
+            seq = fn(cell, xs)
+            out = (seq.reshape((60, 3)) @ Tensor(head)).tanh()
+            (out * out).mean().backward()
+            results.append([seq.data, xs.grad] + [t.grad for t in cell.params])
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
 
     @pytest.mark.parametrize("operand", range(7))
     def test_gated_step_matches_finite_differences(self, operand):
@@ -576,6 +645,25 @@ def cegen_case(dim, n=48, steps=9, layers=2, seed=0):
 
 class TestEulerScan:
     """CEGEN's rollout, one `euler_scan` op over two `Mlp` kernels."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_op_chain(self, dim):
+        """The rollout against the chain oracle: paths and all twelve
+        parameter gradients bit-identical, under a random seed gradient and
+        through the transition loss, at the training batch."""
+        params, nets, real, z = cegen_case(dim, n=256, steps=29)
+        seed = np.random.default_rng(1).standard_normal((256, 30, dim))
+        results = []
+        for fn in (G._cegen_rollout, reference_cegen_rollout):
+            paths = fn(nets, real[:, 0, :], z, 1 / 252)
+            paths.backward(seed)
+            by_seed = params.take_grads()
+            fake = fn(nets, real[:, 0, :], z, 1 / 252)
+            transition_moment_loss(real, fake, 5).value.backward()
+            results.append([paths.data, *by_seed.values(), *params.take_grads().values()])
+        assert len(results[0]) == 25
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
 
     @pytest.mark.parametrize("name", ["drift.w0", "drift.b0", "drift.w1", "drift.b1",
                                       "diff.w0", "diff.b0", "diff.w1", "diff.b1"])

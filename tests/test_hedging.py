@@ -42,9 +42,8 @@ class TwoStateSampler:
 
 def positions(policy, prices, spec):
     """The position `policy.controls` takes at every hedge date, as an
-    (n, N, n_tradable) array (`reference_replicate_terminal`, the oracle of
-    `test_autodiff`'s drawn `replicate` test, ties `controls` to
-    `replicate_terminal`)."""
+    (n, N, n_tradable) array (`test_replicate_matches_op_chain` ties
+    `controls` to `replicate_terminal`)."""
     v = prices.values[:, :, list(spec.tradable)]
     n_steps = prices.seq_len - 1
     with no_grad():
@@ -248,6 +247,27 @@ def replicate_case(case, n=256, seq_len=30, hidden=8, layers=2, seed=0):
     policy.params.load_state({name: 0.5 * rng.standard_normal(p.shape)
                               for name, p in policy.params.items()})
     return policy, batch, spec
+
+
+@pytest.mark.parametrize("case", sorted(REPLICATE_SPECS))
+def test_replicate_matches_op_chain(case):
+    """The op against the chain oracle: value, premium and every net
+    gradient bit-identical, under a random seed gradient and through the
+    replication loss, at the training batch over 29 dates."""
+    policy, batch, spec = replicate_case(case)
+    seed = np.random.default_rng(1).standard_normal(batch.n_samples)
+    g = Tensor(spec.payoff.value(batch.values[:, -1, :]))
+    results = []
+    for fn in (replicate_terminal, reference_replicate_terminal):
+        out = fn(policy, batch, spec)
+        out.backward(seed)
+        by_seed = policy.params.take_grads()
+        gap = fn(policy, batch, spec) - g
+        (gap * gap).mean().backward()
+        results.append([out.data, *by_seed.values(), *policy.params.take_grads().values()])
+    assert len(results[0]) == 15
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
 
 
 @pytest.mark.parametrize("name", ["hedge.premium", "hedge.net.w0", "hedge.net.b0",

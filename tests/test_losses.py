@@ -109,6 +109,38 @@ class TestSinkhorn:
         with pytest.raises(DataError):
             sinkhorn_divergence(np.ones((3, 4)), np.ones((3, 5)))
 
+    @pytest.mark.parametrize("row_first", [True, False])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_sweeps_bit_identical_to_op_chain(self, row_first, iterations):
+        """One sweep, and two sweeps of opposite order sharing one cost (as
+        `_ot_dual_value` runs them), against the op chain: value, violation
+        and the cost gradient, whose contributions must add up in the
+        chain's order."""
+        rng = np.random.default_rng(30 + iterations)
+        cost0 = rng.random((7, 5)) * 3.0
+        cost0[2] *= 40.0        # a row and a column whose exponents spread over hundreds
+        cost0[:, 3] *= 40.0
+        eps = 0.3
+        for shared in (False, True):
+            results = []
+            for fused in (True, False):
+                cost = Tensor(cost0.copy(), requires_grad=True)
+                if fused:
+                    value, violation = losses._gs_sweeps(cost, eps, iterations, row_first, True)
+                    second = losses._gs_sweeps(cost, eps, iterations, not row_first, False)[0]
+                else:
+                    value, f, g = reference_gs_sweeps(cost, eps, iterations, row_first)
+                    violation = losses._plan_marginal_violation(f.data, g.data, cost0, eps)
+                    second = reference_gs_sweeps(cost, eps, iterations, not row_first)[0]
+                if shared:
+                    value = (value + second) * 0.5
+                (value * 1.7).backward()
+                results.append((value.data, violation, cost.grad))
+            (fused_value, fused_violation, fused_grad), (value, violation, grad) = results
+            assert np.array_equal(fused_value, value)
+            assert fused_violation == violation
+            assert np.array_equal(fused_grad, grad)
+
     def test_sweep_overflow_raises(self):
         """An overflowing exponent would vanish inside the log-sum-exp and
         leave a finite potential; the op checks its exponents instead."""
@@ -346,6 +378,37 @@ class TestTransitionMoments:
             fd = (transition_moment_loss(real, up).value.item()
                   - transition_moment_loss(real, dn).value.item()) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-4 * max(abs(fd), 1.0), idx
+
+    @pytest.mark.parametrize("n_real,n_fake,seq_len,dim,bins,shift", [
+        (40, 40, 6, 1, 5, 0.0),
+        (60, 50, 8, 2, 5, 0.0),
+        (30, 35, 5, 3, 1, 0.0),
+        (50, 45, 7, 3, 5, 0.0),
+        (25, 12, 6, 2, 5, 1.5),     # fake drifts up: low buckets lack fake paths
+        (12, 3, 4, 1, 1, 0.0),
+    ])
+    def test_bit_identical_to_op_chain(self, n_real, n_fake, seq_len, dim, bins, shift):
+        rng = np.random.default_rng(n_real + 10 * seq_len + dim)
+        real = rng.standard_normal((n_real, seq_len, dim)).cumsum(axis=1)
+        fake = rng.standard_normal((n_fake, seq_len, dim)).cumsum(axis=1)
+        fake[:, 1:] += shift * np.arange(1, seq_len)[:, None]
+        for scale in (1.0, 1.7):    # a unit and a non-unit output gradient
+            fused_t = Tensor(fake.copy(), requires_grad=True)
+            fused = transition_moment_loss(real, fused_t, bins)
+            (fused.value * scale).backward()
+            ref_t = Tensor(fake.copy(), requires_grad=True)
+            ref = reference_transition_loss(real, ref_t, bins)
+            (ref.value * scale).backward()
+            assert np.array_equal(fused.value.data, ref.value.data)
+            assert (fused.used_buckets, fused.skipped_buckets) == \
+                (ref.used_buckets, ref.skipped_buckets)
+            assert np.array_equal(fused_t.grad, ref_t.grad)
+        assert fused.used_buckets > 0
+        if shift:
+            assert fused.skipped_buckets > 0
+        constant = transition_moment_loss(real, fake, bins)   # ndarray: no graph
+        assert np.array_equal(constant.value.data, ref.value.data)
+        assert not constant.value.requires_grad and constant.value._parents == ()
 
     def test_overflow_raises(self):
         rng = np.random.default_rng(4)

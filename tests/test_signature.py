@@ -6,7 +6,8 @@ import pytest
 from commodgen.autodiff import NumericOverflowError, Tensor, concat
 from commodgen.dataio import DataError
 from commodgen.losses import _augmented_increment_block, _signature_block
-from commodgen.signature import SignatureVector, chen_product, sig_length, signature
+from commodgen.signature import (SignatureVector, chen_product, sig_length, signature,
+                                 signature_levels, signature_levels_backward)
 
 
 def _reference_outer(a, b, batch_shape, na, nb):
@@ -49,6 +50,13 @@ def reference_signature_block(values: Tensor, depth: int) -> Tensor:
     t_inc = np.full(tuple(incs.shape[:-1]) + (1,), 1.0 / (seq_len - 1))
     incs = concat([Tensor(t_inc), incs], axis=values.ndim - 1)
     return concat(reference_signature_levels(incs, depth), axis=values.ndim - 2)
+
+
+def assert_grads_close(grad, ref):
+    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+BATCH_SHAPES = [(4,), (4, 1), (4, 3)]
 
 
 class TestClosedForms:
@@ -178,8 +186,42 @@ class TestBatchAndGradients:
 
 
 class TestSignatureOp:
-    """The `signature` op (`test_autodiff.TestKernelsOnRandomShapes` checks
-    it against `reference_signature_block` at drawn shapes)."""
+    """The `signature` op against the op chain it replaces: the same value
+    bit for bit, and the same gradient up to rounding."""
+
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_levels_and_backward_match_reference(self, m, batch):
+        rng = np.random.default_rng(10 * m + len(batch))
+        for depth in range(1, 5):
+            for d in (1, 2, 5):
+                incs = 0.5 * rng.standard_normal(batch + (m, d))
+                tape = []
+                levels = signature_levels(incs, depth, tape)
+                ref_in = Tensor(incs, requires_grad=True)
+                ref = reference_signature_levels(ref_in, depth)
+                seeds = [rng.standard_normal(level.shape) for level in levels]
+                for level, r in zip(levels, ref):
+                    np.testing.assert_array_equal(level, r.data)
+                concat(ref, axis=len(batch)).backward(np.concatenate(seeds, axis=-1))
+                assert_grads_close(signature_levels_backward(incs, tape, seeds), ref_in.grad)
+
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_op_matches_reference_chain(self, m, batch):
+        rng = np.random.default_rng(20 * m + len(batch))
+        for depth in range(1, 5):
+            for d in (1, 2, 5):
+                values = rng.standard_normal(batch + (m + 1, d))
+                op_in = Tensor(values, requires_grad=True)
+                ref_in = Tensor(values, requires_grad=True)
+                op = _signature_block(op_in, depth)
+                ref = reference_signature_block(ref_in, depth)
+                np.testing.assert_array_equal(op.data, ref.data)
+                seed = rng.standard_normal(op.shape)
+                op.backward(seed)
+                ref.backward(seed)
+                assert_grads_close(op_in.grad, ref_in.grad)
 
     def test_overflow_names_the_op(self):
         # level 4 of an increment of 1e100 is 1e400 / 24: inf in float64
