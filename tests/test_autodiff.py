@@ -615,6 +615,66 @@ class TestKernelsOnRandomShapes:
                               grad_bound=1e-12)
 
 
+@st.composite
+def broadcast_shapes(draw):
+    """Two shapes that broadcast together: each drops some leading axes of
+    a drawn rank 0-3 shape and sets some of the axes it keeps to 1."""
+    full = draw(st.lists(st.integers(1, 4), max_size=3))
+
+    def operand():
+        lead = draw(st.integers(0, len(full)))
+        return tuple(1 if draw(st.booleans()) else n for n in full[lead:])
+
+    return operand(), operand()
+
+
+@st.composite
+def matmul_shapes(draw):
+    """A 2-d or batched 3-d operand on each side; a batch axis may be 1 or
+    missing on either side and is broadcast."""
+    m, k, n, batch = (draw(st.integers(1, 4)) for _ in range(4))
+    lead = st.sampled_from([(), (1,), (batch,)])
+    return draw(lead) + (m, k), draw(lead) + (k, n)
+
+
+BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": operator.truediv, "matmul": operator.matmul}
+
+
+class TestBinaryOpsOnRandomShapes:
+    @pytest.mark.parametrize("op", list(BINARY_OPS))
+    @RANDOM_SHAPES
+    @given(data=st.data(), flags=st.sampled_from([(True, True), (True, False), (False, True)]),
+           seed=SEED)
+    def test_broadcast_gradients_match_finite_differences(self, op, data, flags, seed):
+        """Under a drawn seed gradient, each operand that requires a
+        gradient gets one of its own shape that matches central finite
+        differences, and a constant operand gets none.  Denominators stay
+        at least 0.5 away from 0."""
+        fn = BINARY_OPS[op]
+        shapes = data.draw(matmul_shapes() if op == "matmul" else broadcast_shapes())
+        rng = np.random.default_rng(seed)
+        values = [rng.standard_normal(shape) for shape in shapes]
+        if op == "div":
+            values[1] = np.where(values[1] < 0.0, values[1] - 0.5, values[1] + 0.5)
+        operands = [Tensor(v.copy(), requires_grad=f) for v, f in zip(values, flags)]
+        out = fn(*operands)
+        seed_grad = rng.standard_normal(out.shape)
+        out.backward(seed_grad)
+        for i, t in enumerate(operands):
+            if not flags[i]:
+                assert t.grad is None
+                continue
+
+            def f(v, i=i):
+                args = [Tensor(v) if j == i else Tensor(values[j]) for j in range(2)]
+                return float(np.sum(fn(*args).data * seed_grad))
+
+            assert t.grad.shape == values[i].shape
+            np.testing.assert_allclose(t.grad, numeric_grad(f, values[i].copy()),
+                                       rtol=1e-6, atol=1e-6)
+
+
 def reference_cegen_rollout(nets, x0, z, dt):
     """`_cegen_rollout` as the chain of small ops it fuses: the oracle for
     the `euler_scan` op's value and gradients."""
