@@ -1,12 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 blocks.
 
 A `Tensor` wraps a numpy array together with the recipe for routing an
-output gradient back to its parents.  Each op builds the routing closure at
-forward time; `backward()` topologically sorts the reachable graph and runs
-the closures once in reverse order.  The vocabulary is small and fixed:
+output gradient back to its parents.  Each op states its forward value and
+each operand's gradient as a function of the output's; two helpers route
+it: `_unary` hands it to the one operand, and `_binary` sums it down to the
+shape of each operand that requires one (undoing numpy broadcasting).
+`backward()` topologically sorts the reachable graph and runs each node's
+routing once in reverse order.  The vocabulary is small and fixed:
 elementwise arithmetic, matmul, exp/log/sqrt, tanh/sigmoid/softplus,
-sum/mean reductions, slicing, reshape/transpose and concatenation.  That
-is enough for every network and loss in this package, and keeping it small
+sum/mean reductions, slicing, reshape/transpose and concatenation.  That is
+enough for every network and loss in this package, and keeping it small
 keeps the gradient of every op individually testable.  Hot paths are fused
 ops that other modules record over the private helpers (`Tensor._result`,
 `_recording`, `_accumulate`, `_check_finite`), which cuts the per-op
@@ -20,11 +23,11 @@ Ops never mutate their inputs.  Non-finite values in any op result raise
 loudly instead of propagating NaNs; a fused op also checks the
 intermediates that a saturating step inside it could turn finite.  Ops set
 no `np.errstate` of their own: the CLI enters one around each command, so
-library callers outside it may
-see numpy's `RuntimeWarning` (overflow, divide by zero, invalid value) just
-before the `NumericOverflowError`.  Subgraphs that cannot influence any
-parameter (no parent requires a gradient) are not recorded at all, and
-operands that need no gradient receive none.
+library callers outside it may see numpy's `RuntimeWarning` (overflow,
+divide by zero, invalid value) just before the `NumericOverflowError`.
+Subgraphs that cannot influence any parameter (no parent requires a
+gradient) are not recorded at all, and operands that need no gradient
+receive none.
 """
 
 from __future__ import annotations
@@ -134,179 +137,116 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op}{flag})"
 
+    # -- gradient routing -------------------------------------------------------
+
+    def _unary(self, data: np.ndarray, grad, op: str) -> "Tensor":
+        """The result of a one-operand op; `grad(g)` is the operand's gradient."""
+        return Tensor._result(data, (self,), lambda g: _accumulate(self, grad(g)), op)
+
+    def _binary(self, other, data: np.ndarray, grad_self, grad_other, op: str) -> "Tensor":
+        """The result of a broadcasting two-operand op: each operand that
+        requires a gradient gets `grad_*(g)` summed down to its shape."""
+        def backward(g):
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(grad_self(g), self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(grad_other(g), other.data.shape))
+
+        return Tensor._result(data, (self, other), backward, op)
+
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = np.add(self.data, other.data)
-
-        def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g, other.data.shape))
-
-        return Tensor._result(data, (self, other), backward, "add")
+        return self._binary(other, np.add(self.data, other.data), lambda g: g, lambda g: g, "add")
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(g):
-            _accumulate(self, -g)
-
-        return Tensor._result(-self.data, (self,), backward, "neg")
+        return self._unary(-self.data, lambda g: -g, "neg")
 
     def __sub__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = np.subtract(self.data, other.data)
-
-        def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(-g, other.data.shape))
-
-        return Tensor._result(data, (self, other), backward, "sub")
+        return self._binary(other, np.subtract(self.data, other.data),
+                            lambda g: g, lambda g: -g, "sub")
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = np.multiply(self.data, other.data)
-
-        def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._result(data, (self, other), backward, "mul")
+        return self._binary(other, np.multiply(self.data, other.data),
+                            lambda g: g * other.data, lambda g: g * self.data, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         data = np.divide(self.data, other.data)
-
-        def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(-g * data / other.data, other.data.shape))
-
-        return Tensor._result(data, (self, other), backward, "div")
+        return self._binary(other, data, lambda g: g / other.data,
+                            lambda g: -g * data / other.data, "div")
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError(f"matmul needs 2d+ operands, got {a.shape} @ {b.shape}")
-        data = np.matmul(a, b)
-
-        def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
-
-        return Tensor._result(data, (self, other), backward, "matmul")
+        return self._binary(other, np.matmul(a, b),
+                            lambda g: np.matmul(g, np.swapaxes(b, -1, -2)),
+                            lambda g: np.matmul(np.swapaxes(a, -1, -2), g), "matmul")
 
     # -- pointwise nonlinearities ------------------------------------------------
 
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
-
-        def backward(g):
-            _accumulate(self, g * data)
-
-        return Tensor._result(data, (self,), backward, "exp")
+        return self._unary(data, lambda g: g * data, "exp")
 
     def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(g):
-            _accumulate(self, g / self.data)
-
-        return Tensor._result(data, (self,), backward, "log")
+        return self._unary(np.log(self.data), lambda g: g / self.data, "log")
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-
-        def backward(g):
-            _accumulate(self, g * 0.5 / data)
-
-        return Tensor._result(data, (self,), backward, "sqrt")
+        return self._unary(data, lambda g: g * 0.5 / data, "sqrt")
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
-
-        def backward(g):
-            _accumulate(self, g * (1.0 - data * data))
-
-        return Tensor._result(data, (self,), backward, "tanh")
+        return self._unary(data, lambda g: g * (1.0 - data * data), "tanh")
 
     def sigmoid(self) -> "Tensor":
         data = _sigmoid(self.data)
-
-        def backward(g):
-            _accumulate(self, g * data * (1.0 - data))
-
-        return Tensor._result(data, (self,), backward, "sigmoid")
+        return self._unary(data, lambda g: g * data * (1.0 - data), "sigmoid")
 
     def softplus(self) -> "Tensor":
-        data = _softplus(self.data)
-
-        def backward(g):
-            _accumulate(self, g * _sigmoid(self.data))
-
-        return Tensor._result(data, (self,), backward, "softplus")
+        return self._unary(_softplus(self.data), lambda g: g * _sigmoid(self.data), "softplus")
 
     # -- reductions and shape ops --------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.data.shape
 
-        def backward(g):
-            if axis is None:
-                _accumulate(self, np.broadcast_to(g, shape).astype(np.float64, copy=True))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                _accumulate(self, np.broadcast_to(gg, shape).astype(np.float64, copy=True))
+        def grad(g):
+            g = g if axis is None or keepdims else np.expand_dims(g, axis)
+            return np.broadcast_to(g, shape).astype(np.float64, copy=True)
 
-        return Tensor._result(data, (self,), backward, "sum")
+        return self._unary(self.data.sum(axis=axis, keepdims=keepdims), grad, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def reshape(self, shape) -> "Tensor":
-        shape = tuple(shape)
         old = self.data.shape
-        data = self.data.reshape(shape)
-
-        def backward(g):
-            _accumulate(self, g.reshape(old))
-
-        return Tensor._result(data, (self,), backward, "reshape")
+        return self._unary(self.data.reshape(tuple(shape)), lambda g: g.reshape(old), "reshape")
 
     def transpose(self) -> "Tensor":
-        data = np.transpose(self.data)
-
-        def backward(g):
-            _accumulate(self, np.transpose(g))
-
-        return Tensor._result(data, (self,), backward, "transpose")
+        return self._unary(np.transpose(self.data), np.transpose, "transpose")
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
         shape = self.data.shape
 
-        def backward(g):
+        def grad(g):
             full = np.zeros(shape, dtype=np.float64)
             np.add.at(full, index, g)
-            _accumulate(self, full)
+            return full
 
-        out = Tensor._result(np.array(data, dtype=np.float64, copy=True), (self,), backward, "slice")
-        return out
+        return self._unary(np.array(self.data[index], dtype=np.float64, copy=True), grad, "slice")
 
     # -- backward pass -----------------------------------------------------------
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Optimizer, ParamSet, Tensor, _accumulate, _recording, _unbroadcast,
-                       no_grad)
+from .autodiff import Optimizer, ParamSet, Tensor, _accumulate, _recording, no_grad
 from .dataio import DataError, PathBatch
 from .generators import LossCurve, TrainConfig, backprop
 from .nets import Mlp
@@ -185,7 +184,7 @@ def replicate_terminal(policy: HedgerPolicy, prices: PathBatch,
     data = np.add(premium.data, total)
 
     def backward(g):
-        _accumulate(premium, _unbroadcast(g, ()))
+        _accumulate(premium, g.sum())
         for tape, inc in saved:
             g_pos = np.broadcast_to(g[:, None], inc.shape).astype(np.float64, copy=True) * inc
             net.backward(tape, g_pos, want_input=False)

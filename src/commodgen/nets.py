@@ -113,8 +113,9 @@ class RecurrentCell:
         sub chain it fuses.  The backward walks the steps in reverse,
         summing a state's gradient as the chain does (its output gradient,
         then the next step's terms through `z * s`, `s @ Uz`, `s @ Uc`) and
-        giving each parameter one accumulation per step, so values and
-        gradients are bit-identical to the chain stepped by hand.  Each
+        giving each parameter (all from `ParamSet`, so all require a
+        gradient) one accumulation per step, so values and gradients are
+        bit-identical to the chain stepped by hand.  Each
         step's input gradient goes into its slice of one array.  Non-finite
         pre-activations raise: sigmoid and tanh would saturate them to a
         finite state.
@@ -155,16 +156,13 @@ class RecurrentCell:
                 into_state = [gs * z] if t else []
                 gxt = []
                 for gp, (w, wd, u, ud, b) in zip(g_pre, cell):
-                    if b.requires_grad:
-                        _accumulate(b, gp.sum(axis=0))
+                    _accumulate(b, gp.sum(axis=0))
                     if gx is not None:
                         gxt.append(np.matmul(gp, wd.T))
-                    if w.requires_grad:
-                        _accumulate(w, np.matmul(xt[t].T, gp))
+                    _accumulate(w, np.matmul(xt[t].T, gp))
                     if t:
                         into_state.append(np.matmul(gp, ud.T))
-                    if u.requires_grad:
-                        _accumulate(u, np.matmul(sd.T, gp))
+                    _accumulate(u, np.matmul(sd.T, gp))
                 if gx is not None:
                     gx[:, t, :] = gxt[0] + gxt[1]
             if gx is not None:
