@@ -480,15 +480,24 @@ def _memory_budget() -> float:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
+def _check_fits(cfg: TrainConfig, keys: tuple, need: int, what: str) -> None:
+    """Refuse a training run whose `what`, sized by the config's `keys`,
+    needs at least `need` bytes, more than `_memory_budget()`; a run of 0
+    iterations allocates none of it and is never refused."""
+    budget = _memory_budget()
+    if cfg.iterations > 0 and need > budget:
+        named = " and ".join(f"generator.train.{k} = {getattr(cfg, k)}" for k in keys)
+        raise MemoryError(f"cannot allocate: {named} need{'s' if len(keys) == 1 else ''} at "
+                          f"least {need} bytes for {what}, more than the {budget} bytes this "
+                          f"process may hold")
+
+
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
     n, seq_len, d = data.values.shape
     # a floor on the transition loss's bucket arrays, all live at once: the
     # (bins - 1, T - 1) float edges and two (T - 1) * bins int64 counts
-    need, budget = 8 * (seq_len - 1) * (3 * cfg.bins - 1), _memory_budget()
-    if need > budget:
-        raise MemoryError(f"cannot allocate: generator.train.bins = {cfg.bins} needs at "
-                          f"least {need} bytes for the transition loss's buckets, more than "
-                          f"the {budget} bytes this process may hold")
+    _check_fits(cfg, ("bins",), 8 * (seq_len - 1) * (3 * cfg.bins - 1),
+                "the transition loss's buckets")
     params, nets = _build_nets("CEGEN", data.dim, cfg)
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
@@ -519,6 +528,12 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
 
 
 def _train_cotgan(data: PathBatch, cfg: TrainConfig):
+    n, seq_len, d = data.values.shape
+    # a floor on the Sinkhorn tape: 6 sweeps x 2 half-steps per iteration,
+    # each keeping one (b, b) float64 exp block
+    b = min(cfg.batch_size, n)
+    _check_fits(cfg, ("batch_size", "sinkhorn_iterations"), 96 * cfg.sinkhorn_iterations * b * b,
+                "the Sinkhorn tape")
     params, nets = _build_nets("COTGAN", data.dim, cfg)
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.",))
     opt_critic = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
@@ -529,9 +544,8 @@ def _train_cotgan(data: PathBatch, cfg: TrainConfig):
     batch_rng = rng_for(cfg.seed, "cotgan", "batch")
     noise_rng = rng_for(cfg.seed, "cotgan", "noise")
     curve = LossCurve()
-    n, seq_len, d = data.values.shape
     for it in range(cfg.iterations):
-        idx = batch_rng.integers(0, n, size=min(cfg.batch_size, n))
+        idx = batch_rng.integers(0, n, size=b)
         mb = data.values[idx]
         z = noise_rng.standard_normal((idx.size, seq_len, _noise_dim(cfg, d)))
         fake = _cotgan_rollout(nets, z)

@@ -740,23 +740,39 @@ def test_unallocatable_size_exits_4(tmp_path, dataset, capsys, command, sections
     assert not (out / "manifest.json").exists()
 
 
-def test_cegen_bins_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys, monkeypatch):
-    """CEGEN refuses, before training, a `bins` whose transition-loss bucket
-    arrays alone would exceed the memory budget (here a soft address-space
-    limit of 1 MB; bins 10**5 over 11 steps needs about 26 MB): one line
-    naming the key and the bytes, exit 4, no manifest."""
+@pytest.mark.parametrize("generator,message", [
+    pytest.param({"kind": "CEGEN", "train": {"bins": 10**5}},
+                 r"generator\.train\.bins = 100000 needs at least 26399912 bytes",
+                 id="CEGEN.bins"),
+    pytest.param({"kind": "COTGAN"},
+                 r"generator\.train\.batch_size = 128 and generator\.train\."
+                 r"sinkhorn_iterations = 30 need at least 3528000 bytes",
+                 id="COTGAN.sinkhorn_tape"),
+])
+def test_train_arrays_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys, monkeypatch,
+                                                      generator, message):
+    """Training refuses, before its loop, a config whose largest arrays
+    alone would exceed the memory budget (here a soft address-space limit
+    of 1 MB): CEGEN's transition-loss buckets (bins 10**5 over 11 steps)
+    and COTGAN's Sinkhorn tape (30 iterations over the 35 windows).  One
+    line naming the keys and the bytes, exit 4, no manifest; at 0
+    iterations neither array is allocated and the run is not refused."""
     import resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (10**6, resource.RLIM_INFINITY))
     ds, _ = dataset
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
-                       generator={"kind": "CEGEN", "train": {"bins": 10**5, "iterations": 1}})
-    capsys.readouterr()
-    assert cli.main(["train-gen", "--config", str(cfg), "--out", str(out)]) == 4
+
+    def train_gen(iterations):
+        train = {**generator.get("train", {}), "iterations": iterations}
+        cfg = write_config(tmp_path / "c.json", data={"dataset": str(ds)},
+                           generator={**generator, "train": train})
+        capsys.readouterr()
+        return cli.main(["train-gen", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+    assert train_gen(1) == 4
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: cannot allocate: generator\.train\.bins = 100000 needs at "
-                        r"least 26399912 bytes .* 1000000 bytes .*\n", err), err
-    assert not (out / "manifest.json").exists()
+    assert re.fullmatch(f"error: cannot allocate: {message} .* 1000000 bytes .*\n", err), err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert train_gen(0) == 0
 
 
 def test_hedge_rebase_pins_export_starts(tmp_path, dataset):
