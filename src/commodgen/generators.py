@@ -481,8 +481,8 @@ def _memory_budget() -> float:
 
 
 def _check_fits(cfg: TrainConfig, keys: tuple, need: int, what: str) -> None:
-    """Refuse a training run whose `what`, sized by the config's `keys`,
-    needs at least `need` bytes, more than `_memory_budget()`; a run of 0
+    """Refuse a training run when `need` bytes, a floor on its `what` sized
+    by the config's `keys`, exceed `_memory_budget()`; a run of 0
     iterations allocates none of it and is never refused."""
     budget = _memory_budget()
     if cfg.iterations > 0 and need > budget:
@@ -529,8 +529,8 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
 
 def _train_cotgan(data: PathBatch, cfg: TrainConfig):
     n, seq_len, d = data.values.shape
-    # a floor on the Sinkhorn tape: 6 sweeps x 2 half-steps per iteration,
-    # each keeping one (b, b) float64 exp block
+    # a floor on the Sinkhorn tape: per Sinkhorn iteration, 6 sweeps of 2
+    # half-steps each keep one (b, b) float64 exp block
     b = min(cfg.batch_size, n)
     _check_fits(cfg, ("batch_size", "sinkhorn_iterations"), 96 * cfg.sinkhorn_iterations * b * b,
                 "the Sinkhorn tape")

@@ -21,8 +21,8 @@ numpy backwards: each Sinkhorn sweep (all its iterations) and the
 transition-moment loss, both bit-identical to the op chains they replace,
 and the signature of a batch of paths, whose value is bit-identical to the
 chain's and whose gradient rounds differently in the last bits.  The
-Sinkhorn marginal violation is a diagnostic measured once, at the last
-iteration of the cross term's sweeps.
+Sinkhorn marginal violation is a diagnostic measured at the last iteration
+of the cross term's sweeps, in both sweep orders; the larger is kept.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def sinkhorn_divergence(x, y, cfg: SinkhornConfig | None = None) -> SinkhornValu
     debiasing terms make the divergence vanish at x == y and stay
     non-negative in practice; the value is an autodiff scalar.  Each of the
     three terms runs both sweep orders, so a call runs 6 sweeps.  The
-    marginal violation is that of the W(x, y) plan at the last iteration.
+    marginal violation is the larger of the W(x, y) plan's at the last
+    iteration of its two sweep orders.
     """
     cfg = cfg or SinkhornConfig()
     xy, violation = _ot_dual_value(x, y, cfg.epsilon, cfg.iterations, measure=True)

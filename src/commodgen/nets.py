@@ -115,8 +115,8 @@ class RecurrentCell:
         then the next step's terms through `z * s`, `s @ Uz`, `s @ Uc`) and
         giving each parameter (all from `ParamSet`, so all require a
         gradient) one accumulation per step, so values and gradients are
-        bit-identical to the chain stepped by hand.  Each
-        step's input gradient goes into its slice of one array.  Non-finite
+        bit-identical to the chain stepped by hand.  Each step's input
+        gradient goes into its slice of one array.  Non-finite
         pre-activations raise: sigmoid and tanh would saturate them to a
         finite state.
         """
