@@ -298,6 +298,28 @@ class TestConditionalSigMetric:
                   - sig_loss(metric, pasts, dn).item()) / (2 * h)
             assert abs(ft.grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_depth_4_gradient_matches_central_differences(self, d):
+        # the whole loss at the training depth, fitted on random pairs and
+        # scored on a few of their pasts, over every fake entry
+        pasts, futures = self.make_pairs(seed=d, n=30, d=d)
+        metric = ConditionalSigMetric(depth=4).fit(pasts, futures)
+        rng = np.random.default_rng(10 + d)
+        f0 = futures[:4, None] + 0.05 * rng.standard_normal((4, 2, 3, d))
+
+        def loss(fake):
+            return metric.loss_given_prediction(metric.fitted[:4], pasts[:4, -1:, :], fake)
+
+        ft = Tensor(f0.copy(), requires_grad=True)
+        loss(ft).backward()
+        h = 1e-6
+        for idx in np.ndindex(f0.shape):
+            up, dn = f0.copy(), f0.copy()
+            up[idx] += h
+            dn[idx] -= h
+            fd = (loss(up).item() - loss(dn).item()) / (2 * h)
+            assert abs(ft.grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
     def test_fit_in_row_blocks_equals_one_block(self, monkeypatch):
         pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
         whole = ConditionalSigMetric(depth=3).fit(pasts, futures)
