@@ -19,8 +19,9 @@ data, so the gradient flows through exactly the terms the corresponding
 papers train.  Three hot paths are single autodiff ops with hand-written
 numpy backwards: each Sinkhorn sweep (all its iterations) and the
 transition-moment loss, both bit-identical to the op chains they replace,
-and the signature of a batch of paths, whose value is bit-identical to the
-chain's and whose gradient rounds differently in the last bits.  The
+and the signature of a batch of paths, whose value and gradient differ
+from its op chain's by at most 1e-12 of their largest entry (it updates by
+Horner's scheme where the chain takes Chen products).  The
 Sinkhorn marginal violation is a diagnostic measured at the last iteration
 of the cross term's sweeps, in both sweep orders; the larger is kept.
 """
@@ -283,8 +284,10 @@ def _signature_block(values, depth: int):
     Given a tensor, the block is one autodiff op, "signature": the forward
     is `signature_levels` and the backward `signature_levels_backward`,
     whose gradient w.r.t. the increments is routed back to the path values.
-    Every level is part of the block, so an overflow anywhere inside
-    reaches it as inf or NaN and the op's finiteness check names it.
+    Value and gradient differ from those of the op chain it replaces by at
+    most 1e-12 of their largest entry; they are not bit-identical.  Every
+    level is part of the block, so an overflow anywhere inside reaches it
+    as inf or NaN and the op's finiteness check names it.
     """
     x = values.data if isinstance(values, Tensor) else values
     incs = _augmented_increment_block(x)

@@ -1,11 +1,16 @@
 """Truncated path signatures of piecewise-linear paths.
 
 The signature of a straight segment with increment v is the tensor
-exponential: level k equals v^(tensor k) / k!.  Signatures of consecutive
-segments combine via Chen's identity, where the combined level k is the
-convolution of the two signatures' levels over all splits i + (k - i) = k.
-Iterating segment-by-segment gives the exact signature of the whole
-piecewise-linear path: no quadrature, no approximation beyond truncation.
+exponential: level k equals v^(tensor k) / k!.  A path that goes on by
+such a segment has signature S (x) exp(v), which is computed as in
+Signatory's fused multiply-exponentiate (Kidger & Lyons, ICLR 2021) by
+Horner's scheme: new level k is ((v/k + S_1) (x) v/(k-1) + S_2) (x) ...
+(x) v/1 + S_k, so every tensor product is with the d-vector v / i and no
+segment exponential is formed.  Iterating segment by segment gives the
+exact signature of the whole piecewise-linear path: no quadrature, no
+approximation beyond truncation.  Two whole signatures combine by Chen's
+identity, where the combined level k is the convolution of their levels
+over all splits i + (k - i) = k (`chen_product`).
 
 Levels are flattened row-major, so the level-k block has d^k entries and
 entry (i1, ..., ik) sits at position i1 * d^(k-1) + ... + ik.  Everything
@@ -50,17 +55,8 @@ def _check_budget(dim: int, depth: int) -> None:
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flattened tensor product of (..., na) and (..., nb) -> (..., na * nb)."""
-    out = np.multiply(a[..., :, None], b[..., None, :])
+    out = np.einsum("...i,...j->...ij", a, b)
     return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
-
-
-def _segment_levels(delta: np.ndarray, depth: int) -> list:
-    """Levels of the tensor exponential of increments `delta` (..., d)."""
-    segment = [delta]
-    for k in range(2, depth + 1):
-        level = _outer(segment[-1], delta)
-        segment.append(np.divide(level, float(k), out=level))
-    return segment
 
 
 def _chen(a: list, b: list) -> list:
@@ -78,9 +74,11 @@ def signature_levels(increments: np.ndarray, depth: int, tape: list | None = Non
     """Signature levels 1..depth from segment increments of shape (..., m, d).
 
     Leading batch axes are carried through unchanged, each level coming back
-    as (..., d^k).  Given a list as `tape`, appends each segment's (levels
-    of the path before it or None, its own levels) for
-    `signature_levels_backward`.
+    as (..., d^k).  Given a list as `tape`, appends each segment's
+    (`scaled`, `chains`) for `signature_levels_backward`: `scaled[i - 1]` is
+    its increment over i, and `chains` the first segment's levels or, for
+    a later segment, each new level k's Horner entries before the last.
+    The gradient of "+ S_i" reads no S, so no earlier levels are kept.
     """
     shape = increments.shape
     if len(shape) < 2:
@@ -90,10 +88,26 @@ def signature_levels(increments: np.ndarray, depth: int, tape: list | None = Non
         raise DataError("need at least one segment")
     levels = None
     for j in range(shape[-2]):
-        segment = _segment_levels(increments[..., j, :], depth)
+        delta = increments[..., j, :]
+        scaled = [delta / float(i) for i in range(1, depth + 1)]
+        if levels is None:      # exp(delta): level k is level k - 1 times delta / k
+            levels = [scaled[0]]
+            for k in range(2, depth + 1):
+                levels.append(_outer(levels[-1], scaled[k - 1]))
+            chains = levels
+        else:                   # S (x) exp(delta), level k by Horner's scheme
+            chains, new = [], []
+            for k in range(1, depth + 1):
+                entry, chain = scaled[k - 1] + levels[0], []
+                for i in range(2, k + 1):
+                    chain.append(entry)
+                    entry = _outer(entry, scaled[k - i])
+                    np.add(entry, levels[i - 1], out=entry)
+                chains.append(chain)
+                new.append(entry)
+            levels = new
         if tape is not None:
-            tape.append((levels, segment))
-        levels = segment if levels is None else _chen(levels, segment)
+            tape.append((scaled, chains))
     return levels
 
 
@@ -114,34 +128,38 @@ def signature_levels_backward(increments: np.ndarray, tape: list, grads: list) -
     `signature_levels(increments, depth, tape)` returned, given their
     gradients `grads` (one per level).
 
-    Walks the segments in reverse.  Each tensor product's two operand
-    gradients are matmul contractions of its output gradient with the other
-    operand, never a broadcast product summed over an axis.
+    Walks the segments, and each level's Horner chain, in reverse.  Each
+    tensor product's two operand gradients are matmul contractions of its
+    output gradient with the other operand, never a broadcast product
+    summed over an axis.
     """
     depth = len(grads)
     g_inc = np.empty(increments.shape)
     g_levels = list(grads)
     for j in range(increments.shape[-2] - 1, -1, -1):
-        prefix, segment = tape[j]
-        if prefix is None:
-            g_seg = g_levels
-        else:   # undo _chen(prefix, segment)
-            g_prefix, g_seg = list(g_levels), list(g_levels)
-            for k in range(2, depth + 1):
-                gk = g_levels[k - 1]
-                for i in range(1, k):
-                    g_prefix[i - 1] = g_prefix[i - 1] + _contract_right(gk, segment[k - i - 1])
-                    g_seg[k - i - 1] = g_seg[k - i - 1] + _contract_left(prefix[i - 1], gk)
-            g_levels = g_prefix
-        # undo _segment_levels: level k is _outer(level k - 1, delta) / k
-        delta = increments[..., j, :]
-        g_seg = list(g_seg)
-        g_delta = 0.0
-        for k in range(depth, 1, -1):
-            gk = g_seg[k - 1] / float(k)
-            g_seg[k - 2] = g_seg[k - 2] + _contract_right(gk, delta)
-            g_delta = g_delta + _contract_left(segment[k - 2], gk)
-        g_inc[..., j, :] = g_seg[0] + g_delta
+        scaled, chains = tape[j]
+        g_scaled = [0.0] * depth
+        if j == 0:      # undo level k = level k - 1 times delta / k
+            for k in range(depth, 1, -1):
+                g = g_levels[k - 1]
+                g_scaled[k - 1] = _contract_left(chains[k - 2], g)
+                g_levels[k - 2] = g_levels[k - 2] + _contract_right(g, scaled[k - 1])
+            g_scaled[0] = g_levels[0]
+        else:           # undo each new level's Horner chain
+            g_old = [0.0] * depth
+            for k in range(depth, 0, -1):
+                chain, g = chains[k - 1], g_levels[k - 1]
+                for i in range(k, 1, -1):   # entry i = entry i - 1 (x) delta / (k - i + 1) + S_i
+                    g_old[i - 1] = g_old[i - 1] + g
+                    g_scaled[k - i] = g_scaled[k - i] + _contract_left(chain[i - 2], g)
+                    g = _contract_right(g, scaled[k - i])
+                g_old[0] = g_old[0] + g     # entry 1 = delta / k + S_1
+                g_scaled[k - 1] = g_scaled[k - 1] + g
+            g_levels = g_old
+        g_delta = g_scaled[0]
+        for i in range(2, depth + 1):
+            g_delta = g_delta + g_scaled[i - 1] / float(i)
+        g_inc[..., j, :] = g_delta
     return g_inc
 
 

@@ -52,8 +52,8 @@ def reference_signature_block(values: Tensor, depth: int) -> Tensor:
     return concat(reference_signature_levels(incs, depth), axis=values.ndim - 2)
 
 
-def assert_grads_close(grad, ref):
-    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+def assert_close(op, ref):
+    assert np.max(np.abs(op - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 BATCH_SHAPES = [(4,), (4, 1), (4, 3)]
@@ -186,8 +186,9 @@ class TestBatchAndGradients:
 
 
 class TestSignatureOp:
-    """The `signature` op against the op chain it replaces: the same value
-    bit for bit, and the same gradient up to rounding."""
+    """The `signature` op against the op chain it replaces: value and
+    gradient within 1e-12 of the chain's largest entry, since the op
+    updates by Horner's scheme where the chain takes Chen products."""
 
     @pytest.mark.parametrize("batch", BATCH_SHAPES)
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -202,9 +203,9 @@ class TestSignatureOp:
                 ref = reference_signature_levels(ref_in, depth)
                 seeds = [rng.standard_normal(level.shape) for level in levels]
                 for level, r in zip(levels, ref):
-                    np.testing.assert_array_equal(level, r.data)
+                    assert_close(level, r.data)
                 concat(ref, axis=len(batch)).backward(np.concatenate(seeds, axis=-1))
-                assert_grads_close(signature_levels_backward(incs, tape, seeds), ref_in.grad)
+                assert_close(signature_levels_backward(incs, tape, seeds), ref_in.grad)
 
     @pytest.mark.parametrize("batch", BATCH_SHAPES)
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -217,11 +218,11 @@ class TestSignatureOp:
                 ref_in = Tensor(values, requires_grad=True)
                 op = _signature_block(op_in, depth)
                 ref = reference_signature_block(ref_in, depth)
-                np.testing.assert_array_equal(op.data, ref.data)
+                assert_close(op.data, ref.data)
                 seed = rng.standard_normal(op.shape)
                 op.backward(seed)
                 ref.backward(seed)
-                assert_grads_close(op_in.grad, ref_in.grad)
+                assert_close(op_in.grad, ref_in.grad)
 
     def test_overflow_names_the_op(self):
         # level 4 of an increment of 1e100 is 1e400 / 24: inf in float64
