@@ -40,6 +40,7 @@ from .losses import (MIN_BUCKET, CausalCritic, ConditionalSigMetric, SinkhornCon
                      causal_transport_losses, transition_moment_loss)
 from .nets import Mlp, RecurrentCell
 from .rng import rng_for
+from .signature import _check_budget, sig_length
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
 from . import store
 from .store import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, DataError
@@ -482,10 +483,9 @@ def _memory_budget() -> float:
 
 def _check_fits(cfg: TrainConfig, keys: tuple, need: int, what: str) -> None:
     """Refuse a training run when `need` bytes, a floor on its `what` sized
-    by the config's `keys`, exceed `_memory_budget()`; a run of 0
-    iterations allocates none of it and is never refused."""
+    by the config's `keys`, exceed `_memory_budget()`."""
     budget = _memory_budget()
-    if cfg.iterations > 0 and need > budget:
+    if need > budget:
         named = " and ".join(f"generator.train.{k} = {getattr(cfg, k)}" for k in keys)
         raise MemoryError(f"cannot allocate: {named} need{'s' if len(keys) == 1 else ''} at "
                           f"least {need} bytes for {what}, more than the {budget} bytes this "
@@ -495,9 +495,11 @@ def _check_fits(cfg: TrainConfig, keys: tuple, need: int, what: str) -> None:
 def _train_cegen(data: PathBatch, cfg: TrainConfig):
     n, seq_len, d = data.values.shape
     # a floor on the transition loss's bucket arrays, all live at once: the
-    # (bins - 1, T - 1) float edges and two (T - 1) * bins int64 counts
-    _check_fits(cfg, ("bins",), 8 * (seq_len - 1) * (3 * cfg.bins - 1),
-                "the transition loss's buckets")
+    # (bins - 1, T - 1) float edges and two (T - 1) * bins int64 counts;
+    # a run of 0 iterations allocates none of them
+    if cfg.iterations > 0:
+        _check_fits(cfg, ("bins",), 8 * (seq_len - 1) * (3 * cfg.bins - 1),
+                    "the transition loss's buckets")
     params, nets = _build_nets("CEGEN", data.dim, cfg)
     opt = Optimizer(params, cfg.lr, cfg.clip_norm)
     batch_rng = rng_for(cfg.seed, "cegen", "batch")
@@ -530,10 +532,12 @@ def _train_cegen(data: PathBatch, cfg: TrainConfig):
 def _train_cotgan(data: PathBatch, cfg: TrainConfig):
     n, seq_len, d = data.values.shape
     # a floor on the Sinkhorn tape: per Sinkhorn iteration, 6 sweeps of 2
-    # half-steps each keep one (b, b) float64 exp block
+    # half-steps each keep one (b, b) float64 exp block; a run of 0
+    # iterations allocates none of it
     b = min(cfg.batch_size, n)
-    _check_fits(cfg, ("batch_size", "sinkhorn_iterations"), 96 * cfg.sinkhorn_iterations * b * b,
-                "the Sinkhorn tape")
+    if cfg.iterations > 0:
+        _check_fits(cfg, ("batch_size", "sinkhorn_iterations"),
+                    96 * cfg.sinkhorn_iterations * b * b, "the Sinkhorn tape")
     params, nets = _build_nets("COTGAN", data.dim, cfg)
     opt_gen = Optimizer(params, cfg.lr, cfg.clip_norm, ("gen.",))
     opt_critic = Optimizer(params, cfg.critic_lr if cfg.critic_lr is not None else cfg.lr,
@@ -666,6 +670,13 @@ def _siggan_pairs(data: PathBatch, p: int, q: int):
 def _train_siggan(data: PathBatch, cfg: TrainConfig):
     p, q = cfg.past_len, cfg.future_len
     pasts, futures = _siggan_pairs(data, p, q)
+    # a floor on the regression fit, which runs at 0 iterations too: the
+    # (n, L + 1) design, the (n, L) targets and the (L + 1, L + 1) Gram
+    # matrix, L the length of a time-augmented signature (checked first)
+    _check_budget(data.dim + 1, cfg.sig_depth)
+    n_pairs, width = pasts.shape[0], sig_length(data.dim + 1, cfg.sig_depth)
+    _check_fits(cfg, ("sig_depth",), 8 * (n_pairs * (2 * width + 1) + (width + 1) ** 2),
+                "the signature regression")
     params, nets = _build_nets("SIGGAN", data.dim, cfg)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)
     predicted = metric.fitted
@@ -674,7 +685,6 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
     noise_rng = rng_for(cfg.seed, "siggan", "noise")
     curve = LossCurve()
     d = data.dim
-    n_pairs = pasts.shape[0]
     for it in range(cfg.iterations):
         idx = batch_rng.integers(0, n_pairs, size=min(cfg.batch_size, n_pairs))
         mb_past = pasts[idx]

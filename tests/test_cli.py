@@ -740,23 +740,28 @@ def test_unallocatable_size_exits_4(tmp_path, dataset, capsys, command, sections
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("generator,message", [
+@pytest.mark.parametrize("generator,message,exit_at_0", [
     pytest.param({"kind": "CEGEN", "train": {"bins": 10**5}},
-                 r"generator\.train\.bins = 100000 needs at least 26399912 bytes",
+                 r"generator\.train\.bins = 100000 needs at least 26399912 bytes", 0,
                  id="CEGEN.bins"),
     pytest.param({"kind": "COTGAN"},
                  r"generator\.train\.batch_size = 128 and generator\.train\."
-                 r"sinkhorn_iterations = 30 need at least 3528000 bytes",
+                 r"sinkhorn_iterations = 30 need at least 3528000 bytes", 0,
                  id="COTGAN.sinkhorn_tape"),
+    pytest.param({"kind": "SIGGAN", "train": {"sig_depth": 5}},
+                 r"generator\.train\.sig_depth = 5 needs at least 2484888 bytes", 4,
+                 id="SIGGAN.regression"),
 ])
 def test_train_arrays_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys, monkeypatch,
-                                                      generator, message):
+                                                      generator, message, exit_at_0):
     """Training refuses, before its loop, a config whose largest arrays
     alone would exceed the memory budget (here a soft address-space limit
-    of 1 MB): CEGEN's transition-loss buckets (bins 10**5 over 11 steps)
-    and COTGAN's Sinkhorn tape (30 iterations over the 35 windows).  One
-    line naming the keys and the bytes, exit 4, no manifest; at 0
-    iterations neither array is allocated and the run is not refused."""
+    of 1 MB): CEGEN's transition-loss buckets (bins 10**5 over 11 steps),
+    COTGAN's Sinkhorn tape (30 iterations over the 35 windows) and SIGGAN's
+    signature regression (depth 5 over the windows' 245 past-future pairs).
+    One line naming the keys and the bytes, exit 4, no manifest.  At 0
+    iterations neither of the first two arrays is allocated and the run is
+    not refused, but the regression is fitted and still refused."""
     import resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (10**6, resource.RLIM_INFINITY))
     ds, _ = dataset
@@ -772,7 +777,7 @@ def test_train_arrays_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys,
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: cannot allocate: {message} .* 1000000 bytes .*\n", err), err
     assert not (tmp_path / "run" / "manifest.json").exists()
-    assert train_gen(0) == 0
+    assert train_gen(0) == exit_at_0
 
 
 def test_hedge_rebase_pins_export_starts(tmp_path, dataset):
