@@ -5,12 +5,12 @@ exponential: level k equals v^(tensor k) / k!.  A path that goes on by
 such a segment has signature S (x) exp(v), which is computed as in
 Signatory's fused multiply-exponentiate (Kidger & Lyons, ICLR 2021) by
 Horner's scheme: new level k is ((v/k + S_1) (x) v/(k-1) + S_2) (x) ...
-(x) v/1 + S_k, so every tensor product is with the d-vector v / i and no
-segment exponential is formed.  Iterating segment by segment gives the
-exact signature of the whole piecewise-linear path: no quadrature, no
-approximation beyond truncation.  Two whole signatures combine by Chen's
-identity, where the combined level k is the convolution of their levels
-over all splits i + (k - i) = k (`chen_product`).
+(x) v/1 + S_k, so every tensor product is with the d-vector v / i and only
+the first segment's exponential is formed.  Iterating segment by segment
+gives the exact signature of the whole piecewise-linear path: no
+quadrature, no approximation beyond truncation.  Two whole signatures
+combine by Chen's identity, where the combined level k is the convolution
+of their levels over all splits i + (k - i) = k (`chen_product`).
 
 Levels are flattened row-major, so the level-k block has d^k entries and
 entry (i1, ..., ik) sits at position i1 * d^(k-1) + ... + ik.  Everything
