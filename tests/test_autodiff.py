@@ -420,8 +420,8 @@ class TestKernelsOnRandomShapes:
     through `assert_matches_oracle`: value without a graph, then value and
     every gradient under a drawn seed gradient, all bit-identical (the
     signature's value and gradient within 1e-12 of the chain's largest
-    entry).  Each test has
-    a batch-1 example and one at the shape a benchmark workload runs."""
+    entry).  Each test has a batch-1 example and one at the shape a
+    benchmark workload runs."""
 
     @RANDOM_SHAPES
     @given(n=BATCH, steps=STEPS, in_dim=WIDTH, state_dim=WIDTH, x_grad=st.booleans(),
