@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import pathlib
@@ -5,10 +8,12 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from commodgen import cli, store
 from commodgen.cli import (ConfigError, DEFAULT_CONFIG, build_train_config,
@@ -41,15 +46,19 @@ def manifest(run_dir):
     return json.loads((run_dir / "manifest.json").read_text())
 
 
-@pytest.fixture
-def dataset(tmp_path):
-    """A small preprocessed dataset container plus its source CSV."""
+def preprocess(tmp_path):
+    """A small preprocessed dataset container in `tmp_path` plus its source CSV."""
     csv = write_csv(tmp_path / "prices.csv")
     out = tmp_path / "pre"
     cfg = write_config(tmp_path / "pre.json",
                        data={"source": str(csv), "window": 12})
     assert cli.main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
     return out / "dataset.json", csv
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    return preprocess(tmp_path)
 
 
 def test_runtime_imports_only_numpy_and_stdlib():
@@ -589,6 +598,74 @@ def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, 
                        hedge={"underlying": "c0"})
     assert_one_line_exit_3([command, "--config", str(cfg), "--out", str(tmp_path / "run")],
                            capsys, needle)
+
+
+# a fixed set of drawn cases, the same on every run, with nothing stored
+EDITED_LEAVES = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+CONTAINER_KEYS = ("kind", "cfg", "cfg_hash", "seq_len", "dim", "labels", "dt", "start_levels",
+                  "normalizer", "params", "gbm", "sig_pool", "cegen_scale",
+                  "trained_iterations", "values", "format", "version")
+EXTRA_KEY = "<an extra key in the leaf's innermost object>"
+# small values only: a drawn size never allocates much
+AWKWARD = st.sampled_from([-1, -3, 0, 2.5, -2.5, "x", True, [1.0], EXTRA_KEY])
+
+
+def _leaves(node, path=()):
+    """Paths to every leaf of a JSON tree and to every list, whose first
+    entry stands for the rest."""
+    if isinstance(node, dict):
+        return [leaf for key in sorted(node) for leaf in _leaves(node[key], path + (key,))]
+    if isinstance(node, list) and node:
+        return [path] + _leaves(node[0], path + (0,))
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """The JSON of a dataset container and of the GBM, CEGEN and SIGGAN
+    checkpoints trained on it, by name ("dataset" or the kind)."""
+    tmp = tmp_path_factory.mktemp("containers")
+    ds, _ = preprocess(tmp)
+    paths = {"dataset": ds, **{kind: train_checkpoint(tmp, ds, kind)
+                               for kind in ("GBM", "CEGEN", "SIGGAN")}}
+    return {name: store.read_json(path) for name, path in paths.items()}
+
+
+@EDITED_LEAVES
+@given(target=st.sampled_from(["dataset", "GBM", "CEGEN", "SIGGAN"]),
+       key=st.sampled_from(CONTAINER_KEYS), pick=st.integers(0, 999), value=AWKWARD)
+@example(target="CEGEN", key="dt", pick=0, value=-1)
+def test_one_edited_leaf_exits_with_one_error_line(containers, target, key, pick, value):
+    """`eval-gen` on a container with one leaf set to an awkward value exits
+    0, 2, 3 or 4, and on failure prints one `error:` line and no manifest.
+    `key` names the top-level field holding the leaf and `pick` the leaf
+    within it; an edited dataset is read with the unedited GBM checkpoint."""
+    raw = copy.deepcopy(containers[target])
+    assume(key in raw)
+    leaves = _leaves(raw[key], (key,))
+    path = leaves[pick % len(leaves)]
+    nodes = [raw]
+    for step in path[:-1]:
+        nodes.append(nodes[-1][step])
+    if value == EXTRA_KEY:
+        [node for node in nodes if isinstance(node, dict)][-1]["extra"] = 1
+    else:
+        nodes[-1][path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        ds, checkpoint, out = tmp / "dataset.json", tmp / "generator.json", tmp / "run"
+        store.write_json(ds, raw if target == "dataset" else containers["dataset"])
+        store.write_json(checkpoint, containers["GBM"] if target == "dataset" else raw)
+        cfg = write_config(tmp / "e.json", data={"dataset": str(ds)},
+                           generator={"checkpoint": str(checkpoint)}, eval={"n_samples": 64})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval-gen", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                err.getvalue()
+            assert not (out / "manifest.json").exists()
 
 
 def test_hedge_on_sampled_paths_starting_at_or_below_zero_exits_3(tmp_path, dataset,
