@@ -70,11 +70,12 @@ from .autodiff import NumericOverflowError
 from .dataio import (DataError, PathBatch, bundled_dataset_path, filter_table,
                      fit_normalizer, load_csv, read_dataset, windowize,
                      write_dataset)
-from .generators import (KINDS, TRAIN_TYPES, ConfigError, TrainConfig, TrainingError,
-                         check_field, load_checkpoint, save_checkpoint, train_generator)
+from .generators import (KINDS, TRAIN_TYPES, TrainConfig, TrainingError, load_checkpoint,
+                         save_checkpoint, train_generator)
 from .hedging import (HedgingSpec, Payoff, eval_hedger, rebase_batch,
                       save_hedger, train_hedger, write_hedge_export)
 from .metrics import emit_report, metric_report, unit_scale_pair
+from .store import ConfigError, check_field
 
 HEDGE_REPORT_HEADER = "model,case,init_risk,repl_loss"
 HEDGE_CASES = ("call", "proxy", "spread")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import store
-from .store import DataError
+from .store import DataError, check_field
 
 TRADING_DT = 1.0 / 252.0
 DATASET_FORMAT = "commodgen-dataset"
@@ -76,6 +76,7 @@ class PathBatch:
     dt: float = TRADING_DT
 
     def __post_init__(self):
+        check_field("labels", self.labels, list)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:
             raise DataError(f"path batch must be 3-dimensional, got shape {self.values.shape}")
@@ -86,9 +87,8 @@ class PathBatch:
             raise DataError(f"{len(self.labels)} labels for {dim} dimensions")
         if not np.all(np.isfinite(self.values)):
             raise DataError("path batch contains non-finite values")
+        check_field("dt", self.dt, float, "> 0")
         self.dt = float(self.dt)
-        if self.dt <= 0:
-            raise DataError("dt must be positive")
 
     @property
     def n_samples(self) -> int:
@@ -229,6 +229,7 @@ class Normalizer:
     MODE = "initial-value-ratio"
 
     def __post_init__(self):
+        check_field("normalizer labels", self.labels, list)
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.scale.ndim != 1:
             raise DataError("normalizer scale must be a 1-d vector")
@@ -259,9 +260,8 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        if d["mode"] != cls.MODE:
-            raise DataError(f"unknown normalizer mode '{d['mode']}', expected '{cls.MODE}'")
-        return cls(scale=np.asarray(d["scale"], dtype=np.float64), labels=list(d["labels"]))
+        check_field("normalizer mode", d["mode"], (cls.MODE,))
+        return cls(scale=d["scale"], labels=d["labels"])
 
 
 def fit_normalizer(batch: PathBatch) -> Normalizer:
@@ -285,4 +285,4 @@ def read_dataset(path) -> PathBatch:
     return store.read_container(
         path, DATASET_FORMAT, DATASET_VERSION, "dataset container",
         lambda raw: PathBatch(values=store.block_array(raw["values"]),
-                              labels=list(raw["labels"]), dt=float(raw["dt"])))
+                              labels=raw["labels"], dt=raw["dt"]))

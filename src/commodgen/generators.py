@@ -17,17 +17,17 @@ normalized PathBatch returns a GeneratorModel plus its LossCurve, and
            metric and rolled out autoregressively.
 
 Each model's nets are built once, by its trainer or by the checkpoint
-decoder, and `sample()` runs the training rollout on them.  Training is
-deterministic per (data, cfg, seed): every random draw comes from a named
-counter-based stream, so reruns produce identical parameters.
+decoder, and `sample()` runs the training rollout on them.  A checkpoint is
+written and read by walking one field list, `MODEL_FIELDS`, checked by
+`GeneratorModel.__post_init__` (by the decoder before it builds a net).
+Training is deterministic per (data, cfg, seed): every random draw comes
+from a named counter-based stream, so reruns produce identical parameters.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import reprlib
-import sys
 import typing
 from dataclasses import asdict, dataclass, field
 
@@ -43,7 +43,7 @@ from .rng import rng_for
 from .signature import _check_budget, sig_length
 from .stochastic import GbmParams, calibrate_gbm, simulate_gbm
 from . import store
-from .store import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, DataError
+from .store import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, DataError, check_field
 
 KINDS = ("GBM", "CEGEN", "TSGAN", "COTGAN", "SIGGAN")
 
@@ -54,10 +54,6 @@ DIVERGENCE_LIMIT = 1e6
 COTGAN_SAMPLE_PATHS = 1000
 
 LOSS_CURVE_HEADER = "iteration,gen_loss,disc_loss"
-
-
-class ConfigError(ValueError):
-    """Unknown key, bad value, or inconsistent command usage."""
 
 
 class TrainingError(RuntimeError):
@@ -124,41 +120,6 @@ TRAIN_BOUNDS = {
     **dict.fromkeys(("lr", "critic_lr", "clip_norm", "sinkhorn_epsilon"), "> 0"),
 }
 
-# each bound as messages state it -> its test
-BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
-          "> 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1,
-          "other than ''": lambda v: v != ""}
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string", list: "a list of strings"}
-
-
-def _fits(value, kind) -> bool:
-    if isinstance(value, bool) != (kind is bool):      # true/false is only ever a bool
-        return False
-    if kind is float:       # also false for NaN, +-inf and ints beyond float range
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if kind is list:
-        return isinstance(value, list) and all(isinstance(x, str) for x in value)
-    return isinstance(value, kind)
-
-
-def check_field(name: str, value, kind, bound: str | None = None) -> None:
-    """Raise a one-line ConfigError naming `name` unless `value` is a `kind`
-    within `bound` (a key of BOUNDS).  `kind` is a type of `_TYPE_NAMES`, a
-    union of them that may include None, or a tuple of allowed values."""
-    if isinstance(kind, tuple):
-        ok, what = value in kind, f"one of {', '.join(kind)}"
-    else:
-        kinds = typing.get_args(kind) or (kind,)
-        types = [k for k in kinds if k is not type(None)]
-        ok = (value is None and len(types) < len(kinds)) or (
-            any(_fits(value, k) for k in types) and (not bound or BOUNDS[bound](value)))
-        what = (" or ".join(_TYPE_NAMES[k] for k in types) + (f" {bound}" if bound else "")
-                + (" or null" if len(types) < len(kinds) else ""))
-    if not ok:
-        raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
-
 
 @dataclass
 class LossCurve:
@@ -216,7 +177,7 @@ class GeneratorModel:
     cfg: TrainConfig
     seq_len: int
     dim: int
-    labels: list[str]
+    labels: list                # of strings
     dt: float
     start_levels: np.ndarray
     params: ParamSet | None     # None for GBM, as are the nets
@@ -228,11 +189,19 @@ class GeneratorModel:
     trained_iterations: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown generator kind '{self.kind}', expected one of {KINDS}")
-        self.start_levels = np.asarray(self.start_levels, dtype=np.float64)
-        if self.start_levels.shape != (self.dim,):
-            raise DataError("start_levels must match the model dimension")
+        """Check the MODEL_FIELDS, then the kind's own block against `cfg` and `dim`."""
+        _check_fields(vars(self))
+        kind, cfg, dim = self.kind, self.cfg, self.dim
+        gbm, pool, scale = self.gbm, self.sig_pool, self.cegen_scale
+        own = {"GBM": ("gbm", f"of {dim} dimensions", gbm is not None and gbm.dim == dim),
+               "CEGEN": ("cegen_scale", f"of shape ({dim},)",
+                         scale is not None and scale.shape == (dim,)),
+               "SIGGAN": ("sig_pool", f"of shape (n >= 1, {cfg.past_len}, {dim})",
+                          pool is not None and pool.ndim == 3 and len(pool) > 0
+                          and pool.shape[1:] == (cfg.past_len, dim))}
+        if kind in own and not own[kind][2]:
+            key, what, _ = own[kind]
+            raise DataError(f"{kind} checkpoint needs a '{key}' block {what}")
 
     # -- sampling -------------------------------------------------------------
 
@@ -275,6 +244,28 @@ class GeneratorModel:
                 return np.concatenate([_cotgan_rollout(nets, z[i : i + block]).data
                                        for i in range(0, n, block)])
             return nets["rec"](_tsgan_rollout(nets, z)).data
+
+
+# the fields a checkpoint stores -> their kinds as check_field takes them: an
+# array is stored as an array block, an object through its to_dict/from_dict
+MODEL_FIELDS = {name: kind for name, kind in typing.get_type_hints(GeneratorModel).items()
+                if name not in ("kind", "params", "nets")}
+# each bounded one -> its bound, an array's for every entry.  Start levels are
+# unbounded: with generator.normalize false every neural kind trains on a
+# dataset's own levels, which may be <= 0.
+MODEL_BOUNDS = {"seq_len": ">= 2", "dim": ">= 1", "dt": "> 0", "trained_iterations": ">= 0",
+                "cegen_scale": "> 0"}
+
+
+def _check_fields(fields: dict) -> None:
+    """Refuse a MODEL_FIELDS entry of `fields` outside its kind or bound, and
+    labels or start levels that are not one per dimension."""
+    for name, kind in MODEL_FIELDS.items():
+        check_field(name, fields[name], kind, MODEL_BOUNDS.get(name))
+    dim, labels, starts = fields["dim"], fields["labels"], fields["start_levels"]
+    if len(labels) != dim or starts.shape != (dim,):
+        raise DataError(f"{len(labels)} labels and start_levels of shape {starts.shape} "
+                        f"for {dim} dimensions")
 
 
 # ---------------------------------------------------------------------------
@@ -709,23 +700,17 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
 
 def save_checkpoint(model: GeneratorModel, path) -> None:
     """Write a self-describing JSON checkpoint (canonical bytes)."""
+    def encode(value):
+        if isinstance(value, np.ndarray):
+            return store.array_block(value)
+        return value.to_dict() if hasattr(value, "to_dict") else value
+
     store.write_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "kind": model.kind,
-        "cfg": model.cfg.to_dict(),
         "cfg_hash": model.cfg.content_hash(),
-        "seq_len": int(model.seq_len),
-        "dim": int(model.dim),
-        "labels": list(model.labels),
-        "dt": float(model.dt),
-        "start_levels": store.array_block(model.start_levels),
-        "normalizer": None if model.normalizer is None else model.normalizer.to_dict(),
         "params": None if model.params is None else
             {name: store.array_block(t.data) for name, t in model.params.items()},
-        "gbm": None if model.gbm is None else model.gbm.to_dict(),
-        "sig_pool": None if model.sig_pool is None else store.array_block(model.sig_pool),
-        "cegen_scale": None if model.cegen_scale is None
-            else store.array_block(model.cegen_scale),
-        "trained_iterations": model.trained_iterations,
+        **{name: encode(getattr(model, name)) for name in MODEL_FIELDS},
     })
 
 
@@ -756,49 +741,26 @@ def _fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
     params.load_state(arrays)
 
 
-def _check_fit(model: GeneratorModel) -> None:
-    """Refuse a loaded model whose own block disagrees with its kind, `cfg`
-    and `dim` (its parameters are checked by `_fill_params`)."""
-    kind, cfg, dim = model.kind, model.cfg, model.dim
-    gbm, pool, scale = model.gbm, model.sig_pool, model.cegen_scale
-    own = {"GBM": ("gbm", f"of {dim} dimensions", gbm is not None and gbm.dim == dim),
-           "CEGEN": ("cegen_scale", f"of shape ({dim},)",
-                     scale is not None and scale.shape == (dim,)),
-           "SIGGAN": ("sig_pool", f"of shape (n >= 1, {cfg.past_len}, {dim})",
-                      pool is not None and pool.ndim == 3 and len(pool) > 0
-                      and pool.shape[1:] == (cfg.past_len, dim))}
-    if kind in own and not own[kind][2]:
-        key, what, _ = own[kind]
-        raise DataError(f"{kind} checkpoint needs a '{key}' block {what}")
-
-
 def _decode_model(raw: dict) -> GeneratorModel:
     kind = raw["kind"]
     if kind not in KINDS:
         raise DataError(f"checkpoint kind '{kind}' is not a generator kind "
                         f"({', '.join(KINDS)})")
-    cfg = TrainConfig.from_dict(raw["cfg"])
-    dim = int(raw["dim"])
-    params, nets = _build_nets(kind, dim, cfg)
-    _fill_params(params, raw["params"] or {}, kind, dim)
-
-    def block(key):
-        return None if raw[key] is None else store.block_array(raw[key])
-
-    model = GeneratorModel(
-        kind=kind, cfg=cfg, seq_len=int(raw["seq_len"]), dim=dim,
-        labels=list(raw["labels"]), dt=float(raw["dt"]),
-        start_levels=store.block_array(raw["start_levels"]),
-        params=None if nets is None else params, nets=nets,
-        normalizer=None if raw["normalizer"] is None else Normalizer.from_dict(raw["normalizer"]),
-        gbm=None if raw["gbm"] is None else GbmParams.from_dict(raw["gbm"]),
-        sig_pool=block("sig_pool"), cegen_scale=block("cegen_scale"),
-        trained_iterations=raw["trained_iterations"],
-    )
-    _check_fit(model)
+    fields = {}
+    for name, field_kind in MODEL_FIELDS.items():
+        cls, value = (typing.get_args(field_kind) or (field_kind,))[0], raw[name]
+        fields[name] = (value if value is None or cls in (int, float, list) else
+                        store.block_array(value) if cls is np.ndarray else cls.from_dict(value))
+    # checked before any net is built, since `dim` sizes them (a CEGEN's
+    # last diffusion layer holds hidden x dim² weights)
+    _check_fields(fields)
+    params, nets = _build_nets(kind, fields["dim"], fields["cfg"])
+    _fill_params(params, raw["params"] or {}, kind, fields["dim"])
+    model = GeneratorModel(kind=kind, **fields, params=None if nets is None else params,
+                           nets=nets)
     # checked last, so an edit of `cfg` that changes the nets' shapes is
     # named by the parameter it breaks
-    if raw["cfg_hash"] != cfg.content_hash():
+    if raw["cfg_hash"] != model.cfg.content_hash():
         raise DataError("cfg does not match the stored cfg_hash "
                         "(edited after the checkpoint was written)")
     return model

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataio import DataError, PathBatch, TRADING_DT
 from .rng import rng_for
+from .store import check_field
 
 CHOLESKY_JITTER = 1e-10
 
@@ -47,8 +48,7 @@ class GbmParams:
             raise DataError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(self.corr), 1.0, atol=1e-8):
             raise DataError("correlation matrix must have unit diagonal")
-        if self.dt <= 0:
-            raise DataError("dt must be positive")
+        check_field("gbm dt", self.dt, float, "> 0")
 
     @property
     def dim(self) -> int:
@@ -60,8 +60,7 @@ class GbmParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbmParams":
-        return cls(sigma=np.asarray(d["sigma"]), corr=np.asarray(d["corr"]),
-                   drift=np.asarray(d["drift"]), dt=float(d["dt"]))
+        return cls(**d)
 
 
 def cholesky_factor(corr: np.ndarray) -> np.ndarray:

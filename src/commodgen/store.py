@@ -9,9 +9,11 @@ lists with an explicit shape.
 Datasets, generator checkpoints and hedger checkpoints share one container
 codepath: `write_container` tags the payload with a format name and version,
 and `read_container` checks both and decodes the body, so a truncated file, a
-wrong tag or a missing key surfaces as one DataError naming the file.  Only
-datasets and generator checkpoints are read back; no command reads a hedger
-checkpoint.
+wrong tag, a missing key, an array block with a key beyond `shape` and `data`
+or a field refused by `check_field` (the one type-and-bound check of config
+values and container fields) surfaces as one DataError naming the file.
+Only datasets and generator checkpoints are read back; no command reads a
+hedger checkpoint.
 
 Tables (loss curves, reports, exports) are CSV and share one codepath too:
 `write_csv` takes already-formatted cells, so each module keeps its own
@@ -28,6 +30,9 @@ import hashlib
 import io
 import json
 import os
+import reprlib
+import sys
+import typing
 
 import numpy as np
 
@@ -37,6 +42,48 @@ CHECKPOINT_VERSION = 1
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+class ConfigError(ValueError):
+    """Unknown key, bad value, or inconsistent command usage."""
+
+
+# each bound as messages state it -> its test
+BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          "> 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1,
+          "other than ''": lambda v: v != ""}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list of strings", np.ndarray: "an array"}
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(value, bool) != (kind is bool):      # true/false is only ever a bool
+        return False
+    if kind is float:       # also false for NaN, +-inf and ints beyond float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, kind)
+
+
+def check_field(name: str, value, kind, bound: str | None = None) -> None:
+    """Raise a one-line ConfigError naming `name` unless `value` is a `kind`
+    within `bound` (a key of BOUNDS; an array's every entry).  `kind` is a
+    type of `_TYPE_NAMES`, a union of them that may include None, or a tuple
+    of allowed values."""
+    if isinstance(kind, tuple):
+        ok, what = value in kind, f"one of {', '.join(kind)}"
+    else:
+        kinds = typing.get_args(kind) or (kind,)
+        types = [k for k in kinds if k is not type(None)]
+        ok = (value is None and len(types) < len(kinds)) or (
+            any(_fits(value, k) for k in types) and (not bound or np.all(BOUNDS[bound](value))))
+        what = (" or ".join(_TYPE_NAMES.get(k, f"a {k.__name__}") for k in types)
+                + (f" {bound}" if bound else "")
+                + (" or null" if len(types) < len(kinds) else ""))
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
 def canonical_json(obj) -> str:
@@ -62,6 +109,8 @@ def array_block(arr: np.ndarray) -> dict:
 
 
 def block_array(block: dict) -> np.ndarray:
+    if block.keys() - {"shape", "data"}:
+        raise DataError(f"an array block holds only 'shape' and 'data', got {sorted(block)}")
     return np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])
 
 

@@ -514,11 +514,11 @@ def _edit(**changes):
     return apply
 
 
-def _edit_cfg(**changes):
-    """Change fields of a checkpoint's `cfg`, writing NaN as json.dumps does."""
+def _edit_in(key, **changes):
+    """Change fields of a container's `key` object, writing NaN as json.dumps does."""
     def apply(path):
         raw = json.loads(path.read_text())
-        raw["cfg"].update(changes)
+        raw[key].update(changes)
         path.write_text(json.dumps(raw))
     return apply
 
@@ -575,18 +575,35 @@ def train_checkpoint(tmp_path, ds, kind: str):
     ("GBM", _edit(kind="VAE"), "kind 'VAE'"),
     ("GBM", _edit(start_levels={"shape": [2]}), "lacks key 'data'"),
     ("GBM", _edit(cfg={"lr": "fast"}), "malformed generator checkpoint"),
-    ("GBM", _edit_cfg(lr=NAN), "not valid JSON (NaN is not a JSON number)"),
-    ("GBM", _edit_cfg(iterations=2.5), "malformed generator checkpoint"),
+    ("GBM", _edit_in("cfg", lr=NAN), "not valid JSON (NaN is not a JSON number)"),
+    ("GBM", _edit_in("cfg", iterations=2.5), "malformed generator checkpoint"),
     ("CEGEN", _edit_params({"drift.b0": None}), "CEGEN checkpoint lacks parameter 'drift.b0'"),
     ("CEGEN", _edit_params({"drift.w0": None}), "CEGEN checkpoint lacks parameter 'drift.w0'"),
     ("CEGEN", _edit_params({"drift.w0": {"shape": [2, 2], "data": [0.0] * 4}}),
      "parameter 'drift.w0' has shape (2, 2), but a CEGEN of this cfg and dim 2 registers (3, 4)"),
-    ("CEGEN", _edit_cfg(layers=1), "parameter 'diff.b2' is not registered by a CEGEN"),
+    ("CEGEN", _edit_in("cfg", layers=1), "parameter 'diff.b2' is not registered by a CEGEN"),
     ("CEGEN", _edit(cegen_scale={"shape": [3], "data": [1.0] * 3}),
      "CEGEN checkpoint needs a 'cegen_scale' block of shape (2,)"),
+    ("CEGEN", _edit(dt=-1), "dt must be a finite number > 0, got -1"),
+    ("CEGEN", _edit(dt=0), "dt must be a finite number > 0, got 0"),
+    ("CEGEN", _edit(seq_len=2.7), "seq_len must be an integer >= 2, got 2.7"),
+    ("CEGEN", _edit(dim=4.0), "dim must be an integer >= 1, got 4.0"),
+    ("GBM", _edit(trained_iterations=-3), "trained_iterations must be an integer >= 0, got -3"),
+    ("GBM", _edit(labels="c0"), "labels must be a list of strings, got 'c0'"),
+    ("CEGEN", _edit(cegen_scale={"shape": [2], "data": [-1.0, 1.0]}),
+     "cegen_scale must be an array > 0 or null"),
+    ("CEGEN", _edit(cegen_scale={"shape": [2], "data": [1.0, 0.0]}),
+     "cegen_scale must be an array > 0 or null"),
+    ("GBM", _edit(start_levels={"shape": [2], "data": [1.0, 1.0], "extra": 1}),
+     "an array block holds only 'shape' and 'data', got ['data', 'extra', 'shape']"),
+    ("GBM", _edit_in("normalizer", labels="c0"),
+     "normalizer labels must be a list of strings, got 'c0'"),
 ], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
         "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg",
-        "no-bias", "no-weight", "weight-shape", "cfg-layers", "cegen-scale"])
+        "no-bias", "no-weight", "weight-shape", "cfg-layers", "cegen-scale",
+        "negative-dt", "zero-dt", "float-seq-len", "float-dim", "negative-iterations",
+        "string-labels", "negative-cegen-scale", "zero-cegen-scale", "extra-block-key",
+        "string-normalizer-labels"])
 @pytest.mark.parametrize("command", ["eval-gen", "hedge"])
 def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, needle,
                                       command):
@@ -668,6 +685,30 @@ def test_one_edited_leaf_exits_with_one_error_line(containers, target, key, pick
             assert not (out / "manifest.json").exists()
 
 
+def test_checkpoint_dim_is_checked_before_any_net_is_built(tmp_path, dataset):
+    """A CEGEN checkpoint edited to `dim: 10**6` is refused on its two labels
+    (exit 3) before its diffusion net would draw hidden x dim² weights, which
+    the 512 MB address-space limit this run sets on itself refuses (exit 4)."""
+    ds, _ = dataset
+    checkpoint = train_checkpoint(tmp_path, ds, "CEGEN")
+    _edit(dim=10**6)(checkpoint)
+    cfg = write_config(tmp_path / "e.json", data={"dataset": str(ds)},
+                       generator={"checkpoint": str(checkpoint)})
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from commodgen import cli
+        sys.exit(cli.main(["eval-gen", "--config", {str(cfg)!r},
+                           "--out", {str(tmp_path / "run")!r}]))
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "2 labels and start_levels of shape (2,) for 1000000 dimensions" in out.stderr
+
+
 def test_hedge_on_sampled_paths_starting_at_or_below_zero_exits_3(tmp_path, dataset,
                                                                    capsys):
     # a head bias of -1000 makes every sampled path start far below zero
@@ -687,6 +728,20 @@ def test_hedger_container_as_generator_checkpoint_exits_3(tmp_path, gbm_runs, ca
                        generator={"checkpoint": str(hedger)})
     assert_one_line_exit_3(["eval-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
                            capsys, "kind 'hedger' is not a generator kind")
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_edit(labels="c0"), "malformed dataset container (labels must be a list of strings"),
+    (_edit(dt="0.00397"), "malformed dataset container (dt must be a finite number > 0"),
+    (_edit(dt=True), "malformed dataset container (dt must be a finite number > 0, got True"),
+    (_edit_in("values", extra=1), "an array block holds only 'shape' and 'data'"),
+], ids=["string-labels", "string-dt", "true-dt", "extra-block-key"])
+def test_ill_typed_dataset_field_exits_3(tmp_path, dataset, capsys, edit, needle):
+    ds, _ = dataset
+    edit(ds)
+    cfg = write_config(tmp_path / "t.json", data={"dataset": str(ds)})
+    assert_one_line_exit_3(["train-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, f"{ds}: {needle}")
 
 
 def test_malformed_dataset_exits_3(tmp_path, gbm_runs, capsys):
