@@ -598,12 +598,13 @@ def train_checkpoint(tmp_path, ds, kind: str):
      "an array block holds only 'shape' and 'data', got ['data', 'extra', 'shape']"),
     ("GBM", _edit_in("normalizer", labels="c0"),
      "normalizer labels must be a list of strings, got 'c0'"),
+    ("GBM", _edit_in("gbm", dt=True), "gbm dt must be a finite number > 0, got True"),
 ], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
         "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg",
         "no-bias", "no-weight", "weight-shape", "cfg-layers", "cegen-scale",
         "negative-dt", "zero-dt", "float-seq-len", "float-dim", "negative-iterations",
         "string-labels", "negative-cegen-scale", "zero-cegen-scale", "extra-block-key",
-        "string-normalizer-labels"])
+        "string-normalizer-labels", "true-gbm-dt"])
 @pytest.mark.parametrize("command", ["eval-gen", "hedge"])
 def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, needle,
                                       command):
