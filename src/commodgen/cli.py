@@ -257,10 +257,7 @@ def resolve_dataset(cfg: dict) -> PathBatch:
     """The evaluation/reference windows: a container if given, else source + pipeline."""
     d = cfg["data"]
     if d["dataset"]:
-        path = pathlib.Path(d["dataset"])
-        if not path.exists():
-            raise DataError(f"no dataset container at {path}")
-        return read_dataset(path)
+        return read_dataset(d["dataset"])
     table = _load_table(cfg)
     if d["filter"]:
         table = filter_table(table, quantile_level=d["quantile_level"])
@@ -285,10 +282,7 @@ def _fit_generator(cfg: dict, data: PathBatch):
 def _load_generator(cfg: dict, data: PathBatch):
     """The configured checkpoint's model, refused unless it generates paths
     of `data`'s window length and columns, in the same order."""
-    path = pathlib.Path(cfg["generator"]["checkpoint"])
-    if not path.exists():
-        raise DataError(f"no generator checkpoint at {path}")
-    model = load_checkpoint(path)
+    model = load_checkpoint(cfg["generator"]["checkpoint"])
     if (data.seq_len, data.dim, data.labels) != (model.seq_len, model.dim, model.labels):
         raise DataError(f"dataset windows are {data.seq_len} steps of {data.labels} but "
                         f"the checkpoint generates {model.seq_len} steps of {model.labels}")

@@ -17,11 +17,10 @@ normalized PathBatch returns a GeneratorModel plus its LossCurve, and
            metric and rolled out autoregressively.
 
 Each model's nets are built once, by its trainer or by the checkpoint
-decoder, and `sample()` runs the training rollout on them.  A checkpoint is
-written and read by walking one field list, `MODEL_FIELDS`, checked by
-`GeneratorModel.__post_init__` (by the decoder before it builds a net).
-Training is deterministic per (data, cfg, seed): every random draw comes
-from a named counter-based stream, so reruns produce identical parameters.
+decoder, and `sample()` runs the training rollout on them.  Training is
+deterministic per (data, cfg, seed): every random draw comes from a named
+counter-based stream, so reruns produce identical parameters.  One field
+list, `MODEL_FIELDS`, writes, reads and checks a checkpoint.
 """
 
 from __future__ import annotations
@@ -189,7 +188,6 @@ class GeneratorModel:
     trained_iterations: int = 0
 
     def __post_init__(self):
-        """Check the MODEL_FIELDS, then the kind's own block against `cfg` and `dim`."""
         _check_fields(vars(self))
         kind, cfg, dim = self.kind, self.cfg, self.dim
         gbm, pool, scale = self.gbm, self.sig_pool, self.cegen_scale
@@ -246,20 +244,17 @@ class GeneratorModel:
             return nets["rec"](_tsgan_rollout(nets, z)).data
 
 
-# the fields a checkpoint stores -> their kinds as check_field takes them: an
-# array is stored as an array block, an object through its to_dict/from_dict
+# the fields a checkpoint stores -> their kinds as check_field takes them
 MODEL_FIELDS = {name: kind for name, kind in typing.get_type_hints(GeneratorModel).items()
                 if name not in ("kind", "params", "nets")}
-# each bounded one -> its bound, an array's for every entry.  Start levels are
-# unbounded: with generator.normalize false every neural kind trains on a
-# dataset's own levels, which may be <= 0.
+# each bounded one -> its bound, an array's for every entry; start_levels has
+# none, since with generator.normalize false a neural kind trains on raw levels
 MODEL_BOUNDS = {"seq_len": ">= 2", "dim": ">= 1", "dt": "> 0", "trained_iterations": ">= 0",
                 "cegen_scale": "> 0"}
 
 
 def _check_fields(fields: dict) -> None:
-    """Refuse a MODEL_FIELDS entry of `fields` outside its kind or bound, and
-    labels or start levels that are not one per dimension."""
+    """Refuse fields outside their kind or bound, or not one per dimension."""
     for name, kind in MODEL_FIELDS.items():
         check_field(name, fields[name], kind, MODEL_BOUNDS.get(name))
     dim, labels, starts = fields["dim"], fields["labels"], fields["start_levels"]

@@ -8,10 +8,9 @@ lists with an explicit shape.
 
 Datasets, generator checkpoints and hedger checkpoints share one container
 codepath: `write_container` tags the payload with a format name and version,
-and `read_container` checks both and decodes the body, so a truncated file, a
-wrong tag, a missing key, an array block with a key beyond `shape` and `data`
-or a field refused by `check_field` (the one type-and-bound check of config
-values and container fields) surfaces as one DataError naming the file.
+and `read_container` checks both and decodes the body, so a missing or
+truncated file, a wrong tag, a missing key, an ill-formed array block or a
+field that `check_field` refuses surfaces as one DataError naming the file.
 Only datasets and generator checkpoints are read back; no command reads a
 hedger checkpoint.
 
@@ -69,9 +68,8 @@ def _fits(value, kind) -> bool:
 
 def check_field(name: str, value, kind, bound: str | None = None) -> None:
     """Raise a one-line ConfigError naming `name` unless `value` is a `kind`
-    within `bound` (a key of BOUNDS; an array's every entry).  `kind` is a
-    type of `_TYPE_NAMES`, a union of them that may include None, or a tuple
-    of allowed values."""
+    within `bound` (a key of BOUNDS).  `kind` is a type of `_TYPE_NAMES`, a
+    union of them that may include None, or a tuple of allowed values."""
     if isinstance(kind, tuple):
         ok, what = value in kind, f"one of {', '.join(kind)}"
     else:
@@ -143,13 +141,15 @@ def write_container(path, fmt: str, version: int, body: dict) -> None:
 def read_container(path, fmt: str, version: int, what: str, decode):
     """Read a container written by `write_container` and return `decode(payload)`.
 
-    `what` names the container in messages.  Unreadable JSON, a wrong format
-    tag or version, and any missing key or ill-typed value met while
-    decoding all raise DataError naming the file, as does a DataError that
-    `decode` raises itself.
+    `what` names the container in messages.  A missing file, unreadable
+    JSON, a wrong format tag or version, and any missing key or ill-typed
+    value met while decoding all raise DataError naming the file, as does a
+    DataError that `decode` raises itself.
     """
     try:
         raw = read_json(path)
+    except FileNotFoundError:
+        raise DataError(f"no {what} at {path}") from None
     except ValueError as exc:
         raise DataError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != fmt:

@@ -688,8 +688,9 @@ def test_one_edited_leaf_exits_with_one_error_line(containers, target, key, pick
 
 def test_checkpoint_dim_is_checked_before_any_net_is_built(tmp_path, dataset):
     """A CEGEN checkpoint edited to `dim: 10**6` is refused on its two labels
-    (exit 3) before its diffusion net would draw hidden x dim² weights, which
-    the 512 MB address-space limit this run sets on itself refuses (exit 4)."""
+    (exit 3) before its diffusion net would draw hidden x dim² weights, a
+    draw that fails (exit 4) under the 512 MB address-space limit the run
+    sets on itself."""
     ds, _ = dataset
     checkpoint = train_checkpoint(tmp_path, ds, "CEGEN")
     _edit(dim=10**6)(checkpoint)
@@ -752,6 +753,18 @@ def test_malformed_dataset_exits_3(tmp_path, gbm_runs, capsys):
                        generator={"checkpoint": str(checkpoint)})
     assert_one_line_exit_3(["eval-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
                            capsys, "dataset container is not valid JSON")
+
+
+@pytest.mark.parametrize("missing,needle", [(0, "no dataset container at"),
+                                            (1, "no generator checkpoint at")],
+                         ids=["dataset", "checkpoint"])
+def test_missing_container_exits_3(tmp_path, gbm_runs, capsys, missing, needle):
+    paths = gbm_runs[:2]
+    paths[missing].unlink()
+    cfg = write_config(tmp_path / "e.json", data={"dataset": str(paths[0])},
+                       generator={"checkpoint": str(paths[1])})
+    assert_one_line_exit_3(["eval-gen", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                           capsys, f"{needle} {paths[missing]}")
 
 
 # ---------------------------------------------------------------------------
