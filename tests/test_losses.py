@@ -233,6 +233,16 @@ def sig_loss(metric, pasts, fake_futures):
     return metric.loss_given_prediction(metric.fitted, pasts[:, -1:, :], fake)
 
 
+def assert_solves_ridge_normal_equations(design, targets, weights):
+    """(DᵀD + RIDGE·I′) W − DᵀT within 1e-12 of DᵀT's largest entry, where
+    I′ is the identity without the intercept's (last) diagonal entry."""
+    penalty = losses.RIDGE * np.eye(design.shape[1])
+    penalty[-1, -1] = 0.0
+    rhs = design.T @ targets
+    residual = (design.T @ design + penalty) @ weights - rhs
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
+
+
 class TestConditionalSigMetric:
     def make_pairs(self, seed=0, n=40, p=3, q=3, d=1):
         rng = np.random.default_rng(seed)
@@ -319,6 +329,30 @@ class TestConditionalSigMetric:
             dn[idx] -= h
             fd = (loss(up).item() - loss(dn).item()) / (2 * h)
             assert abs(ft.grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_fit_solves_the_ridge_normal_equations(self, monkeypatch, d, depth):
+        # over three row blocks, the last one ragged: (DᵀD + RIDGE·I′) W = DᵀT,
+        # I′ leaving the intercept out, and `fitted` = D W, each within 1e-12
+        # of the right-hand side's largest entry
+        monkeypatch.setattr(losses, "FIT_BLOCK_ROWS", 48)
+        pasts, futures = self.make_pairs(seed=depth + d, n=130, p=5, q=4, d=d)
+        metric = ConditionalSigMetric(depth=depth).fit(pasts, futures)
+        design, targets = self.design_and_targets(pasts, futures, depth)
+        assert_solves_ridge_normal_equations(design, targets, metric.weights)
+        expected = design @ metric.weights
+        assert np.max(np.abs(metric.fitted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @staticmethod
+    def design_and_targets(pasts, futures, depth):
+        """The regression's design (past signatures and an intercept column)
+        and targets (signatures of the futures grown from each last past point)."""
+        phi = losses._signature_block(pasts, depth)
+        design = np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
+        targets = losses._signature_block(
+            np.concatenate([pasts[:, -1:, :], futures], axis=1), depth)
+        return design, targets
 
     def test_fit_in_row_blocks_equals_one_block(self, monkeypatch):
         pasts, futures = self.make_pairs(n=200, p=5, q=4, d=2)
