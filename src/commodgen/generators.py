@@ -657,11 +657,12 @@ def _train_siggan(data: PathBatch, cfg: TrainConfig):
     p, q = cfg.past_len, cfg.future_len
     pasts, futures = _siggan_pairs(data, p, q)
     # a floor on the regression fit, which runs at 0 iterations too: the
-    # (n, L + 1) design, the (n, L) targets and the (L + 1, L + 1) Gram
-    # matrix, L the length of a time-augmented signature (checked first)
+    # (n, L + 1) design that `fitted` overwrites, the (L + 1, L + 1) Gram
+    # matrix and the (L + 1, L) right-hand side, L the length of a
+    # time-augmented signature (checked first)
     _check_budget(data.dim + 1, cfg.sig_depth)
     n_pairs, width = pasts.shape[0], sig_length(data.dim + 1, cfg.sig_depth)
-    _check_fits(cfg, ("sig_depth",), 8 * (n_pairs * (2 * width + 1) + (width + 1) ** 2),
+    _check_fits(cfg, ("sig_depth",), 8 * (width + 1) * (n_pairs + 2 * width + 1),
                 "the signature regression")
     params, nets = _build_nets("SIGGAN", data.dim, cfg)
     metric = ConditionalSigMetric(depth=cfg.sig_depth).fit(pasts, futures)

@@ -307,7 +307,7 @@ def _signature_block(values, depth: int):
     return Tensor._result(block, (values,), backward, "signature")
 
 
-FIT_BLOCK_ROWS = 512   # pairs per block of signatures in ConditionalSigMetric.fit
+FIT_BLOCK_ROWS = 512   # pairs per row block of ConditionalSigMetric.fit's one pass
 RIDGE = 1e-6           # penalty on every regression coefficient but the intercept
 
 
@@ -322,6 +322,13 @@ class ConditionalSigMetric:
     mean fake signature.  `fit` keeps the regression's predictions on the
     pasts it was fitted on as `fitted`, so training need not compute their
     signatures a second time.
+
+    `fit` makes one pass over row blocks of `FIT_BLOCK_ROWS` pairs: each
+    block's past signatures fill its rows of the design, and its future
+    signatures are added into the right-hand side DᵀT and dropped, so the
+    targets are never held whole.  After the solve, each block's
+    predictions overwrite its own design rows, and `fitted` is a view of
+    them.  The block sums round differently from one product over all rows.
     """
 
     depth: int = 4
@@ -334,22 +341,22 @@ class ConditionalSigMetric:
         if pasts.ndim != 3 or futures.ndim != 3 or pasts.shape[0] != futures.shape[0]:
             raise DataError("fit expects matching (n, p, d) pasts and (n, q, d) futures")
         _check_budget(max(pasts.shape[2], futures.shape[2]) + 1, self.depth)
-        n = pasts.shape[0]
-        design = np.empty((n, sig_length(pasts.shape[2] + 1, self.depth) + 1))
+        n, width = pasts.shape[0], sig_length(pasts.shape[2] + 1, self.depth)
+        design = np.empty((n, width + 1))
         design[:, -1] = 1.0   # intercept
-        targets = np.empty((n, sig_length(futures.shape[2] + 1, self.depth)))
+        rhs = np.zeros((width + 1, sig_length(futures.shape[2] + 1, self.depth)))
         for lo in range(0, n, FIT_BLOCK_ROWS):
             rows = slice(lo, lo + FIT_BLOCK_ROWS)
             design[rows, :-1] = _signature_block(pasts[rows], self.depth)
             future = np.concatenate([pasts[rows, -1:, :], futures[rows]], axis=1)
-            targets[rows] = _signature_block(future, self.depth)
-        penalty = RIDGE * np.eye(design.shape[1])
-        penalty[-1, -1] = 0.0  # intercept unpenalised
-        gram = design.T @ design + penalty
-        rhs = design.T @ targets
-        del targets   # before `fitted`, which is as large
+            rhs += design[rows].T @ _signature_block(future, self.depth)
+        gram = design.T @ design
+        gram[np.diag_indices(width)] += RIDGE   # the intercept, last, unpenalised
         self.weights = np.linalg.solve(gram, rhs)
-        self.fitted = design @ self.weights
+        for lo in range(0, n, FIT_BLOCK_ROWS):
+            rows = slice(lo, lo + FIT_BLOCK_ROWS)
+            design[rows, :-1] = design[rows] @ self.weights
+        self.fitted = design[:, :-1]
         return self
 
     def loss_given_prediction(self, predicted: np.ndarray, last: np.ndarray,

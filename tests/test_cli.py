@@ -895,7 +895,7 @@ def test_unallocatable_size_exits_4(tmp_path, dataset, capsys, command, sections
                  r"sinkhorn_iterations = 30 need at least 3528000 bytes", 0,
                  id="COTGAN.sinkhorn_tape"),
     pytest.param({"kind": "SIGGAN", "train": {"sig_depth": 5}},
-                 r"generator\.train\.sig_depth = 5 needs at least 2484888 bytes", 4,
+                 r"generator\.train\.sig_depth = 5 needs at least 2830464 bytes", 4,
                  id="SIGGAN.regression"),
 ])
 def test_train_arrays_beyond_the_memory_budget_exit_4(tmp_path, dataset, capsys, monkeypatch,
