@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import importlib.resources
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,8 +261,15 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
+        if d.keys() - {"mode", "scale", "labels", "shift"}:
+            raise DataError(f"a normalizer block holds only 'mode', 'scale', 'labels' and "
+                            f"'shift', got {sorted(d)}")
         check_field("normalizer mode", d["mode"], (cls.MODE,))
-        return cls(scale=d["scale"], labels=d["labels"])
+        normalizer = cls(scale=d["scale"], labels=d["labels"])
+        if d["shift"] != [0.0] * normalizer.scale.shape[0]:
+            raise DataError(f"normalizer shift must be all zeros, one per dimension, "
+                            f"got {reprlib.repr(d['shift'])}")
+        return normalizer
 
 
 def fit_normalizer(batch: PathBatch) -> Normalizer:

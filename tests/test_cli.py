@@ -599,12 +599,19 @@ def train_checkpoint(tmp_path, ds, kind: str):
     ("GBM", _edit_in("normalizer", labels="c0"),
      "normalizer labels must be a list of strings, got 'c0'"),
     ("GBM", _edit_in("gbm", dt=True), "gbm dt must be a finite number > 0, got True"),
+    ("GBM", _edit(extra=1), "unexpected top-level key 'extra'"),
+    ("GBM", _edit_in("normalizer", extra=1),
+     "a normalizer block holds only 'mode', 'scale', 'labels' and 'shift', got "
+     "['extra', 'labels', 'mode', 'scale', 'shift']"),
+    ("GBM", _edit_in("normalizer", shift=[5.0, 0.0]),
+     "normalizer shift must be all zeros, one per dimension, got [5.0, 0.0]"),
 ], ids=["truncated", "directory", "no-dim", "dataset-format", "version", "unknown-kind",
         "no-data-block", "ill-typed-cfg", "nan-cfg", "float-iterations-cfg",
         "no-bias", "no-weight", "weight-shape", "cfg-layers", "cegen-scale",
         "negative-dt", "zero-dt", "float-seq-len", "float-dim", "negative-iterations",
         "string-labels", "negative-cegen-scale", "zero-cegen-scale", "extra-block-key",
-        "string-normalizer-labels", "true-gbm-dt"])
+        "string-normalizer-labels", "true-gbm-dt", "extra-top-level-key",
+        "extra-normalizer-key", "nonzero-normalizer-shift"])
 @pytest.mark.parametrize("command", ["eval-gen", "hedge"])
 def test_malformed_checkpoint_exits_3(tmp_path, dataset, capsys, kind, corrupt, needle,
                                       command):
