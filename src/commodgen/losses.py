@@ -345,16 +345,16 @@ class ConditionalSigMetric:
         design = np.empty((n, width + 1))
         design[:, -1] = 1.0   # intercept
         rhs = np.zeros((width + 1, sig_length(futures.shape[2] + 1, self.depth)))
-        for lo in range(0, n, FIT_BLOCK_ROWS):
-            rows = slice(lo, lo + FIT_BLOCK_ROWS)
+        blocks = [slice(lo, lo + FIT_BLOCK_ROWS) for lo in range(0, n, FIT_BLOCK_ROWS)]
+        for rows in blocks:
             design[rows, :-1] = _signature_block(pasts[rows], self.depth)
             future = np.concatenate([pasts[rows, -1:, :], futures[rows]], axis=1)
             rhs += design[rows].T @ _signature_block(future, self.depth)
         gram = design.T @ design
         gram[np.diag_indices(width)] += RIDGE   # the intercept, last, unpenalised
         self.weights = np.linalg.solve(gram, rhs)
-        for lo in range(0, n, FIT_BLOCK_ROWS):
-            rows = slice(lo, lo + FIT_BLOCK_ROWS)
+        del gram, rhs   # before the blocks of `fitted` are computed
+        for rows in blocks:
             design[rows, :-1] = design[rows] @ self.weights
         self.fitted = design[:, :-1]
         return self
