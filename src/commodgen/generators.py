@@ -738,13 +738,13 @@ def _fill_params(params: ParamSet, state: dict, kind: str, dim: int) -> None:
 
 
 def _decode_model(raw: dict) -> GeneratorModel:
-    extra = raw.keys() - {*MODEL_FIELDS, "kind", "cfg_hash", "params", "format", "version"}
-    if extra:
-        raise DataError(f"unexpected top-level key {', '.join(map(repr, sorted(extra)))}")
     kind = raw["kind"]
     if kind not in KINDS:
         raise DataError(f"checkpoint kind '{kind}' is not a generator kind "
                         f"({', '.join(KINDS)})")
+    extra = raw.keys() - {*MODEL_FIELDS, "kind", "cfg_hash", "params", "format", "version"}
+    if extra:
+        raise DataError(f"unexpected top-level key {', '.join(map(repr, sorted(extra)))}")
     fields = {}
     for name, field_kind in MODEL_FIELDS.items():
         cls, value = (typing.get_args(field_kind) or (field_kind,))[0], raw[name]
