@@ -387,8 +387,7 @@ class TestConditionalSigMetric:
         metric = ConditionalSigMetric(depth=3).fit(pasts, futures)
         assert metric.fitted.shape == (200, metric.weights.shape[1])
         # the prediction on the whole batch of pasts at once
-        phi = losses._signature_block(pasts, 3)
-        design = np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
+        design, _ = self.design_and_targets(pasts, futures, 3)
         assert np.array_equal(metric.fitted, design @ metric.weights)
 
     def test_shape_validation(self):
