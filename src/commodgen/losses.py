@@ -353,7 +353,7 @@ class ConditionalSigMetric:
         gram = design.T @ design
         gram[np.diag_indices(width)] += RIDGE   # the intercept, last, unpenalised
         self.weights = np.linalg.solve(gram, rhs)
-        del gram, rhs   # before the blocks of `fitted` are computed
+        del gram, rhs   # the loop below holds only the design, weights and one block
         for rows in blocks:
             design[rows, :-1] = design[rows] @ self.weights
         self.fitted = design[:, :-1]
